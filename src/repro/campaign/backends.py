@@ -13,13 +13,16 @@ is unchanged, but the *mechanism* is now a backend behind the
   orchestrator's sessions in deterministic label order at each slice
   frontier.  Shards share no mutable state, so per-shard results match
   the serial backend bit for bit; only wall-clock changes.
-* :class:`SupervisedQueueBackend` — long-running worker processes
-  consuming shard-slice tasks from a multiprocessing queue, supervised
-  with heartbeats: a dead, hung, or silent worker is respawned and its
-  shard's last good checkpoint re-dispatched (idempotent — the re-run
-  slice merges bit-identically); a shard that keeps failing is
-  quarantined instead of aborting the grid; when workers cannot be
-  (re)spawned at all the supervisor degrades to in-process execution.
+* :class:`SupervisedQueueBackend` — long-running worker processes, each
+  with its own task queue, that keep their shards resident between
+  slices: after a shard's first slice a task names only the slice, and
+  the worker returns only what the slice changed.  Workers are
+  supervised with heartbeats: a dead, hung, or silent worker is
+  respawned and its shard re-dispatched as a full checkpoint captured
+  from the orchestrator's copy (idempotent — the re-run slice merges
+  bit-identically); a shard that keeps failing is quarantined instead
+  of aborting the grid; when workers cannot be (re)spawned at all the
+  supervisor degrades to in-process execution.
   Workers forward session events over a relay queue, so grid-wide
   subscribers on the orchestrator's bus observe remote iterations
   (re-emitted with ``remote=True``, ``shard=<label>``, and JSON-shaped
@@ -41,7 +44,7 @@ import queue
 import time  # analyze: ignore[DET001] supervision deadlines/backoff; never feeds campaign state
 
 from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointError
-from repro.campaign.queue_worker import execute_task, worker_main
+from repro.campaign.queue_worker import execute_task, paused_gc, worker_main
 from repro.campaign.resilience import FaultPolicy, ShardRecovery
 from repro.registry import Registry
 
@@ -112,14 +115,14 @@ def _eligible(orchestrator, frontier, max_iterations):
     return rows
 
 
-def _make_task(label, shard_index, session, command, *, frontier=None,
+def _make_task(label, shard_index, command, *, frontier=None,
                max_iterations=None, count=None, relay=()):
-    """One shard-slice unit of work, as plain JSON-shaped data."""
+    """One shard-slice unit of work, as plain JSON-shaped data, without
+    the shard's state (see :func:`_full_task`)."""
     task = {
         "label": label,
         "shard_index": shard_index,
         "command": command,
-        "checkpoint_json": CampaignCheckpoint.capture(session).to_json(),
     }
     if relay:
         task["relay"] = list(relay)
@@ -128,6 +131,13 @@ def _make_task(label, shard_index, session, command, *, frontier=None,
         task["max_iterations"] = max_iterations
     else:
         task["count"] = count
+    return task
+
+
+def _full_task(template, session):
+    """``template`` plus the session's full checkpoint."""
+    task = dict(template)
+    task["checkpoint_json"] = CampaignCheckpoint.capture(session).to_json()
     return task
 
 
@@ -271,6 +281,7 @@ class ProcessPoolBackend(ExecutionBackend):
             submitted = {}
             for label in sorted(pending):
                 task = dict(pending[label])
+                recovery.note("full_tasks")
                 attempt = recovery.attempts_for(label, slice_index)
                 task["attempt"] = attempt
                 if self.injector is not None:
@@ -341,10 +352,10 @@ class ProcessPoolBackend(ExecutionBackend):
         try:
             for step, frontier in enumerate(frontiers, start=1):
                 tasks = {
-                    label: _make_task(label, shard_index, session,
-                                      "run_for_virtual_time",
-                                      frontier=frontier,
-                                      max_iterations=max_iterations)
+                    label: _full_task(_make_task(
+                        label, shard_index, "run_for_virtual_time",
+                        frontier=frontier, max_iterations=max_iterations),
+                        session)
                     for label, shard_index, session in _eligible(
                         orchestrator, frontier, max_iterations)
                 }
@@ -369,8 +380,9 @@ class ProcessPoolBackend(ExecutionBackend):
         pool = self._make_pool(len(orchestrator.sessions))
         try:
             tasks = {
-                label: _make_task(label, shard_index, session,
-                                  "run_iterations", count=count)
+                label: _full_task(_make_task(label, shard_index,
+                                             "run_iterations", count=count),
+                                  session)
                 for label, shard_index, session in _eligible(
                     orchestrator, None, None)
             }
@@ -388,16 +400,32 @@ class ProcessPoolBackend(ExecutionBackend):
 class _Supervisor:
     """One backend run's worker fleet, queues, and supervision loop.
 
-    The failure/recovery state machine per task: *dispatched* →
-    *claimed* (worker announced pickup) → *result* | *error* | *timeout*
-    | *worker lost*.  Every non-result outcome routes through
-    :meth:`ShardRecovery.record_failure`, which either re-dispatches the
-    same last-good checkpoint (after deterministic backoff) or
-    quarantines the shard.  Worker loss triggers a respawn; when the
-    respawn budget is exhausted or spawning fails outright, the
-    supervisor emits ``degraded`` and falls back to in-process execution
-    of the remaining tasks — same :func:`execute_task` code path, so
-    results stay bit-identical.
+    **Affinity.**  Every worker has its own task queue, and shard *i* goes
+    to the worker in slot *i* mod *W*, which keeps the shard's session
+    resident between slices.  A shard's first task is *full*: it carries
+    the checkpoint captured from the orchestrator's session.  While the
+    shard stays resident on its worker at the session's iteration count,
+    later tasks are *delta* tasks that name only the base iteration count
+    and the slice.  Every result is a slice delta, which the
+    orchestrator's session applies on arrival (``load_state`` checks its
+    base and validates all of it first).  So that session is exact at
+    every slice frontier, and it is the shard's last good checkpoint.
+
+    **Recovery.**  The state machine per task: *dispatched* → *claimed*
+    (worker announced pickup) → *result* | *error* | *timeout* | *worker
+    lost*.  Every non-result outcome (a result whose delta does not parse
+    or fit counts as a corrupt checkpoint) drops the shard's residency
+    and routes through :meth:`ShardRecovery.record_failure`, which either
+    re-dispatches a full task captured from the orchestrator's session
+    (after deterministic backoff) or quarantines the shard.  A worker's
+    queue dies with it, and the supervisor knows which tasks it held: the
+    one it was running is charged a failure, the ones queued behind it
+    are re-dispatched uncharged.  Worker loss triggers a respawn into the
+    same slot; when the respawn budget is exhausted or spawning fails
+    outright, the supervisor emits ``degraded`` and falls back to
+    in-process execution of the remaining tasks with full checkpoints —
+    the same :func:`execute_task` path as the pool, so results stay
+    bit-identical.
     """
 
     POLL_S = 0.05
@@ -411,16 +439,18 @@ class _Supervisor:
                                       health=_shard_health(orchestrator))
         self.inline = False
         self._context = None
+        self._slots = []       # slot -> worker_id (None while vacant)
         self._workers = {}     # worker_id -> Process
+        self._queues = {}      # worker_id -> its task queue
         self._last_beat = {}   # worker_id -> monotonic seconds
         self._claims = {}      # worker_id -> task_id
+        self._resident = {}    # label -> (worker_id, iterations) it holds
         self._stale = set()    # task_ids whose late results must be ignored
         self._next_task_id = 0
         self._next_worker_id = 0
         self._respawns = 0
         try:
             context = _preferred_context(backend._mp_context)
-            self.task_queue = context.Queue()
             self.result_queue = context.Queue()
             self.relay_queue = context.Queue(maxsize=4096)
             self._context = context
@@ -430,8 +460,7 @@ class _Supervisor:
         shard_count = len(orchestrator.sessions)
         target = backend.workers or min(shard_count,
                                         max(1, os.cpu_count() or 1))
-        self._target_workers = max(1, target)
-        for _ in range(self._target_workers):
+        for _ in range(max(1, target)):
             if not self._spawn_worker():
                 break
         if not self._workers:
@@ -439,11 +468,14 @@ class _Supervisor:
 
     # -- fleet ------------------------------------------------------------------
     def _spawn_worker(self):
+        """Start a worker with its own task queue in the first vacant slot
+        (or a new one); returns whether it started."""
         try:
             worker_id = self._next_worker_id
+            task_queue = self._context.Queue()
             process = self._context.Process(
                 target=worker_main,
-                args=(worker_id, self.task_queue, self.result_queue,
+                args=(worker_id, task_queue, self.result_queue,
                       self.relay_queue),
                 kwargs={"heartbeat_interval_s":
                         self.policy.heartbeat_interval_s},
@@ -454,24 +486,27 @@ class _Supervisor:
             return False
         self._next_worker_id = worker_id + 1
         self._workers[worker_id] = process
+        self._queues[worker_id] = task_queue
         self._last_beat[worker_id] = time.monotonic()
+        if None in self._slots:
+            self._slots[self._slots.index(None)] = worker_id
+        else:
+            self._slots.append(worker_id)
         self.recovery.note("spawns")
         return True
 
-    def _ensure_workers(self, outstanding):
-        """Respawn toward the target while work is outstanding; shrink the
-        target (degrading gracefully) when spawning keeps failing."""
-        if self.inline or not outstanding:
-            return
-        while len(self._workers) < self._target_workers:
+    def _ensure_workers(self):
+        """Respawn into vacated slots; drop a slot (degrading gracefully)
+        when spawning fails."""
+        while not self.inline and None in self._slots:
             if self._respawns >= self.policy.max_respawns:
                 self._degrade("respawn budget exhausted")
                 return
             self._respawns += 1
             self.recovery.note("respawns")
             if not self._spawn_worker():
-                self._target_workers -= 1
-                if self._target_workers <= 0 or not self._workers:
+                self._slots.remove(None)
+                if not self._workers:
                     self._degrade("respawn kept failing")
                 else:
                     self.recovery.degraded("respawn failed",
@@ -486,117 +521,105 @@ class _Supervisor:
 
     # -- dispatch ---------------------------------------------------------------
     def _dispatch(self, template, slice_index, attempt, pending):
-        task = {key: value for key, value in template.items()
-                if key not in ("task_id", "faults", "attempt")}
+        """Send one task to the worker its shard is routed to: a delta task
+        while the shard is resident there at the orchestrator session's
+        iteration count, a full task otherwise."""
+        label = template["label"]
+        session = self.orchestrator.sessions[label]
+        worker_id = self._slots[template["shard_index"] % len(self._slots)]
+        if self._resident.get(label) == (worker_id, session.iterations):
+            task = dict(template, base_iterations=session.iterations)
+            self.recovery.note("delta_tasks")
+        else:
+            task = _full_task(template, session)
+            self.recovery.note("full_tasks")
         task_id = self._next_task_id
         self._next_task_id += 1
-        task["task_id"] = task_id
-        task["attempt"] = attempt
-        task["slice_index"] = slice_index
+        task.update(task_id=task_id, attempt=attempt, slice_index=slice_index)
         if self.injector is not None:
             faults = self.injector.faults_for(task["shard_index"], slice_index,
                                               attempt)
             if faults:
                 task["faults"] = faults
                 self.recovery.note("faults_injected", len(faults))
-        pending[task_id] = {"task": task, "worker": None, "claimed_at": None,
+        pending[task_id] = {"task": task, "template": template,
+                            "worker": worker_id, "claimed_at": None,
                             "enqueued_at": time.monotonic()}
-        self.task_queue.put(task)
+        self._queues[worker_id].put(task)
 
-    def _fail_task(self, task_id, pending, delayed, slice_index, reason):
+    def _fail_task(self, task_id, pending, delayed, slice_index, reason,
+                   charge=True):
+        """Take a task out of flight and schedule its shard's retry (a full
+        task: the shard is no longer resident anywhere).  ``charge=False``
+        re-dispatches a task that never ran without counting a failure."""
         record = pending.pop(task_id, None)
         if record is None:
             return
         self._stale.add(task_id)
-        task = record["task"]
-        label = task["label"]
+        template = record["template"]
+        label = template["label"]
+        self._resident.pop(label, None)
+        if not charge:
+            self.recovery.requeue(label, slice_index, reason)
+            delayed.append([time.monotonic(), template,
+                            record["task"]["attempt"]])
+            return
         action, backoff = self.recovery.record_failure(
-            label, slice_index=slice_index, shard_index=task["shard_index"],
-            reason=reason)
+            label, slice_index=slice_index,
+            shard_index=template["shard_index"], reason=reason)
         if action == ShardRecovery.QUARANTINE:
             return
         attempt = self.recovery.attempts_for(label, slice_index)
-        delayed.append([time.monotonic() + backoff, task, attempt])
-
-    def _requeue_unclaimed(self, pending, delayed, slice_index):
-        """A worker died before claiming: any unclaimed task *might* have
-        died with it (its claim message can be lost in the queue's feeder
-        thread).  Re-dispatch them all without charging failures —
-        re-running a slice is idempotent, so the worst case of a false
-        suspicion is one wasted duplicate whose late twin is ignored."""
-        for task_id, record in sorted(pending.items()):
-            if record["worker"] is not None:
-                continue
-            pending.pop(task_id)
-            self._stale.add(task_id)
-            task = record["task"]
-            self.recovery.requeue(task["label"], slice_index,
-                                  "worker-lost-unclaimed")
-            # attempt+1 suppresses first-attempt fault injection: the
-            # directive that killed the worker must not fire forever.
-            delayed.append([time.monotonic(), task, task["attempt"] + 1])
+        delayed.append([time.monotonic() + backoff, template, attempt])
 
     # -- supervision loop -------------------------------------------------------
     def execute_slice(self, slice_index, templates):
-        """Run one slice frontier's tasks to completion (or quarantine)
-        and merge results into the orchestrator in label order."""
-        results = {}
-        if self.inline:
-            for label in sorted(templates):
-                self._run_inline(templates[label], slice_index, results)
-        else:
-            self._supervise(slice_index, templates, results)
-        for label in self.orchestrator.labels:
-            if label in results:
-                self.orchestrator.sessions[label].load_state(results[label])
-
-    def _supervise(self, slice_index, templates, results):
+        """Run one slice frontier's tasks to completion (or quarantine);
+        each result is applied to its orchestrator session on arrival."""
         pending = {}
-        delayed = []  # [not_before, task-template, attempt]
+        # [not_before, task template, attempt]; label order on dispatch.
+        delayed = [[0.0, templates[label], 0] for label in sorted(templates)]
         now = time.monotonic()
         for worker_id in self._last_beat:
             self._last_beat[worker_id] = now  # we weren't listening between slices
-        for label in sorted(templates):
-            self._dispatch(templates[label], slice_index, 0, pending)
         while pending or delayed:
+            self._ensure_workers()
             if self.inline:
                 for task_id, record in sorted(pending.items()):
                     self._stale.add(task_id)
-                    self._run_inline(record["task"], slice_index, results)
-                for _, task, _ in delayed:
-                    self._run_inline(task, slice_index, results)
-                pending.clear()
-                delayed.clear()
+                    self._run_inline(record["template"], slice_index)
+                for _, template, _ in delayed:
+                    self._run_inline(template, slice_index)
                 break
             now = time.monotonic()
             ready = [entry for entry in delayed if now >= entry[0]]
             if ready:
                 delayed[:] = [entry for entry in delayed if now < entry[0]]
-                for _, task, attempt in ready:
-                    self._dispatch(task, slice_index, attempt, pending)
+                for _, template, attempt in ready:
+                    self._dispatch(template, slice_index, attempt, pending)
             self._drain_relay()
-            self._pump_results(pending, delayed, results, slice_index)
+            self._pump_results(pending, delayed, slice_index)
             self._reap_workers(pending, delayed, slice_index)
-            self._check_heartbeats()
+            self._check_heartbeats(pending, delayed, slice_index)
             self._check_deadlines(pending, delayed, slice_index)
-            self._ensure_workers(pending or delayed)
         self._drain_relay()
 
-    def _run_inline(self, template, slice_index, results):
-        """Degraded-mode execution: same task, same code path, this
-        process, fault directives ignored (chaos targets workers)."""
+    def _run_inline(self, template, slice_index):
+        """Degraded-mode execution: a full task run in this process (fault
+        directives ignored: chaos targets workers)."""
         label = template["label"]
         if self.recovery.health.get(label) == "quarantined":
             return
-        task = {key: value for key, value in template.items()
-                if key not in ("faults", "relay")}
+        session = self.orchestrator.sessions[label]
+        task = _full_task(template, session)
+        task.pop("relay", None)
         while True:
             self.recovery.note("inline_tasks")
             try:
                 advanced = CampaignCheckpoint.from_json(execute_task(
                     task, cache=self.orchestrator.cache,
                     bus=self.orchestrator.bus))
-                results[label] = advanced.state
+                session.load_state(advanced.state)
                 break
             except Exception as exc:
                 action, backoff = self.recovery.record_failure(
@@ -609,21 +632,20 @@ class _Supervisor:
                     time.sleep(backoff)
 
     # -- message handling -------------------------------------------------------
-    def _pump_results(self, pending, delayed, results, slice_index):
+    def _pump_results(self, pending, delayed, slice_index):
         try:
             message = self.result_queue.get(timeout=self.POLL_S)
         except queue.Empty:
             return
-        self._handle_message(message, pending, delayed, results, slice_index)
+        self._handle_message(message, pending, delayed, slice_index)
         while True:
             try:
                 message = self.result_queue.get_nowait()
             except queue.Empty:
                 return
-            self._handle_message(message, pending, delayed, results,
-                                 slice_index)
+            self._handle_message(message, pending, delayed, slice_index)
 
-    def _handle_message(self, message, pending, delayed, results, slice_index):
+    def _handle_message(self, message, pending, delayed, slice_index):
         worker_id = message.get("worker")
         if worker_id is not None:
             self._last_beat[worker_id] = time.monotonic()
@@ -634,7 +656,6 @@ class _Supervisor:
         if mtype == "claim":
             record = pending.get(task_id)
             if record is not None:
-                record["worker"] = worker_id
                 record["claimed_at"] = time.monotonic()
                 self._claims[worker_id] = task_id
             return
@@ -644,72 +665,102 @@ class _Supervisor:
         if self._claims.get(record["worker"]) == task_id:
             self._claims.pop(record["worker"], None)
         if mtype == "result":
+            label = record["template"]["label"]
+            session = self.orchestrator.sessions[label]
             try:
-                advanced = CampaignCheckpoint.from_json(
-                    message["checkpoint_json"])
+                with paused_gc():
+                    delta = CampaignCheckpoint.from_json(
+                        message["checkpoint_json"])
+                    session.load_state(delta.state)
             except CheckpointError:
                 self.recovery.note("corrupt_checkpoints")
                 self._fail_task(task_id, pending, delayed, slice_index,
                                 "corrupt-checkpoint")
                 return
-            results[record["task"]["label"]] = advanced.state
             pending.pop(task_id)
+            self._resident[label] = (record["worker"], session.iterations)
         elif mtype == "error":
             self.recovery.note("worker_errors")
             self._fail_task(task_id, pending, delayed, slice_index,
                             message.get("error", "worker-error"))
 
     # -- liveness ---------------------------------------------------------------
+    def _lose_worker(self, worker_id, pending, delayed, slice_index,
+                     reason="worker-lost"):
+        """A worker died or was terminated: vacate its slot, close its
+        queue, drop the residency of every shard it held, charge the task
+        it was running with ``reason`` and re-dispatch the ones queued
+        behind it uncharged."""
+        process = self._workers.pop(worker_id)
+        self._last_beat.pop(worker_id, None)
+        self._slots[self._slots.index(worker_id)] = None
+        task_queue = self._queues.pop(worker_id)
+        task_queue.cancel_join_thread()
+        task_queue.close()
+        for label, (holder, _) in list(self._resident.items()):
+            if holder == worker_id:
+                del self._resident[label]
+        held = sorted(task_id for task_id, record in pending.items()
+                      if record["worker"] == worker_id)
+        # The task it was running: the claimed one, or — when the claim
+        # died with it — the oldest it held (its queue is FIFO).
+        running = self._claims.pop(worker_id, None)
+        if running not in held:
+            running = held[0] if held else None
+        label = (pending[running]["template"]["label"]
+                 if running is not None else None)
+        self.recovery.worker_lost(worker_id, label=label,
+                                  exit_code=process.exitcode)
+        for task_id in held:
+            if task_id == running:
+                self._fail_task(task_id, pending, delayed, slice_index, reason)
+            else:
+                self._fail_task(task_id, pending, delayed, slice_index,
+                                "worker-lost-queued", charge=False)
+
+    def _terminate_worker(self, worker_id, pending, delayed, slice_index,
+                          reason):
+        """Stop a worker the supervisor gave up on, and lose it at once so
+        no retry is routed to it while it dies."""
+        process = self._workers[worker_id]
+        process.terminate()
+        process.join(timeout=1.0)
+        self._lose_worker(worker_id, pending, delayed, slice_index, reason)
+
     def _reap_workers(self, pending, delayed, slice_index):
         for worker_id, process in list(self._workers.items()):
-            if process.is_alive():
-                continue
-            process.join(timeout=0)
-            self._workers.pop(worker_id)
-            self._last_beat.pop(worker_id, None)
-            task_id = self._claims.pop(worker_id, None)
-            label = None
-            if task_id in pending:
-                label = pending[task_id]["task"]["label"]
-            self.recovery.worker_lost(worker_id, label=label,
-                                      exit_code=process.exitcode)
-            if task_id is not None and task_id in pending:
-                self._fail_task(task_id, pending, delayed, slice_index,
-                                "worker-lost")
-            else:
-                # Died between picking a task up and claiming it: the
-                # task may be gone from the queue with nobody to run it.
-                self._requeue_unclaimed(pending, delayed, slice_index)
+            if not process.is_alive():
+                process.join(timeout=0)
+                self._lose_worker(worker_id, pending, delayed, slice_index)
 
-    def _check_heartbeats(self):
+    def _check_heartbeats(self, pending, delayed, slice_index):
         """A worker silent past the heartbeat deadline is presumed wedged
-        (beats flow from a daemon thread even mid-slice) and terminated;
-        the reaper then handles it like any other death."""
+        (beats flow from a daemon thread even mid-slice) and terminated."""
         now = time.monotonic()
         for worker_id, last in list(self._last_beat.items()):
-            if now - last <= self.policy.heartbeat_timeout_s:
-                continue
-            process = self._workers.get(worker_id)
-            if process is None:
-                continue
-            self.recovery.note("heartbeat_losses")
-            self._last_beat.pop(worker_id, None)  # terminate exactly once
-            process.terminate()
+            if now - last > self.policy.heartbeat_timeout_s:
+                self.recovery.note("heartbeat_losses")
+                self._terminate_worker(worker_id, pending, delayed,
+                                       slice_index, "heartbeat-lost")
 
     def _check_deadlines(self, pending, delayed, slice_index):
         now = time.monotonic()
         timeout = self.policy.slice_timeout_s
         for task_id, record in list(pending.items()):
+            if task_id not in pending:
+                continue  # re-dispatched with a worker lost in this sweep
             started = record["claimed_at"] or record["enqueued_at"]
             if now - started <= timeout:
                 continue
             self.recovery.note("timeouts")
             worker_id = record["worker"]
-            if worker_id is not None and worker_id in self._workers:
+            if self._claims.get(worker_id) == task_id:
                 # Whatever it is doing, it is not finishing this slice.
-                self._claims.pop(worker_id, None)
-                self._workers[worker_id].terminate()
-            self._fail_task(task_id, pending, delayed, slice_index, "timeout")
+                self._terminate_worker(worker_id, pending, delayed,
+                                       slice_index, "timeout")
+            else:
+                self._fail_task(task_id, pending, delayed, slice_index,
+                                "timeout")
 
     # -- event relay ------------------------------------------------------------
     def _drain_relay(self):
@@ -732,8 +783,8 @@ class _Supervisor:
     def shutdown(self):
         if self._context is None:
             return
-        for _ in self._workers:
-            self.task_queue.put(None)
+        for task_queue in self._queues.values():
+            task_queue.put(None)
         deadline = time.monotonic() + 5.0
         for process in self._workers.values():
             process.join(timeout=max(0.0, deadline - time.monotonic()))
@@ -743,23 +794,27 @@ class _Supervisor:
                 process.join(timeout=1.0)
         self._workers.clear()
         self._drain_relay()
-        for relay_queue in (self.task_queue, self.result_queue,
-                            self.relay_queue):
-            relay_queue.cancel_join_thread()
-            relay_queue.close()
+        for open_queue in (*self._queues.values(), self.result_queue,
+                           self.relay_queue):
+            open_queue.cancel_join_thread()
+            open_queue.close()
+        self._queues.clear()
 
 
 @register_backend("supervised-queue")
 class SupervisedQueueBackend(ExecutionBackend):
     """Fault-tolerant work-queue execution with long-running workers.
 
-    The ROADMAP's campaign-service backend: shard-slice tasks stream over
-    a multiprocessing queue to a supervised worker fleet; worker death,
-    heartbeat loss, and slice timeouts are survived by respawning and
-    re-dispatching the shard's last good checkpoint (bit-identical by
-    construction), poison shards are quarantined instead of aborting the
-    grid, and session events are relayed back so grid-wide subscribers
-    observe remote iterations.  ``relay_events`` selects which event
+    Shard-slice tasks stream over per-worker multiprocessing queues to a
+    supervised worker fleet that keeps each shard resident, so after a
+    shard's first slice only the slice's change crosses a process
+    boundary (``report()["resilience"]["counters"]`` counts
+    ``full_tasks`` and ``delta_tasks``).  Worker death, heartbeat loss,
+    and slice timeouts are survived by respawning and re-dispatching the
+    shard as a full checkpoint of the orchestrator's copy (bit-identical
+    by construction), poison shards are quarantined instead of aborting
+    the grid, and session events are relayed back so grid-wide
+    subscribers observe remote iterations.  ``relay_events`` selects which event
     topics are forwarded (only topics with subscribers on the
     orchestrator's bus at dispatch time are shipped)."""
 
@@ -799,12 +854,12 @@ class SupervisedQueueBackend(ExecutionBackend):
         try:
             for step, frontier in enumerate(frontiers, start=1):
                 templates = {
-                    label: _make_task(label, shard_index, session,
+                    label: _make_task(label, shard_index,
                                       "run_for_virtual_time",
                                       frontier=frontier,
                                       max_iterations=max_iterations,
                                       relay=relay)
-                    for label, shard_index, session in _eligible(
+                    for label, shard_index, _ in _eligible(
                         orchestrator, frontier, max_iterations)
                 }
                 supervisor.execute_slice(step - 1, templates)
@@ -823,9 +878,9 @@ class SupervisedQueueBackend(ExecutionBackend):
         relay = self._relay_wanted(orchestrator)
         try:
             templates = {
-                label: _make_task(label, shard_index, session,
-                                  "run_iterations", count=count, relay=relay)
-                for label, shard_index, session in _eligible(
+                label: _make_task(label, shard_index, "run_iterations",
+                                  count=count, relay=relay)
+                for label, shard_index, _ in _eligible(
                     orchestrator, None, None)
             }
             supervisor.execute_slice(0, templates)

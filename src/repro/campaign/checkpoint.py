@@ -12,7 +12,11 @@ boundary (the only state the session drivers expose); everything else
 The same bundle is the unit of work the
 :class:`~repro.campaign.backends.ProcessPoolBackend` ships to worker
 processes: a shard travels to the worker as a checkpoint, runs its time
-slice there, and comes back as a checkpoint.
+slice there, and comes back as a checkpoint.  The
+:class:`~repro.campaign.backends.SupervisedQueueBackend` uses the same
+envelope for what a slice changed: its ``state`` is then a
+:meth:`~repro.campaign.session.CampaignSession.state_delta`, which
+``load_state`` applies to a session at the delta's base.
 """
 
 import contextlib
@@ -27,9 +31,10 @@ STATE_FORMAT_VERSION = 1
 
 class CheckpointError(ValueError):
     """A checkpoint could not be parsed or validated: truncated/corrupt
-    JSON, a non-object payload, missing required keys, or an unknown
-    format version.  Subclasses :class:`ValueError` so pre-existing
-    callers catching the old raw errors keep working."""
+    JSON, a non-object payload, state or meta, missing required keys, a
+    malformed spec, an unknown format version, or a slice delta that does
+    not fit the session it is loaded into.  Subclasses :class:`ValueError`
+    so pre-existing callers catching the old raw errors keep working."""
 
 
 @dataclass
@@ -91,9 +96,19 @@ class CampaignCheckpoint:
             raise CheckpointError(
                 f"checkpoint is missing required keys: {', '.join(missing)}"
             )
-        return cls(spec=CampaignSpec.from_dict(data["spec"]),
-                   state=data["state"], version=version,
-                   meta=dict(data.get("meta", {})))
+        meta = data.get("meta", {})
+        for key, value in (("state", data["state"]), ("meta", meta)):
+            if not isinstance(value, dict):
+                raise CheckpointError(
+                    f"checkpoint {key} must be an object, got "
+                    f"{type(value).__name__}"
+                )
+        try:
+            spec = CampaignSpec.from_dict(data["spec"])
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint spec is malformed: {exc}") from exc
+        return cls(spec=spec, state=data["state"], version=version,
+                   meta=dict(meta))
 
     def to_json(self):
         """Compact JSON string (the process-pool wire format)."""

@@ -1,9 +1,13 @@
 """Supervised campaign workers: the process side of the work-queue backend.
 
 A worker is a **long-running** process (unlike the pool backend's
-stateless futures): it loops on a multiprocessing task queue, restores
-each shard-slice task from its checkpoint, runs the slice, and posts the
-advanced checkpoint back on the result queue.  Alongside the task loop:
+stateless futures): it loops on its own multiprocessing task queue and
+keeps the sessions of the shards routed to it **resident** between
+slices.  A shard's first task (and any task after a failure) is *full*:
+it carries the shard's checkpoint, which replaces the resident session.
+Every later task is a *delta* task that only names the base iteration
+count and the slice to run.  Either way the worker posts back only what
+the slice changed (:func:`advance_resident`).  Alongside the task loop:
 
 * a daemon **heartbeat thread** posts liveness beats every
   ``heartbeat_interval_s`` even while the main thread is deep in a slice,
@@ -17,16 +21,18 @@ advanced checkpoint back on the result queue.  Alongside the task loop:
   stages via :func:`~repro.campaign.resilience.apply_fault_directives`
   (chaos testing; see :class:`~repro.campaign.resilience.FaultInjector`).
 
-Everything crossing a queue is plain JSON-shaped data (checkpoints travel
-as compact JSON strings), so results cannot depend on pickled object
-graphs, and a re-dispatched task re-runs bit-identically from the same
-last-good checkpoint.
+Everything crossing a queue is plain JSON-shaped data (checkpoints and
+deltas travel as compact JSON strings), so results cannot depend on
+pickled object graphs, and a re-dispatched full task re-runs
+bit-identically from the orchestrator's copy of the shard.
 """
 
+import contextlib
+import gc
 import queue
 import threading
 
-from repro.campaign.checkpoint import CampaignCheckpoint
+from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.campaign.events import EventBus
 from repro.campaign.resilience import apply_fault_directives
 
@@ -35,6 +41,24 @@ DEFAULT_HEARTBEAT_S = 0.2
 #: Event payload keys the supervisor adds on re-emission; the sanitizer
 #: must never forward a colliding key from the remote payload.
 _RESERVED_KEYS = frozenset({"session", "shard", "remote"})
+
+
+@contextlib.contextmanager
+def paused_gc():
+    """Pause the cyclic garbage collector around a bulk encode or decode.
+
+    Building or applying a slice delta allocates tens of thousands of
+    acyclic objects, and every collection they trigger rescans the
+    campaign state held in the process; late in a campaign that costs
+    more than the decode itself.  Reference counting still frees them."""
+    if not gc.isenabled():
+        yield
+        return
+    gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable()
 
 
 def _plain(value):
@@ -100,21 +124,15 @@ class RelayPublisher:
         return forward
 
 
-def execute_task(task, cache=None, relay_queue=None, bus=None):
-    """Restore the shard from its checkpoint, run the slice, and return
-    the advanced checkpoint as compact JSON.
+def _task_bus(task, relay_queue):
+    """A private bus for one task, relaying the topics the task asks for."""
+    bus = EventBus()
+    if relay_queue is not None and task.get("relay"):
+        RelayPublisher(relay_queue, task["label"], task["relay"]).attach(bus)
+    return bus
 
-    Shared by worker processes, the pool backend's futures, and the
-    supervisor's degraded in-process fallback — one code path, so every
-    execution mode is bit-identical by construction.  ``bus`` overrides
-    the private per-task bus (the inline fallback passes the
-    orchestrator's bus so local subscribers see full-fidelity events)."""
-    if bus is None:
-        bus = EventBus()
-        if relay_queue is not None and task.get("relay"):
-            RelayPublisher(relay_queue, task["label"], task["relay"]).attach(bus)
-    checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
-    session = checkpoint.restore(bus=bus, cache=cache)
+
+def _run_slice(session, task):
     command = task["command"]
     if command == "run_for_virtual_time":
         session.run_for_virtual_time(task["frontier"],
@@ -123,7 +141,53 @@ def execute_task(task, cache=None, relay_queue=None, bus=None):
         session.run_iterations(task["count"])
     else:
         raise ValueError(f"unknown task command {command!r}")
+
+
+def execute_task(task, cache=None, relay_queue=None, bus=None):
+    """Restore the shard from its full checkpoint, run the slice, and
+    return the advanced full checkpoint as compact JSON.
+
+    The pool backend's futures and the supervisor's degraded in-process
+    fallback run every slice this way.  ``bus`` overrides the private
+    per-task bus (the inline fallback passes the orchestrator's bus so
+    local subscribers see full-fidelity events)."""
+    if bus is None:
+        bus = _task_bus(task, relay_queue)
+    checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
+    session = checkpoint.restore(bus=bus, cache=cache)
+    _run_slice(session, task)
     return CampaignCheckpoint.capture(session).to_json()
+
+
+def advance_resident(task, resident, cache=None, relay_queue=None):
+    """Run one slice on a shard this worker keeps resident; return what
+    the slice changed, as a checkpoint-envelope JSON whose state is a
+    :meth:`~repro.campaign.session.CampaignSession.state_delta`.
+
+    ``resident`` maps shard label to session.  A *full* task (one that
+    carries ``checkpoint_json``) replaces the shard's session; a *delta*
+    task names the iteration count its base is at, and fails when the
+    resident session is elsewhere.  A slice that raises leaves the shard
+    non-resident, so only a full task can bring it back."""
+    label = task["label"]
+    bus = _task_bus(task, relay_queue)
+    session = resident.pop(label, None)
+    if "checkpoint_json" in task:
+        with paused_gc():
+            checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
+            session = checkpoint.restore(bus=bus, cache=cache)
+    elif session is None or session.iterations != task["base_iterations"]:
+        raise CheckpointError(
+            f"shard {label!r} is not resident at iteration "
+            f"{task['base_iterations']}")
+    else:
+        session.bus = bus
+    mark = session.delta_mark()
+    _run_slice(session, task)
+    resident[label] = session
+    with paused_gc():
+        return CampaignCheckpoint(spec=session.spec,
+                                  state=session.state_delta(mark)).to_json()
 
 
 def _heartbeat_loop(worker_id, result_queue, interval_s, stop):
@@ -148,11 +212,12 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
         daemon=True,
     )
     beat.start()
-    # One instrumentation cache per worker: successive slices of the same
-    # grid restore identical layouts (layouts are read-only once built).
+    # One instrumentation cache per worker: full tasks of the same grid
+    # restore identical layouts (layouts are read-only once built).
     from repro.campaign.cache import InstrumentationCache
 
     cache = InstrumentationCache()
+    resident = {}  # shard label -> the session this worker keeps
     try:
         while True:
             task = task_queue.get()
@@ -164,8 +229,8 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
             directives = task.get("faults") or ()
             try:
                 apply_fault_directives(directives, "pre", context)
-                context["checkpoint_json"] = execute_task(
-                    task, cache=cache, relay_queue=relay_queue)
+                context["checkpoint_json"] = advance_resident(
+                    task, resident, cache=cache, relay_queue=relay_queue)
                 apply_fault_directives(directives, "post", context)
                 apply_fault_directives(directives, "result", context)
             except Exception as exc:  # poison shard: report, keep serving

@@ -122,9 +122,9 @@ def register_fault(name, fault_class=None, replace=False):
 class KillWorkerFault:
     """Hard-kill the worker process before it runs the slice (the
     "machine died" chaos case).  ``settle_s`` gives the already-posted
-    claim message a moment to flush through the queue's feeder thread so
-    the supervisor usually knows which task died with the worker; the
-    unclaimed-task sweep covers the race either way."""
+    claim message a moment to flush through the queue's feeder thread;
+    without the claim the supervisor charges the oldest task the dead
+    worker held, which its FIFO queue makes the same one."""
 
     stage = "pre"
     settle_s: float = 0.05
@@ -294,6 +294,8 @@ class _RecoveryCounters:
     respawn_failures: int = 0
     degraded: int = 0
     inline_tasks: int = 0
+    full_tasks: int = 0    # tasks carrying a shard's whole checkpoint
+    delta_tasks: int = 0   # tasks for a shard resident on its worker
     requeues: int = 0
     relay_events: int = 0
     extra: dict = field(default_factory=dict)
@@ -351,10 +353,10 @@ class ShardRecovery:
         self._emit("degraded", reason=reason, workers=workers_left)
 
     def requeue(self, label, slice_index, reason):
-        """Re-dispatch without charging the shard a failure — used when a
-        task is merely *suspected* lost (e.g. it was unclaimed when a
-        worker died before its claim message flushed).  Re-running is
-        idempotent, so over-requeueing is waste, never corruption."""
+        """Re-dispatch without charging the shard a failure — used for a
+        task that never ran (it was queued behind the task that killed its
+        worker).  Re-running is idempotent, so over-requeueing is waste,
+        never corruption."""
         self.note("requeues")
         self.note("redispatches")
         self._emit("redispatch", shard=label, slice_index=slice_index,

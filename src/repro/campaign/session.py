@@ -12,7 +12,9 @@ compatibility shim over this class.
 """
 
 from dataclasses import dataclass
+from functools import partial
 
+from repro.campaign.checkpoint import CheckpointError
 from repro.campaign.events import EventBus
 from repro.campaign.registry import CORES, FUZZERS, TIMINGS
 from repro.campaign.spec import CampaignSpec
@@ -25,6 +27,21 @@ from repro.harness.runner import IterationRunner
 # from its own LFSR so detection luck is decoupled from generation; the
 # seed is a campaign-level constant unless a caller overrides it.
 DEFAULT_DETECTION_SEED = 0xC0FFEE
+
+#: ``state_dict()`` keys a slice delta carries as changes since its base.
+DELTA_INCREMENTAL = ("history", "coverage", "fuzzer")
+#: The ``state_dict()`` keys a slice delta carries whole, with their JSON
+#: types (``triggered_bugs``, a list, only on cores with injected bugs).
+#: A fuzzer without ``state_delta()`` also travels whole.
+DELTA_VERBATIM = {
+    "total_executed": int,
+    "total_generated": int,
+    "weights": dict,
+    "clock": dict,
+    "detection_seed": int,
+    "detection_lfsr": dict,
+    "core": dict,
+}
 
 
 @dataclass
@@ -178,24 +195,6 @@ class CampaignSession:
         # stream instead of restarting it.
         self.detection_lfsr = Lfsr(0xDE7EC7 ^ detection_seed)
         self.bus.milestone("campaign_start", session=self, spec=spec)
-
-    # -- process tuning --------------------------------------------------------
-    def freeze_steady_state(self):
-        """Move the session's long-lived object graph out of GC scanning.
-
-        A warmed session holds a large, effectively immortal structure —
-        netlist, coverage maps, decode and compiled-slot caches — that
-        every full collection re-scans even though none of it ever becomes
-        garbage.  Collect pending cycles first, then ``gc.freeze()`` what
-        survived into the permanent generation.  Call after warmup from a
-        long-running driver (the perf harness does, for both sides of the
-        ratio); short-lived sessions in tests should not bother — frozen
-        objects are never reclaimed by the cycle collector.
-        """
-        import gc
-
-        gc.collect()
-        gc.freeze()
 
     # -- one iteration ---------------------------------------------------------
     def run_iteration(self):
@@ -411,7 +410,10 @@ class CampaignSession:
 
     def load_state(self, state):
         """Restore a :meth:`state_dict` snapshot into this (freshly built,
-        spec-identical) session."""
+        spec-identical) session, or apply a :meth:`state_delta` to this
+        session at the delta's base."""
+        if "base" in state:
+            return self._load_delta(state)
         self.history = [IterationOutcome.from_dict(outcome)
                         for outcome in state["history"]]
         self.total_executed = state["total_executed"]
@@ -431,6 +433,97 @@ class CampaignSession:
         if triggered is not None:
             triggered.clear()
             triggered.update(state.get("triggered_bugs", ()))
+        return self
+
+    # -- slice deltas ----------------------------------------------------------
+    def _delta_base(self):
+        return {"iterations": len(self.history),
+                "total_executed": self.total_executed,
+                "total_generated": self.total_generated}
+
+    def delta_mark(self):
+        """Remember where a slice starts, for :meth:`state_delta`: the
+        history length, each module's seen set, and — for a fuzzer with
+        the delta protocol (``delta_mark``/``state_delta``/
+        ``prepare_delta``, as TurboFuzz has) — the corpus seed ids."""
+        fuzzer_mark = getattr(self.fuzzer, "delta_mark", None)
+        return {"base": self._delta_base(),
+                "coverage": self.coverage.delta_mark(),
+                "fuzzer": fuzzer_mark() if fuzzer_mark else None}
+
+    def state_delta(self, mark):
+        """What changed since ``mark``: a :meth:`state_dict` whose history,
+        coverage and corpus hold only the change (see
+        :data:`DELTA_INCREMENTAL`) and whose other keys travel whole, plus
+        the ``base`` it applies to.  :meth:`load_state` applies it to a
+        session equal to this one at the mark, so a worker that keeps a
+        shard resident ships a slice's change instead of the campaign."""
+        base = mark["base"]
+        fuzzer = (self._fuzzer_protocol("state_dict")()
+                  if mark["fuzzer"] is None
+                  else self.fuzzer.state_delta(mark["fuzzer"]))
+        state = {
+            "base": base,
+            "history": [outcome.to_dict()
+                        for outcome in self.history[base["iterations"]:]],
+            "total_executed": self.total_executed,
+            "total_generated": self.total_generated,
+            "fuzzer": fuzzer,
+            "coverage": self.coverage.state_delta(mark["coverage"]),
+            "weights": self.weights.state_dict(),
+            "clock": self.clock.state_dict(),
+            "detection_seed": self._detection_seed,
+            "detection_lfsr": self.detection_lfsr.state_dict(),
+            "core": self.core.core_state_dict(),
+        }
+        triggered = getattr(self.core.hooks, "triggered", None)
+        if triggered is not None:
+            state["triggered_bugs"] = sorted(triggered)
+        return state
+
+    def _load_delta(self, delta):
+        """Apply a :meth:`state_delta`: check its base, decode and validate
+        all of it, and only then change the session."""
+        if delta["base"] != self._delta_base():
+            raise CheckpointError(
+                f"slice delta was taken at {delta['base']}, but this "
+                f"session is at {self._delta_base()}")
+        try:
+            history = [IterationOutcome.from_dict(outcome)
+                       for outcome in delta["history"]]
+            if [outcome.index for outcome in history] != list(range(
+                    len(self.history), len(self.history) + len(history))):
+                raise ValueError("history outcomes do not follow the base")
+            apply_coverage = self.coverage.prepare_delta(delta["coverage"])
+            if not isinstance(delta["fuzzer"], dict):
+                raise TypeError("fuzzer state must be an object")
+            prepare_fuzzer = getattr(self.fuzzer, "prepare_delta", None)
+            apply_fuzzer = (
+                prepare_fuzzer(delta["fuzzer"]) if prepare_fuzzer
+                else partial(self._fuzzer_protocol("load_state"),
+                             delta["fuzzer"]))
+            for key, kind in DELTA_VERBATIM.items():
+                if not isinstance(delta[key], kind):
+                    raise TypeError(f"{key} must be {kind.__name__}")
+            triggered = getattr(self.core.hooks, "triggered", None)
+            if triggered is not None and not isinstance(
+                    delta["triggered_bugs"], list):
+                raise TypeError("triggered_bugs must be a list")
+        except (KeyError, IndexError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"malformed slice delta: {exc!r}") from exc
+        self.weights.load_state(delta["weights"])
+        self.clock.load_state(delta["clock"])
+        self.detection_lfsr.load_state(delta["detection_lfsr"])
+        self.core.load_core_state(delta["core"])
+        apply_fuzzer()
+        apply_coverage()
+        self.history.extend(history)
+        self.total_executed = delta["total_executed"]
+        self.total_generated = delta["total_generated"]
+        self._detection_seed = delta["detection_seed"]
+        if triggered is not None:
+            triggered.clear()
+            triggered.update(delta["triggered_bugs"])
         return self
 
 

@@ -257,6 +257,32 @@ class DesignCoverage:
         for name, module_state in recorded.items():
             self.by_name[name].load_state(module_state)
 
+    # -- slice deltas ------------------------------------------------------------
+    def delta_mark(self):
+        """Each module's observed set at a slice start."""
+        return {cov.name: cov.map.delta_mark() for cov in self.modules}
+
+    def state_delta(self, mark):
+        """Per-module points observed since ``mark``, sorted."""
+        return {"modules": {cov.name: cov.map.state_delta(mark[cov.name])
+                            for cov in self.modules}}
+
+    def prepare_delta(self, delta):
+        """Validate a :meth:`state_delta` against this design; returns the
+        function that adds its points (validation changes nothing)."""
+        recorded = delta["modules"]
+        if set(recorded) != set(self.by_name):
+            raise ValueError("coverage delta does not match this design")
+        for name, points in recorded.items():
+            if not (isinstance(points, list)
+                    and all(type(point) is int for point in points)):
+                raise TypeError(f"coverage delta of {name!r} must list ints")
+
+        def apply():
+            for name, points in recorded.items():
+                self.by_name[name].map.observe_many(points)
+        return apply
+
 
 def instrument_design(top, module_names=None, style="optimized",
                       max_state_size=15, seed=0, weights=None):

@@ -89,6 +89,17 @@ class CoverageMap:
         self._seen.update(state["seen"])
         self.epoch += 1
 
+    # -- slice deltas ------------------------------------------------------------
+    def delta_mark(self):
+        """A copy of the observed set, the base of :meth:`state_delta`."""
+        return set(self._seen)
+
+    def state_delta(self, mark):
+        """The points observed since ``mark``, sorted; a map equal to this
+        one at the mark catches up with :meth:`observe_many` (adding
+        points never invalidates the skip caches, so the epoch stays)."""
+        return sorted(self._seen - mark)
+
     def __contains__(self, index):
         return index in self._seen
 

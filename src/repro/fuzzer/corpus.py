@@ -166,6 +166,60 @@ class Corpus:
         self.evictions = int(state["evictions"])
         self.rejected = int(state["rejected"])
 
+    # -- slice deltas ---------------------------------------------------------------
+    def delta_mark(self):
+        """The seed ids in list order at a slice start."""
+        return [seed.seed_id for seed in self.seeds]
+
+    def state_delta(self, mark):
+        """:meth:`state_dict` relative to ``mark``: a seed the corpus held
+        at the mark travels as ``[position at the mark, coverage_increment,
+        uses]`` (a stored seed's blocks and birth never change), a new
+        seed as its full :meth:`Seed.state_dict`."""
+        positions = {seed_id: position for position, seed_id in enumerate(mark)}
+        seeds = []
+        for seed in self.seeds:
+            position = positions.get(seed.seed_id)
+            seeds.append(seed.state_dict() if position is None
+                         else [position, seed.coverage_increment, seed.uses])
+        return {
+            "capacity": self.capacity,
+            "policy": self.policy,
+            "priority_prob": list(self.priority_prob),
+            "seeds": seeds,
+            "evictions": self.evictions,
+            "rejected": self.rejected,
+        }
+
+    def prepare_delta(self, delta):
+        """Decode a :meth:`state_delta` taken on a corpus equal to this one;
+        returns the function that applies it (decoding changes nothing)."""
+        seeds, kept = [], []
+        for entry in delta["seeds"]:
+            if isinstance(entry, dict):
+                seeds.append(Seed.from_state(entry))
+                continue
+            position, increment, uses = entry
+            if not (type(position) is int and 0 <= position < len(self.seeds)):
+                raise IndexError(f"kept seed position {position!r} is not "
+                                 f"in a corpus of {len(self.seeds)}")
+            seed = self.seeds[position]
+            seeds.append(seed)
+            kept.append((seed, increment, int(uses)))
+        capacity, policy = int(delta["capacity"]), str(delta["policy"])
+        priority_prob = tuple(delta["priority_prob"])
+        evictions, rejected = int(delta["evictions"]), int(delta["rejected"])
+
+        def apply():
+            for seed, increment, uses in kept:
+                seed.coverage_increment = increment
+                seed.uses = uses
+            self.seeds = seeds
+            self.capacity, self.policy = capacity, policy
+            self.priority_prob = priority_prob
+            self.evictions, self.rejected = evictions, rejected
+        return apply
+
     # -- introspection -----------------------------------------------------------------
     def increments(self):
         return [seed.coverage_increment for seed in self.seeds]

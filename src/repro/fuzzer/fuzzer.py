@@ -227,6 +227,48 @@ class TurboFuzzer:
         ]
         self._pending = None
 
+    # -- slice deltas ------------------------------------------------------------
+    def delta_mark(self):
+        """The corpus seed ids at a slice start (see :meth:`state_delta`)."""
+        return self.corpus.delta_mark()
+
+    def state_delta(self, mark):
+        """:meth:`state_dict` with the corpus relative to ``mark`` (see
+        :meth:`Corpus.state_delta`); everything else is small and travels
+        whole."""
+        if self._pending is not None:
+            raise ValueError("cannot take a slice delta mid-iteration")
+        return {
+            "lfsr": self.lfsr.state_dict(),
+            "corpus": self.corpus.state_delta(mark),
+            "stats": self.stats.state_dict(),
+            "library": self.library.state_dict(),
+            "persistent_data_patches": [
+                [offset, blob.hex()]
+                for offset, blob in self.persistent_data_patches
+            ],
+        }
+
+    def prepare_delta(self, delta):
+        """Decode a :meth:`state_delta` taken on a fuzzer equal to this
+        one; returns the function that applies it (decoding changes
+        nothing)."""
+        apply_corpus = self.corpus.prepare_delta(delta["corpus"])
+        patches = [(int(offset), bytes.fromhex(blob))
+                   for offset, blob in delta["persistent_data_patches"]]
+        for key in ("lfsr", "stats", "library"):
+            if not isinstance(delta[key], dict):
+                raise TypeError(f"fuzzer delta {key!r} must be an object")
+
+        def apply():
+            self.lfsr.load_state(delta["lfsr"])
+            self.stats.load_state(delta["stats"])
+            self.library.load_state(delta["library"])
+            self.persistent_data_patches = patches
+            self._pending = None
+            apply_corpus()
+        return apply
+
     def add_interval_seed(self, blocks, coverage_increment, data_patch=None):
         """deepExplore stage-1 entry point: archive a benchmark interval.
 

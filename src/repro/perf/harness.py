@@ -77,11 +77,12 @@ def measure_macro(core="rocket", style="optimized", iterations=30, warmup=3,
         reference = _build_session(core, style, instructions_per_iteration)
         reference.core.use_reference_observer(True)
         reference.run_iterations(warmup)
-    # Deliberately NOT freeze_steady_state(): the freeze lifts absolute
-    # throughput on both sides, but it relieves the allocation-heavy
-    # reference path far more than the allocation-free optimized one and
-    # compresses the gated ratio by ~25% (measured).  The baseline series
-    # has always been collected unfrozen; keep it comparable.
+    # Deliberately no gc.freeze(): freezing the warmed object graph lifts
+    # absolute throughput on both sides, but it relieves the
+    # allocation-heavy reference path far more than the allocation-free
+    # optimized one and compresses the gated ratio by ~25% (measured).
+    # The baseline series has always been collected unfrozen; keep it
+    # comparable.
 
     # Interleave the two variants' measurement windows so machine-speed
     # drift (shared CI runners fluctuate on the scale of seconds) hits

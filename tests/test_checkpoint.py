@@ -9,6 +9,7 @@ from repro.campaign import (
     CampaignCheckpoint,
     CampaignOrchestrator,
     CampaignSpec,
+    CheckpointError,
     ProcessPoolBackend,
     SerialBackend,
     build_session,
@@ -19,6 +20,7 @@ from repro.campaign import (
     resolve_backend,
     resume_session,
 )
+from repro.campaign.session import DELTA_INCREMENTAL, DELTA_VERBATIM
 from repro.coverage import CoverageMap, FeedbackWeights
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.lfsr import Lfsr
@@ -190,6 +192,105 @@ class TestSessionResume:
         boom = build_session(small_spec(seed=1).with_core("boom"))
         with pytest.raises(ValueError, match="does not match this design"):
             boom.coverage.load_state(state["coverage"])
+
+
+DELTA_SPECS = (
+    small_spec(seed=4),
+    small_spec(seed=4).with_core("boom"),
+    CampaignSpec().with_fuzzer("cascade", **SMALL),
+    small_spec(seed=4).with_core("cva6", bugs=("C1",)),
+)
+DELTA_IDS = ("turbofuzz-rocket", "turbofuzz-boom", "cascade-rocket",
+             "turbofuzz-cva6-bugs")
+
+
+class TestSliceDeltas:
+    """``state_delta()`` / ``load_state()``: what a shard resident on a
+    worker ships per slice instead of its whole checkpoint."""
+
+    def advanced(self, spec, before=3, during=4):
+        """(session after before+during iterations, its state after
+        ``before``, the JSON-round-tripped delta of the last ``during``)."""
+        session = build_session(spec)
+        session.run_iterations(before)
+        base = json_round_trip(session.state_dict())
+        mark = session.delta_mark()
+        session.run_iterations(during)
+        delta = CampaignCheckpoint.from_json(CampaignCheckpoint(
+            spec=spec, state=session.state_delta(mark)).to_json()).state
+        return session, base, delta
+
+    @pytest.mark.parametrize("spec", DELTA_SPECS, ids=DELTA_IDS)
+    def test_delta_applied_to_its_base_equals_the_advanced_session(self, spec):
+        session, base, delta = self.advanced(spec)
+        follower = build_session(spec).load_state(base)
+        follower.load_state(delta)
+        assert follower.state_dict() == session.state_dict()
+        # The follower carries on exactly like the session it follows.
+        session.run_iterations(2)
+        follower.run_iterations(2)
+        assert follower.state_dict() == session.state_dict()
+
+    @pytest.mark.parametrize("spec", DELTA_SPECS, ids=DELTA_IDS)
+    def test_every_state_key_travels_in_the_delta(self, spec):
+        """Adding a state_dict() key without teaching state_delta() to
+        send it (as a change or whole) fails here."""
+        session, _, delta = self.advanced(spec)
+        keys = set(session.state_dict())
+        assert set(delta) == keys | {"base"}
+        assert keys <= (set(DELTA_INCREMENTAL) | set(DELTA_VERBATIM)
+                        | {"triggered_bugs"})
+        fuzzer = session.fuzzer
+        if hasattr(fuzzer, "state_delta"):
+            assert set(delta["fuzzer"]) == set(fuzzer.state_dict())
+            assert (set(delta["fuzzer"]["corpus"])
+                    == set(fuzzer.corpus.state_dict()))
+
+    def test_kept_seeds_travel_as_positions(self):
+        session, base, delta = self.advanced(small_spec(seed=4))
+        seeds = delta["fuzzer"]["corpus"]["seeds"]
+        kept = [entry for entry in seeds if isinstance(entry, list)]
+        assert kept, "a later slice should keep some of the base's seeds"
+        assert all(0 <= position < len(base["fuzzer"]["corpus"]["seeds"])
+                   for position, _, _ in kept)
+        new = [entry for entry in seeds if isinstance(entry, dict)]
+        assert len(kept) + len(new) == len(session.fuzzer.corpus)
+
+    def test_wrong_base_raises_and_leaves_session_unchanged(self):
+        spec = small_spec(seed=4)
+        _, base, delta = self.advanced(spec)
+        later = build_session(spec)
+        later.run_iterations(4)  # the delta's base is iteration 3
+        other_campaign = build_session(small_spec(seed=5))
+        other_campaign.run_iterations(3)
+        for session in (build_session(spec), later, other_campaign):
+            before = session.state_dict()
+            with pytest.raises(CheckpointError, match="was taken at"):
+                session.load_state(delta)
+            assert session.state_dict() == before
+
+    def test_malformed_delta_raises_and_leaves_session_unchanged(self):
+        spec = small_spec(seed=4)
+        _, base, delta = self.advanced(spec)
+        follower = build_session(spec).load_state(base)
+        before = follower.state_dict()
+        corruptions = {
+            "kept seed outside the corpus": lambda d: (
+                d["fuzzer"]["corpus"]["seeds"].append([999, 1, 0])),
+            "unknown module": lambda d: d["coverage"]["modules"].update(x=[1]),
+            "missing verbatim key": lambda d: d.pop("clock"),
+            "verbatim key of the wrong type": lambda d: d.update(core=[]),
+            "history out of order": lambda d: d["history"].reverse(),
+            "new seed without blocks": lambda d: (
+                d["fuzzer"]["corpus"]["seeds"].append({"uses": 0})),
+        }
+        for name, corrupt in corruptions.items():
+            bad = json_round_trip(delta)
+            corrupt(bad)
+            with pytest.raises(CheckpointError, match="malformed slice delta"):
+                follower.load_state(bad)
+            assert follower.state_dict() == before, name
+        follower.load_state(delta)  # the intact delta still applies
 
 
 class TestBackends:

@@ -2,9 +2,9 @@
 
 The backend tests follow the repo's bit-identity discipline: every
 chaos run (injected kills, delays, drops, corrupt checkpoints) must
-produce coverage series, shard stats, and per-session campaign reports
-identical to an undisturbed serial run — recovery may cost wall-clock,
-never results.
+produce coverage series, shard stats, per-session campaign reports, and
+each shard's full ``state_dict()`` identical to an undisturbed serial
+run — recovery may cost wall-clock, never results.
 """
 
 import json
@@ -27,6 +27,7 @@ from repro.campaign import (
     register_fault,
 )
 from repro.campaign.backends import _Supervisor
+from repro.campaign.queue_worker import advance_resident
 from repro.campaign.resilience import KILL_WORKER_EXIT_CODE
 
 SMALL = {"instructions_per_iteration": 150}
@@ -42,16 +43,29 @@ def two_shard_specs():
     return [small_spec(seed=11).named("a"), small_spec(seed=22).named("b")]
 
 
-def serial_reference(specs, budget=2.0, max_iterations=30, slices=2):
-    orchestrator = CampaignOrchestrator(specs)
-    orchestrator.run_for_virtual_time(budget, max_iterations=max_iterations,
-                                      slices=slices)
+# Three slices of about ten iterations per shard: every shard works in
+# every slice, so later slices run as delta tasks on resident shards.
+SLICES = 3
+
+
+def run_grid(orchestrator):
+    orchestrator.run_for_virtual_time(0.03, max_iterations=40, slices=SLICES)
     return orchestrator
+
+
+def serial_reference(specs):
+    return run_grid(CampaignOrchestrator(specs))
+
+
+def shard_states(orchestrator):
+    return {label: session.state_dict()
+            for label, session in orchestrator.sessions.items()}
 
 
 def assert_bit_identical(serial, other):
     assert other.coverage_series() == serial.coverage_series()
     assert other.shard_stats() == serial.shard_stats()
+    assert shard_states(other) == shard_states(serial)
     for label in serial.labels:
         assert (campaign_report(other.sessions[label])
                 == campaign_report(serial.sessions[label]))
@@ -251,6 +265,15 @@ class TestAtomicCheckpoint:
         with pytest.raises(CheckpointError, match="version must be"):
             CampaignCheckpoint.from_dict({"version": "new", "spec": {},
                                           "state": {}})
+        # Payloads that parse but are malformed must fail here too, not
+        # later in restore() or load_state() with a bare TypeError.
+        with pytest.raises(CheckpointError, match="state must be an object"):
+            CampaignCheckpoint.from_json('{"version":1,"spec":{},"state":[]}')
+        with pytest.raises(CheckpointError, match="meta must be an object"):
+            CampaignCheckpoint.from_dict({"spec": {}, "state": {}, "meta": 3})
+        for spec in ({"bogus": 1}, "x", 7):
+            with pytest.raises(CheckpointError, match="spec is malformed"):
+                CampaignCheckpoint.from_dict({"spec": spec, "state": {}})
 
 
 class TestSupervisedQueueBackend:
@@ -260,13 +283,17 @@ class TestSupervisedQueueBackend:
         supervised = CampaignOrchestrator(
             specs, backend=SupervisedQueueBackend(
                 workers=2, policy=FaultPolicy(slice_timeout_s=60.0)))
-        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(supervised)
         assert_bit_identical(serial, supervised)
         report = supervised.report()
         assert report["shard_health"] == {"a": "ok", "b": "ok"}
         counters = report["resilience"]["counters"]
         assert counters["failures"] == 0
         assert counters["spawns"] == 2
+        # Shards stay resident: one full task each, on its first slice;
+        # every later slice ships only a delta.
+        assert counters["full_tasks"] == 2
+        assert counters["delta_tasks"] == 2 * (SLICES - 1)
 
     def test_worker_kills_recover_bit_identically(self):
         specs = two_shard_specs()
@@ -280,7 +307,7 @@ class TestSupervisedQueueBackend:
         events = []
         supervised.bus.on_worker_lost(lambda **p: events.append("worker_lost"))
         supervised.bus.on_redispatch(lambda **p: events.append("redispatch"))
-        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(supervised)
         assert_bit_identical(serial, supervised)
         report = supervised.report()
         counters = report["resilience"]["counters"]
@@ -289,6 +316,89 @@ class TestSupervisedQueueBackend:
         assert "worker_lost" in events and "redispatch" in events
         assert report["shard_health"] == {"a": "ok", "b": "ok"}
         assert report["resilience"]["faults"]["injected"] == 2
+        # Each kill costs its shard one more full task, on the respawn.
+        assert counters["full_tasks"] == 4
+        assert counters["delta_tasks"] == 2 * (SLICES - 1)
+
+    @pytest.mark.parametrize("kind, counter, params", (
+        ("corrupt-checkpoint", "corrupt_checkpoints", {}),
+        ("drop-result", "timeouts", {}),
+        ("delay-result", "timeouts", {"seconds": 4.0}),
+    ))
+    def test_result_faults_redispatch_a_full_task(self, kind, counter, params):
+        """The fault hits shard 1's second slice, a delta task on its
+        resident session.  The retry must be a full task captured from
+        the orchestrator's session, and the run must merge bit-identically.
+        A lost or late result is caught by the slice deadline, which also
+        retires the worker that held it."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        injector = FaultInjector(schedule=[(kind, 1, 1)],
+                                 params={kind: params})
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(slice_timeout_s=2.5, backoff_base_s=0.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters[counter] >= 1
+        assert counters["redispatches"] >= 1
+        # Every re-dispatch was a full task (a slow host may blow the short
+        # deadline once more, which must not change that); every first
+        # dispatch after a shard's first slice was a delta.
+        assert counters["full_tasks"] == 2 + counters["redispatches"]
+        assert counters["delta_tasks"] == 2 * (SLICES - 1)
+
+    @pytest.mark.parametrize("fuzzer, budget", (("turbofuzz", 0.03),
+                                                ("cascade", 0.6)))
+    def test_every_slice_frontier_matches_serial(self, fuzzer, budget):
+        """Rocket and BOOM shards, three of them on two workers (worker 0
+        keeps two resident): at every ``time_slice`` milestone each
+        shard's full state equals the serial backend's."""
+        specs = [CampaignSpec().with_fuzzer(fuzzer, seed=seed, **SMALL)
+                 .with_core(core).named(f"{core}{seed}")
+                 for core, seed in (("rocket", 1), ("boom", 2), ("rocket", 3))]
+
+        def frontier_states(backend):
+            grid = CampaignOrchestrator(specs, backend=backend)
+            states = []
+
+            def on_milestone(kind, remote=False, **_):
+                if kind == "time_slice" and not remote:
+                    states.append(shard_states(grid))
+
+            grid.bus.subscribe("milestone", on_milestone)
+            grid.run_for_virtual_time(budget, max_iterations=40, slices=SLICES)
+            return grid, states
+
+        _, serial = frontier_states("serial")
+        grid, supervised = frontier_states(SupervisedQueueBackend(workers=2))
+        assert len(supervised) == SLICES
+        assert supervised == serial
+        counters = grid.report()["resilience"]["counters"]
+        assert counters["full_tasks"] == len(specs)
+        assert counters["delta_tasks"] == len(specs) * (SLICES - 1)
+
+    def test_resident_shard_takes_delta_tasks_only_at_its_base(self):
+        spec = small_spec(seed=3).named("a")
+        orchestrator_copy = build_session(spec)
+        template = {"label": "a", "shard_index": 0,
+                    "command": "run_iterations", "count": 2}
+        resident = {}
+        full = dict(template, checkpoint_json=CampaignCheckpoint.capture(
+            orchestrator_copy).to_json())
+        for task in (full, dict(template, base_iterations=2)):
+            delta = CampaignCheckpoint.from_json(
+                advance_resident(task, resident))
+            orchestrator_copy.load_state(delta.state)
+        assert orchestrator_copy.iterations == resident["a"].iterations == 4
+        assert (orchestrator_copy.state_dict()
+                == resident["a"].state_dict())
+        with pytest.raises(CheckpointError, match="not resident"):
+            advance_resident(dict(template, base_iterations=2), resident)
+        assert "a" not in resident  # only a full task brings it back
 
     def test_worker_error_is_retried_not_fatal(self):
         specs = two_shard_specs()
@@ -299,7 +409,7 @@ class TestSupervisedQueueBackend:
                 workers=2,
                 policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
                 injector=injector))
-        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(supervised)
         assert_bit_identical(serial, supervised)
         counters = supervised.report()["resilience"]["counters"]
         assert counters["worker_errors"] == 1
@@ -315,7 +425,7 @@ class TestSupervisedQueueBackend:
                 policy=FaultPolicy(slice_timeout_s=60.0, max_retries=1,
                                    backoff_base_s=0.0),
                 injector=injector))
-        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(supervised)
         report = supervised.report()
         assert report["shard_health"]["a"] == "quarantined"
         assert report["shard_health"]["b"] == "ok"
@@ -331,7 +441,7 @@ class TestSupervisedQueueBackend:
             specs, backend=SupervisedQueueBackend(workers=2))
         events = []
         supervised.bus.on_degraded(lambda **p: events.append(p))
-        supervised.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(supervised)
         assert_bit_identical(serial, supervised)
         counters = supervised.report()["resilience"]["counters"]
         assert counters["degraded"] >= 1
@@ -367,6 +477,8 @@ class TestSupervisedQueueBackend:
             specs, backend=SupervisedQueueBackend(workers=2))
         supervised.run_iterations(12)
         assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert (counters["full_tasks"], counters["delta_tasks"]) == (2, 0)
 
 
 class TestProcessPoolRetrofit:
@@ -380,7 +492,7 @@ class TestProcessPoolRetrofit:
                 processes=2,
                 policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
                 injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(pool)
         assert_bit_identical(serial, pool)
         counters = pool.report()["resilience"]["counters"]
         assert counters["corrupt_checkpoints"] == 1
@@ -396,7 +508,7 @@ class TestProcessPoolRetrofit:
                 processes=2,
                 policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
                 injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(pool)
         assert_bit_identical(serial, pool)
         counters = pool.report()["resilience"]["counters"]
         assert counters["worker_losses"] > 0
@@ -413,7 +525,7 @@ class TestProcessPoolRetrofit:
                 policy=FaultPolicy(slice_timeout_s=60.0, max_retries=1,
                                    backoff_base_s=0.0),
                 injector=injector))
-        pool.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+        run_grid(pool)
         report = pool.report()
         assert report["shard_health"]["a"] == "quarantined"
         assert pool.shard_stats()["b"] == serial.shard_stats()["b"]
@@ -433,7 +545,7 @@ class TestChaosDeterminism:
                 specs, backend=SupervisedQueueBackend(
                     workers=2, policy=FaultPolicy(slice_timeout_s=60.0),
                     injector=injector))
-            orchestrator.run_for_virtual_time(2.0, max_iterations=30, slices=2)
+            run_grid(orchestrator)
             assert_bit_identical(serial, orchestrator)
             reports.append({
                 "coverage": orchestrator.coverage_series(),
