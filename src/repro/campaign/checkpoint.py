@@ -82,9 +82,14 @@ class CampaignCheckpoint:
                 f"checkpoint payload must be an object, got {type(data).__name__}"
             )
         version = data.get("version", STATE_FORMAT_VERSION)
-        if not isinstance(version, int):
+        # bool is an int subclass: ``"version": true`` must not pass as 1.
+        if not isinstance(version, int) or isinstance(version, bool):
             raise CheckpointError(
                 f"checkpoint version must be an integer, got {version!r}"
+            )
+        if version < 1:
+            raise CheckpointError(
+                f"checkpoint version must be at least 1, got {version}"
             )
         if version > STATE_FORMAT_VERSION:
             raise CheckpointError(

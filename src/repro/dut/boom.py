@@ -159,37 +159,3 @@ class BoomCore(DutCore):
             vals["stq_level"] = min(7, vals["stq_level"] + 1)
         else:
             vals["stq_level"] = max(0, vals["stq_level"] - 1)
-
-    def compiled_microarch_extra(self, decoded):
-        # Mirrors the _update_microarch override above for the integer
-        # value-slot categories (ALU/ALU_IMM/MUL/DIV): never a trap, never
-        # a load/store, never FP, so flush is 0 and the ldq/stq levels
-        # only drain.
-        vals = self.vals
-        category = decoded.spec.category
-        occupancy_bump = 2 if category in _LONG_LATENCY else -1
-        map_hash = (decoded.rd * 3 + decoded.rs1) & 0xF
-        int_bump = 1 if category is Category.ALU else 0
-
-        def extra():
-            occupancy = vals["rob_occupancy"] + occupancy_bump
-            if occupancy < 0:
-                occupancy = 0
-            elif occupancy > 7:
-                occupancy = 7
-            vals["rob_occupancy"] = occupancy
-            vals["rob_flush"] = 0
-            vals["rob_exception"] = 0
-            vals["map_hash"] = map_hash
-            vals["freelist_level"] = 7 - occupancy
-            level = occupancy + int_bump
-            vals["iq_int_level"] = 7 if level > 7 else level
-            half = occupancy >> 1
-            vals["iq_mem_level"] = 3 if half > 3 else half
-            vals["iq_fp_level"] = 0
-            ldq = vals["ldq_level"] - 1
-            vals["ldq_level"] = 0 if ldq < 0 else ldq
-            stq = vals["stq_level"] - 1
-            vals["stq_level"] = 0 if stq < 0 else stq
-
-        return extra

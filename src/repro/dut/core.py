@@ -303,9 +303,6 @@ class DutCore:
         "_cov_bindings", "_cov_by_module", "_slot_bindings",
         "_always_bindings", "_cond_bindings", "_slot_by_module",
         "_fused", "_active_modules", "_prev_active", "_reference_observer",
-        # Block-compile caches: pure derived state, content-keyed on
-        # instruction words / block version stamps; rebuilt on demand.
-        "_slot_cache", "_template_map", "_entry_heat", "_compile_stats",
     })
 
     def __init__(self, bugs=(), rv32a_only=False, reset_pc=0x8000_0000):
@@ -333,22 +330,6 @@ class DutCore:
         self._reference_observer = False
         self._active_modules = set()
         self._prev_active = set()
-        # Block-compile caches (repro.ref.blockcompile): word -> slot
-        # closure, template regions -> pc->extent map, and counters.
-        # Bounded by evict-half, cleared whenever bindings change.
-        self._slot_cache = {}
-        self._template_map = {}
-        # block version stamp -> sightings across iterations (populated
-        # only under set_fuzz_gating(True)): retained blocks accumulate
-        # heat and get compiled; fresh or mutated (re-stamped) blocks
-        # never cross the threshold.
-        self._entry_heat = {}
-        self._compile_stats = {
-            "map_hits": 0, "map_misses": 0,
-            "word_hits": 0, "word_misses": 0,
-            "compiled_instructions": 0, "bailouts": 0,
-            "entries_compiled": 0,
-        }
         self.cycles = 0.0
         self.retired = 0
         self._prev_rd = 0
@@ -571,11 +552,6 @@ class DutCore:
         self._fused = _FusedObserver(self._always_bindings, self.vals)
         self._active_modules = set()
         self._prev_active = set()
-        # Compiled slots capture _fused/_cond_bindings at compile time;
-        # new bindings invalidate every compiled entry.
-        self._slot_cache.clear()
-        self._template_map.clear()
-        self._entry_heat.clear()
 
     def use_reference_observer(self, enabled=True):
         """Route observation through the pre-overhaul tuple/memo slow path
@@ -902,9 +878,7 @@ class DutCore:
     def _mstatus_sync(self):
         """MSTATUS/privilege change detection, cached: when neither moved
         since the last non-trap instruction, the fs/mie/priv vals already
-        hold the current decoding and the whole block is skipped.  Shared
-        by :meth:`_update_microarch` and compiled value slots (an FP
-        predecessor dirtying MSTATUS must surface on the next commit)."""
+        hold the current decoding and the whole block is skipped."""
         state = self.state
         status = state.csrs[CSR.MSTATUS]
         privilege = state.privilege
@@ -921,18 +895,6 @@ class DutCore:
         vals["priv"] = privilege
         self._last_mstatus = status
         self._last_priv = privilege
-
-    def compiled_microarch_extra(self, decoded):
-        """Hook for per-core microarch updates in compiled value slots.
-
-        Subclasses that extend :meth:`_update_microarch` return a zero-arg
-        closure replicating that extension for a non-trapping instruction
-        of this identity; the block compiler calls it once per executed
-        slot, after the shared register writes and MSTATUS sync.  Record
-        slots go through :meth:`_update_microarch` itself and must not
-        also apply this.  None means no per-core extension (Rocket).
-        """
-        return None
 
     @staticmethod
     def _csr_class(address):

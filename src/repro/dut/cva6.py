@@ -71,18 +71,3 @@ class Cva6Core(DutCore):
         lag = 2 if category in _DIVIDES else 1
         vals["sb_commit_ptr"] = (issue - lag) & 7
         vals["sb_full"] = 1 if lag > 1 else 0
-
-    def compiled_microarch_extra(self, decoded):
-        # Mirrors the _update_microarch override above with the category
-        # resolved at compile time (value slots never trap, never None).
-        vals = self.vals
-        lag = 2 if decoded.spec.category in _DIVIDES else 1
-        full = 1 if lag > 1 else 0
-
-        def extra():
-            issue = (vals["sb_issue_ptr"] + 1) & 7
-            vals["sb_issue_ptr"] = issue
-            vals["sb_commit_ptr"] = (issue - lag) & 7
-            vals["sb_full"] = full
-
-        return extra

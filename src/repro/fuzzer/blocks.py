@@ -12,7 +12,6 @@ branch/jump/jalr words are patched with real offsets.
 """
 
 from dataclasses import dataclass, field
-from itertools import count
 
 from repro.fuzzer.context import REG_JALR_TEMP
 from repro.isa.encoder import encode
@@ -43,18 +42,6 @@ class StimulusEntry:
                    str(state["patch_kind"]))
 
 
-# Monotonic stamp for block content identity.  The block compiler's
-# per-core maps key on these, so any path that changes a block's words
-# (mutation rebind, control-flow re-targeting) must assign a fresh stamp;
-# shared-content copies (copy-on-write retention) share the stamp and
-# therefore the compiled entries.  Process-local and deterministic (pure
-# call-order): stamps are never serialized — from_state re-stamps, so a
-# restored corpus simply compiles cold.  itertools.count keeps the
-# per-block stamping cost at one C call (it runs for every generated
-# block, inside the generation loop).
-next_block_version = count(1).__next__
-
-
 @dataclass(slots=True)
 class InstructionBlock:
     """Prime instruction + affiliated instructions + control-flow metadata."""
@@ -64,9 +51,6 @@ class InstructionBlock:
     cf_kind: str = ""  # "" | "branch" | "jal" | "jalr"
     target_block: int = None  # iteration-relative block index
     generated: bool = True  # False when retained from a seed
-    # Content stamp, not checkpoint state: deliberately absent from
-    # state_dict()/from_state(), so a restored corpus compiles cold.
-    version: int = field(default_factory=next_block_version)
 
     @property
     def spec(self):

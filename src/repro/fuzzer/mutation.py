@@ -8,7 +8,7 @@ retain 2/16 — with retained blocks undergoing operand rebinding and
 retained control flow preserving its original (unrestricted) jump distance.
 """
 
-from repro.fuzzer.blocks import InstructionBlock, StimulusEntry, next_block_version
+from repro.fuzzer.blocks import InstructionBlock, StimulusEntry
 from repro.isa.decoder import try_decode
 
 
@@ -51,27 +51,18 @@ class MutationEngine:
         """
         rebind = self.context.lfsr.chance(self.config.operand_mutation_prob)
         if rebind:
-            block = seed_block.clone(generated=False)  # clone() re-stamps
+            block = seed_block.clone(generated=False)
         else:
-            # Copy-on-write identity: sharing the seed's entries means
-            # sharing its version stamp, so the block compiler reuses the
-            # seed's compiled slots.
             block = InstructionBlock(
                 prime_name=seed_block.prime_name,
                 entries=seed_block.entries,
                 cf_kind=seed_block.cf_kind,
                 target_block=seed_block.target_block,
                 generated=False,
-                version=seed_block.version,
             )
-        if block.is_control_flow:
-            if block.target_block is not None:
-                delta = max(1, block.target_block - old_index)
-                block.target_block = new_index + delta
-            # Assembly patches control-flow words from the (re-indexed)
-            # target and the block's position, so the assembled bytes can
-            # differ from the seed's placement even with shared entries.
-            block.version = next_block_version()
+        if block.is_control_flow and block.target_block is not None:
+            delta = max(1, block.target_block - old_index)
+            block.target_block = new_index + delta
         if rebind:
             self._rebind_operands(block)
         return block

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 from repro.harness.checker import DifferentialChecker
 from repro.harness.image import build_image
 from repro.harness.snapshot import HardwareSnapshot
-from repro.ref import blockcompile
 from repro.ref.executor import ExecConfig, Executor
 from repro.ref.memory import SparseMemory
 from repro.ref.state import ArchState
@@ -92,69 +91,14 @@ class IterationRunner:
         start_cycles = core.cycles
         traps_since_fuzz = 0
 
-        # Compiled block dispatch: straight-line extents run as pre-bound
-        # closure chains; anything else (and every bailout) falls through
-        # to the interpreted body below.  Lockstep checking and snapshot
-        # capture need the per-instruction records, and the reference
-        # observer is the oracle the compiled path is measured against —
-        # those configurations interpret everything.
-        block_map = None
-        memory = core.memory
-        program_version = 0
-        if (ref is None and not self.capture_snapshots
-                and blockcompile.enabled()
-                and blockcompile.core_supports_compile(core)):
-            block_map = blockcompile.build_block_map(core, image, iteration)
-            program_version = memory.program_version
-        state = core.state
-        run_block = blockcompile.run_block
-        promote = blockcompile.promote
-
         # Per-instruction bookkeeping runs on locals; the result object is
         # filled in once after the loop.
         core_step = core.step
         stop_on_trap = self.stop_on_trap
         done_pc = layout.done
         executed = fuzzing = template = traps = 0
-        remaining = cap
-        while remaining > 0:
-            if block_map is not None:
-                if memory.program_version != program_version:
-                    block_map = None  # self-modifying program: interpret
-                else:
-                    extent = block_map.get(state.pc)
-                    if extent is not None and extent.__class__ is tuple:
-                        # Pending entry: compile only once the landing
-                        # heat crosses the threshold (once-run fuzz code
-                        # stays interpreted — compiling it costs more
-                        # than dispatch savings recoup).
-                        extent = promote(core, block_map, state.pc, extent)
-                    if extent is not None:
-                        base_pc = state.pc
-                        advanced = run_block(core, extent, base_pc, remaining)
-                        if advanced:
-                            remaining -= advanced
-                            executed += advanced
-                            if base_pc >= blocks_base:
-                                below = 0
-                            else:
-                                below = (blocks_base - base_pc) >> 2
-                                if below > advanced:
-                                    below = advanced
-                            template += below
-                            if advanced > below:
-                                fuzzing += advanced - below
-                                # Compiled instructions never trap.
-                                traps_since_fuzz = 0
-                            if state.pc == done_pc:
-                                # The last committed slot's next_pc is the
-                                # done loop — same condition the record
-                                # check below applies per instruction.
-                                result.completed = True
-                                break
-                            continue
+        for _ in range(cap):
             record = core_step()
-            remaining -= 1
             executed += 1
             if record.pc >= blocks_base:
                 fuzzing += 1

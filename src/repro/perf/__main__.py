@@ -96,13 +96,7 @@ def main(argv=None):
             print("REGRESSION:", regression.get("reason", regression),
                   file=sys.stderr)
         print("hint: check the hot paths for reintroduced allocations with\n"
-              "      PYTHONPATH=src python -m repro.analyze report --select HOT src/\n"
-              "hint: if macro.speedup_vs_reference regressed, compare the\n"
-              "      macro.block_compile.* stats above against the baseline —\n"
-              "      a collapsed compiled_share or word_cache_hit_rate means\n"
-              "      block invalidation churn (version stamps re-stamping\n"
-              "      unchanged content); a ballooned entries_compiled means\n"
-              "      the hotness gate stopped filtering once-run code.",
+              "      PYTHONPATH=src python -m repro.analyze report --select HOT src/",
               file=sys.stderr)
         return 1
     print(f"perf gate OK (tolerance {args.tolerance:.0%})")

@@ -105,18 +105,6 @@ def measure_macro(core="rocket", style="optimized", iterations=30, warmup=3,
         if ref_ips:
             pair_ratios.append(ips / ref_ips)
 
-    from repro.ref import blockcompile
-
-    compile_stats = blockcompile.compile_stats(session.core)
-    executed = session.total_executed
-    compile_stats["compiled_share"] = (
-        compile_stats["compiled_instructions"] / executed if executed else 0.0
-    )
-    cache_probes = compile_stats["word_hits"] + compile_stats["word_misses"]
-    compile_stats["word_cache_hit_rate"] = (
-        compile_stats["word_hits"] / cache_probes if cache_probes else 0.0
-    )
-
     return {
         "core": core,
         "style": style,
@@ -129,7 +117,6 @@ def measure_macro(core="rocket", style="optimized", iterations=30, warmup=3,
         "speedup_vs_reference": (
             statistics.median(pair_ratios) if pair_ratios else None
         ),
-        "block_compile": compile_stats,
     }
 
 
@@ -199,67 +186,16 @@ def measure_micro():
     results["observe_per_sec"] = (
         observations / (time.perf_counter() - start)
     )
-
-    # Compile-then-run vs interpret: the same straight-line ALU body
-    # executed through a compiled extent and through core.step, plus the
-    # one-time compile cost per word (what the hotness gate amortizes).
-    from repro.isa.encoder import encode as encode_word
-    from repro.ref import blockcompile
-
-    body = [encode_word("addi", rd=5, rs1=5, imm=1),
-            encode_word("add", rd=6, rs1=5, rs2=6),
-            encode_word("xori", rd=7, rs1=6, imm=0x55),
-            encode_word("sltu", rd=8, rs1=7, rs2=5)] * 8
-    base = core.reset_pc
-    core.memory.write_program(base, body)
-    state = core.executor.state
-    extent = blockcompile.compile_extent(core, body)
-    passes = 2_000
-    start = time.perf_counter()
-    for _ in range(passes):
-        state.pc = base
-        blockcompile.run_block(core, extent, base, len(body))
-    compiled_elapsed = time.perf_counter() - start
-    results["block_run_instr_per_sec"] = (
-        passes * len(body) / compiled_elapsed
-    )
-    step = core.step
-    start = time.perf_counter()
-    for _ in range(passes):
-        state.pc = base
-        for _ in body:
-            step()
-    interp_elapsed = time.perf_counter() - start
-    results["interp_run_instr_per_sec"] = (
-        passes * len(body) / interp_elapsed
-    )
-    results["block_run_speedup_vs_interp"] = (
-        interp_elapsed / compiled_elapsed if compiled_elapsed else 0.0
-    )
-    start = time.perf_counter()
-    compiles = 200
-    for _ in range(compiles):
-        core._slot_cache.clear()
-        blockcompile.compile_extent(core, body)
-    results["block_compile_words_per_sec"] = (
-        compiles * len(body) / (time.perf_counter() - start)
-    )
     return results
 
 
 _STAGE_MARKERS = {
-    "generate": (("fuzzer.py", "generate_iteration"),),
-    "execute": (("executor.py", "step"),),
-    "microarch_update": (("core.py", "_update_microarch"),),
-    "observe": (("core.py", "_observe_active"),),
-    "latency": (("core.py", "_latency"),),
-    "image_build": (("image.py", "build_image"),),
-    # Compiled dispatch: time spent running extents vs building them
-    # (map scan + lazy promotion compiles) — the compile-time share the
-    # hotness gate is meant to keep negligible.
-    "block_execute": (("blockcompile.py", "run_block"),),
-    "block_compile": (("blockcompile.py", "build_block_map"),
-                      ("blockcompile.py", "promote"),),
+    "generate": ("fuzzer.py", "generate_iteration"),
+    "execute": ("executor.py", "step"),
+    "microarch_update": ("core.py", "_update_microarch"),
+    "observe": ("core.py", "_observe_active"),
+    "latency": ("core.py", "_latency"),
+    "image_build": ("image.py", "build_image"),
 }
 
 
@@ -278,11 +214,9 @@ def profile_stages(iterations=10, instructions_per_iteration=1000):
     for (filename, _line, function), row in stats.stats.items():
         cumulative = row[3]
         total += row[2]  # tottime sums to wall
-        for stage, markers in _STAGE_MARKERS.items():
-            for file_marker, function_name in markers:
-                if (function == function_name
-                        and filename.endswith(file_marker)):
-                    stages[stage] += cumulative
+        for stage, (file_marker, function_name) in _STAGE_MARKERS.items():
+            if function == function_name and filename.endswith(file_marker):
+                stages[stage] += cumulative
     stages["profiled_total"] = total
     return stages
 
@@ -306,8 +240,6 @@ def flat_metrics(result):
                 "speedup_vs_reference"):
         if macro.get(key) is not None:
             metrics[f"macro.{key}"] = macro[key]
-    for key, value in macro.get("block_compile", {}).items():
-        metrics[f"macro.block_compile.{key}"] = value
     for key, value in result.get("micro", {}).items():
         metrics[f"micro.{key}"] = value
     return metrics

@@ -952,245 +952,3 @@ def _attach_handlers():
 
 
 _attach_handlers()
-
-
-# --- block-compile value factories -------------------------------------------
-# The block compiler (repro.ref.blockcompile) turns never-trapping integer
-# instructions into "value slots": one pre-bound closure that computes the
-# committed register value directly -- no CommitRecord, no handler dispatch,
-# no exception machinery.  Each factory takes a DecodedInstr and returns
-# either an int (the value is a compile-time constant) or a closure
-# ``(xregs, pc) -> value``; results are masked to 64 bits exactly as _wx
-# would.  Bit-identity with the handlers above is the oracle enforced by
-# tests/test_hotpath_equiv.py.
-
-
-def _build_value_factories():
-    div_signed = Executor._div_signed
-    rem_signed = Executor._rem_signed
-
-    def lui(d):
-        return to_unsigned(d.imm) & MASK64
-
-    def auipc(d):
-        imm = to_unsigned(d.imm)
-        return lambda x, pc: (pc + imm) & MASK64
-
-    def addi(d):
-        rs1, imm = d.rs1, d.imm
-        return lambda x, pc: (x[rs1] + imm) & MASK64
-
-    def slti(d):
-        rs1, imm = d.rs1, d.imm
-        return lambda x, pc: 1 if to_signed(x[rs1]) < imm else 0
-
-    def sltiu(d):
-        rs1, imm = d.rs1, to_unsigned(d.imm)
-        return lambda x, pc: 1 if x[rs1] < imm else 0
-
-    def xori(d):
-        rs1, imm = d.rs1, to_unsigned(d.imm)
-        return lambda x, pc: (x[rs1] ^ imm) & MASK64
-
-    def ori(d):
-        rs1, imm = d.rs1, to_unsigned(d.imm)
-        return lambda x, pc: (x[rs1] | imm) & MASK64
-
-    def andi(d):
-        rs1, imm = d.rs1, to_unsigned(d.imm)
-        return lambda x, pc: (x[rs1] & imm) & MASK64
-
-    def slli(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: (x[rs1] << sh) & MASK64
-
-    def srli(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: (x[rs1] >> sh) & MASK64
-
-    def srai(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: (to_signed(x[rs1]) >> sh) & MASK64
-
-    def addiw(d):
-        rs1, imm = d.rs1, d.imm
-        return lambda x, pc: sext((x[rs1] + imm) & MASK32, 32) & MASK64
-
-    def slliw(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: sext((x[rs1] << sh) & MASK32, 32) & MASK64
-
-    def srliw(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: sext((x[rs1] & MASK32) >> sh, 32) & MASK64
-
-    def sraiw(d):
-        rs1, sh = d.rs1, d.shamt
-        return lambda x, pc: (sext(x[rs1] & MASK32, 32) >> sh) & MASK64
-
-    def add(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (x[rs1] + x[rs2]) & MASK64
-
-    def sub(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (x[rs1] - x[rs2]) & MASK64
-
-    def sll(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (x[rs1] << (x[rs2] & 63)) & MASK64
-
-    def slt(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: 1 if to_signed(x[rs1]) < to_signed(x[rs2]) else 0
-
-    def sltu(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: 1 if x[rs1] < x[rs2] else 0
-
-    def xor(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: x[rs1] ^ x[rs2]
-
-    def srl(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: x[rs1] >> (x[rs2] & 63)
-
-    def sra(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (to_signed(x[rs1]) >> (x[rs2] & 63)) & MASK64
-
-    def or_(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: x[rs1] | x[rs2]
-
-    def and_(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: x[rs1] & x[rs2]
-
-    def addw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: sext((x[rs1] + x[rs2]) & MASK32, 32) & MASK64
-
-    def subw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: sext((x[rs1] - x[rs2]) & MASK32, 32) & MASK64
-
-    def sllw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: sext((x[rs1] << (x[rs2] & 31)) & MASK32, 32) & MASK64
-
-    def srlw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: sext((x[rs1] & MASK32) >> (x[rs2] & 31), 32) & MASK64
-
-    def sraw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (sext(x[rs1] & MASK32, 32) >> (x[rs2] & 31)) & MASK64
-
-    def mul(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (x[rs1] * x[rs2]) & MASK64
-
-    def mulh(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: ((to_signed(x[rs1]) * to_signed(x[rs2])) >> 64) & MASK64
-
-    def mulhsu(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: ((to_signed(x[rs1]) * x[rs2]) >> 64) & MASK64
-
-    def mulhu(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: (x[rs1] * x[rs2]) >> 64
-
-    def div(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: div_signed(
-            to_signed(x[rs1]), to_signed(x[rs2]), 64) & MASK64
-
-    def divu(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: MASK64 if x[rs2] == 0 else x[rs1] // x[rs2]
-
-    def rem(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: rem_signed(
-            to_signed(x[rs1]), to_signed(x[rs2]), 64) & MASK64
-
-    def remu(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: x[rs1] if x[rs2] == 0 else x[rs1] % x[rs2]
-
-    def mulw(d):
-        rs1, rs2 = d.rs1, d.rs2
-        return lambda x, pc: sext((x[rs1] * x[rs2]) & MASK32, 32) & MASK64
-
-    def divw(d):
-        rs1, rs2 = d.rs1, d.rs2
-
-        def value(x, pc):
-            a = sext(x[rs1] & MASK32, 32)
-            b = sext(x[rs2] & MASK32, 32)
-            return sext(div_signed(a, b, 32) & MASK32, 32) & MASK64
-
-        return value
-
-    def divuw(d):
-        rs1, rs2 = d.rs1, d.rs2
-
-        def value(x, pc):
-            a = x[rs1] & MASK32
-            b = x[rs2] & MASK32
-            return sext(MASK32 if b == 0 else a // b, 32) & MASK64
-
-        return value
-
-    def remw(d):
-        rs1, rs2 = d.rs1, d.rs2
-
-        def value(x, pc):
-            a = sext(x[rs1] & MASK32, 32)
-            b = sext(x[rs2] & MASK32, 32)
-            return sext(rem_signed(a, b, 32) & MASK32, 32) & MASK64
-
-        return value
-
-    def remuw(d):
-        rs1, rs2 = d.rs1, d.rs2
-
-        def value(x, pc):
-            a = x[rs1] & MASK32
-            b = x[rs2] & MASK32
-            return sext(a if b == 0 else a % b, 32) & MASK64
-
-        return value
-
-    return {
-        "lui": lui, "auipc": auipc,
-        "addi": addi, "slti": slti, "sltiu": sltiu,
-        "xori": xori, "ori": ori, "andi": andi,
-        "slli": slli, "srli": srli, "srai": srai,
-        "addiw": addiw, "slliw": slliw, "srliw": srliw, "sraiw": sraiw,
-        "add": add, "sub": sub, "sll": sll, "slt": slt, "sltu": sltu,
-        "xor": xor, "srl": srl, "sra": sra, "or": or_, "and": and_,
-        "addw": addw, "subw": subw, "sllw": sllw, "srlw": srlw, "sraw": sraw,
-        "mul": mul, "mulh": mulh, "mulhsu": mulhsu, "mulhu": mulhu,
-        "div": div, "divu": divu, "rem": rem, "remu": remu,
-        "mulw": mulw, "divw": divw, "divuw": divuw,
-        "remw": remw, "remuw": remuw,
-    }
-
-
-_VALUE_FACTORIES = _build_value_factories()
-
-
-def value_function(decoded):
-    """The block-compile value form of a decoded instruction: an int when
-    the committed value is a compile-time constant, a ``(xregs, pc)``
-    closure otherwise, or None when the mnemonic has no value-slot form
-    (the compiler then falls back to a record slot)."""
-    factory = _VALUE_FACTORIES.get(decoded.spec.name)
-    if factory is None:
-        return None
-    return factory(decoded)

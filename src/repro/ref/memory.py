@@ -39,13 +39,6 @@ class SparseMemory:
         self._pages = {}
         self._ranges = list(ranges) if ranges else None
         self._last_range = (1, 0)  # empty window; replaced on first hit
-        # Self-modifying-code guard for the block compiler: stores into
-        # the covering interval of everything ever written via
-        # write_program bump the version, so compiled extents for stale
-        # code are never executed.
-        self.program_version = 0
-        self._prog_lo = 1
-        self._prog_hi = 0  # empty interval until write_program
 
     def add_range(self, base, size):
         """Whitelist an additional legal window."""
@@ -102,8 +95,6 @@ class SparseMemory:
     def store(self, address, size, value, kind="store"):
         """Write ``size`` bytes, little-endian."""
         self._check(address, size, kind)
-        if self._prog_lo <= address < self._prog_hi:
-            self.program_version += 1
         data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
         self.store_bytes(address, data, check=False)
 
@@ -147,12 +138,6 @@ class SparseMemory:
     def write_program(self, address, words):
         """Store a sequence of 32-bit instruction words starting at address."""
         blob = b"".join(word.to_bytes(4, "little") for word in words)
-        if self._prog_lo > self._prog_hi:
-            self._prog_lo, self._prog_hi = address, address + len(blob)
-        else:
-            self._prog_lo = min(self._prog_lo, address)
-            self._prog_hi = max(self._prog_hi, address + len(blob))
-        self.program_version += 1
         self.store_bytes(address, blob, check=False)
 
     def snapshot_pages(self):

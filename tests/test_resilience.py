@@ -256,6 +256,15 @@ class TestAtomicCheckpoint:
         # catching the old raw error keep working.
         with pytest.raises(ValueError, match="newer"):
             CampaignCheckpoint.from_dict(data)
+        # A bool is not a version, and versions start at 1.
+        for bad in (True, False):
+            data["version"] = bad
+            with pytest.raises(CheckpointError, match="must be an integer"):
+                CampaignCheckpoint.from_dict(data)
+        for bad in (0, -3):
+            data["version"] = bad
+            with pytest.raises(CheckpointError, match="at least 1"):
+                CampaignCheckpoint.from_dict(data)
 
     def test_missing_keys_and_non_object_payloads(self):
         with pytest.raises(CheckpointError, match="missing required keys"):
