@@ -16,10 +16,10 @@ This package turns the monolithic session factory into a layered API:
 * :class:`CampaignCheckpoint` — (spec, session state) bundles that
   round-trip through JSON for preempt/resume and for shipping shards to
   worker processes (:mod:`repro.campaign.checkpoint`),
-* :data:`BACKENDS` + :class:`SerialBackend` / :class:`ProcessPoolBackend`
-  / :class:`SupervisedQueueBackend` — pluggable shard-execution
-  mechanisms, the latter fault-tolerant with heartbeats, re-dispatch,
-  and quarantine (:mod:`repro.campaign.backends`),
+* :data:`BACKENDS` + :class:`SerialBackend` /
+  :class:`SupervisedQueueBackend` — pluggable shard-execution
+  mechanisms, the latter parallel and fault-tolerant with heartbeats,
+  re-dispatch, and quarantine (:mod:`repro.campaign.backends`),
 * :class:`FaultPolicy` / :class:`FaultInjector` / :class:`ShardRecovery`
   — failure-handling policy, deterministic chaos injection, and the
   shared recovery path (:mod:`repro.campaign.resilience`),
@@ -33,7 +33,6 @@ This package turns the monolithic session factory into a layered API:
 from repro.campaign.backends import (
     BACKENDS,
     ExecutionBackend,
-    ProcessPoolBackend,
     SerialBackend,
     SupervisedQueueBackend,
     register_backend,
@@ -93,7 +92,6 @@ __all__ = [
     "FuzzerPlugin",
     "ExecutionBackend",
     "SerialBackend",
-    "ProcessPoolBackend",
     "SupervisedQueueBackend",
     "CheckpointError",
     "FaultPolicy",

@@ -7,18 +7,15 @@ is unchanged, but the *mechanism* is now a backend behind the
 
 * :class:`SerialBackend` — the extracted in-process loops, behaviour
   identical to PR 1 bit for bit;
-* :class:`ProcessPoolBackend` — ships each shard to a worker process as a
-  :class:`~repro.campaign.checkpoint.CampaignCheckpoint`, runs the time
-  slice remotely, and merges the returned checkpoints back into the
-  orchestrator's sessions in deterministic label order at each slice
-  frontier.  Shards share no mutable state, so per-shard results match
-  the serial backend bit for bit; only wall-clock changes.
-* :class:`SupervisedQueueBackend` — long-running worker processes, each
-  with its own task queue, that keep their shards resident between
-  slices: after a shard's first slice a task names only the slice, and
-  the worker returns only what the slice changed.  Workers are
-  supervised with heartbeats: a dead, hung, or silent worker is
-  respawned and its shard re-dispatched as a full checkpoint captured
+* :class:`SupervisedQueueBackend` — the parallel backend: long-running
+  worker processes, each with its own task queue, that keep their shards
+  resident between slices.  After a shard's first slice a task names
+  only the slice, and the worker returns only what the slice changed,
+  which the orchestrator's session applies in deterministic label order
+  at each slice frontier.  Shards share no mutable state, so per-shard
+  results match the serial backend bit for bit; only wall-clock changes.
+  Workers are supervised with heartbeats: a dead, hung, or silent worker
+  is respawned and its shard re-dispatched as a full checkpoint captured
   from the orchestrator's copy (idempotent — the re-run slice merges
   bit-identically); a shard that keeps failing is quarantined instead
   of aborting the grid; when workers cannot be (re)spawned at all the
@@ -28,15 +25,14 @@ is unchanged, but the *mechanism* is now a backend behind the
   (re-emitted with ``remote=True``, ``shard=<label>``, and JSON-shaped
   payloads — see :mod:`repro.campaign.queue_worker`).
 
-Both parallel backends share one recovery code path
+Recovery runs through one code path
 (:class:`~repro.campaign.resilience.ShardRecovery` driven by a
-:class:`~repro.campaign.resilience.FaultPolicy`) and accept a
-:class:`~repro.campaign.resilience.FaultInjector` for reproducible chaos
-testing.  With the pool backend, per-iteration events stay on the
-worker's private bus (no relay); custom fuzzers/cores/instrumentations
-registered by the parent are visible to workers on fork-capable
-platforms (Linux); on spawn-only platforms workers know the built-ins
-plus whatever registers at import time.
+:class:`~repro.campaign.resilience.FaultPolicy`), and the backend accepts
+a :class:`~repro.campaign.resilience.FaultInjector` for reproducible
+chaos testing.  Custom fuzzers/cores/instrumentations registered by the
+parent are visible to workers on fork-capable platforms (Linux); on
+spawn-only platforms workers know the built-ins plus whatever registers
+at import time.
 """
 
 import os
@@ -44,7 +40,7 @@ import queue
 import time  # analyze: ignore[DET001] supervision deadlines/backoff; never feeds campaign state
 
 from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointError
-from repro.campaign.queue_worker import execute_task, paused_gc, worker_main
+from repro.campaign.queue_worker import advance_resident, paused_gc, worker_main
 from repro.campaign.resilience import FaultPolicy, ShardRecovery
 from repro.registry import Registry
 
@@ -185,216 +181,6 @@ def _preferred_context(mp_context):
 
 
 # ---------------------------------------------------------------------------
-# Process-pool backend
-# ---------------------------------------------------------------------------
-# One instrumentation cache per worker process: checkpoints restored for
-# successive time slices of the same grid rebuild identical layouts, and
-# layouts are read-only after construction (the same sharing property the
-# orchestrator's own cache relies on).
-_worker_cache = None
-
-
-def _advance_shard(task):
-    """Pool worker entry point: task in, advanced-checkpoint JSON out.
-
-    Runs in a separate process; everything crossing the boundary is plain
-    JSON-shaped data, so results cannot depend on pickling object graphs.
-    Injected-fault directives are honoured at their stages (a pre-stage
-    ``kill-worker`` hard-exits here, which the parent sees as a broken
-    pool); a dropped result is reported as ``{"dropped": True}`` — the
-    pool-shaped analogue of silence, since a future must resolve.
-    """
-    global _worker_cache
-    if _worker_cache is None:
-        from repro.campaign.cache import InstrumentationCache
-
-        _worker_cache = InstrumentationCache()
-    from repro.campaign.resilience import apply_fault_directives
-
-    context = {"task": task, "drop": False, "checkpoint_json": None}
-    directives = task.get("faults") or ()
-    apply_fault_directives(directives, "pre", context)
-    context["checkpoint_json"] = execute_task(task, cache=_worker_cache)
-    apply_fault_directives(directives, "post", context)
-    apply_fault_directives(directives, "result", context)
-    if context["drop"]:
-        return {"dropped": True}
-    return {"checkpoint_json": context["checkpoint_json"]}
-
-
-@register_backend("process-pool")
-class ProcessPoolBackend(ExecutionBackend):
-    """Advance shards in worker processes, merging at slice frontiers.
-
-    Each shard travels as a ``(spec, state)`` checkpoint; the worker
-    restores it, runs the slice, and returns the advanced checkpoint.
-    Results are merged back into the orchestrator's sessions in label
-    order, so reports, coverage series, and bus-milestone ordering are
-    deterministic regardless of worker completion order.
-
-    Failure handling shares the supervised backend's recovery path: a
-    slice that times out (``policy.slice_timeout_s``), returns a corrupt
-    checkpoint, or dies with its worker is re-dispatched from the same
-    last-good checkpoint with deterministic backoff, up to
-    ``policy.max_retries`` — then the shard is quarantined and the rest
-    of the grid continues.  A broken pool is rebuilt in place.
-    """
-
-    name = "process-pool"
-
-    def __init__(self, processes=None, mp_context=None, policy=None,
-                 injector=None):
-        self.processes = processes
-        self._mp_context = mp_context
-        self.policy = policy or FaultPolicy()
-        self.injector = injector
-        self._recovery = None
-
-    def resilience_stats(self):
-        """Retry/quarantine counters of the most recent run (None before
-        any run); surfaced by ``orchestrator.report()``."""
-        if self._recovery is None:
-            return None
-        stats = self._recovery.stats()
-        if self.injector is not None:
-            stats["faults"] = self.injector.stats()
-        return stats
-
-    def _make_pool(self, shard_count):
-        from concurrent.futures import ProcessPoolExecutor
-
-        context = _preferred_context(self._mp_context)
-        workers = self.processes or min(shard_count,
-                                        max(1, os.cpu_count() or 1))
-        return ProcessPoolExecutor(max_workers=max(1, workers),
-                                   mp_context=context)
-
-    def _dispatch_and_merge(self, orchestrator, pool, tasks, recovery,
-                            slice_index):
-        """Submit one task per shard; retry/quarantine failures; merge
-        survivors in label order.  Returns the (possibly rebuilt) pool."""
-        from concurrent.futures.process import BrokenProcessPool
-
-        pending = dict(tasks)
-        merged = {}
-        while pending:
-            submitted = {}
-            for label in sorted(pending):
-                task = dict(pending[label])
-                recovery.note("full_tasks")
-                attempt = recovery.attempts_for(label, slice_index)
-                task["attempt"] = attempt
-                if self.injector is not None:
-                    faults = self.injector.faults_for(
-                        task["shard_index"], slice_index, attempt)
-                    if faults:
-                        task["faults"] = faults
-                        recovery.note("faults_injected", len(faults))
-                submitted[label] = pool.submit(_advance_shard, task)
-            failed = []
-            broken = False
-            for label in sorted(submitted):
-                future = submitted[label]
-                if broken:
-                    failed.append((label, "worker-lost"))
-                    continue
-                try:
-                    result = future.result(timeout=self.policy.slice_timeout_s)
-                    if result.get("dropped"):
-                        recovery.note("dropped_results")
-                        failed.append((label, "dropped-result"))
-                        continue
-                    advanced = CampaignCheckpoint.from_json(
-                        result["checkpoint_json"])
-                except CheckpointError:
-                    recovery.note("corrupt_checkpoints")
-                    failed.append((label, "corrupt-checkpoint"))
-                except TimeoutError:
-                    future.cancel()
-                    recovery.note("timeouts")
-                    failed.append((label, "timeout"))
-                except BrokenProcessPool:
-                    broken = True
-                    failed.append((label, "worker-lost"))
-                except Exception as exc:
-                    recovery.note("worker_errors")
-                    failed.append((label, f"worker-error: {exc}"))
-                else:
-                    merged[label] = advanced
-                    pending.pop(label)
-            if broken:
-                recovery.worker_lost(worker_id=None)
-                pool.shutdown(wait=False)
-                pool = self._make_pool(len(orchestrator.sessions))
-            for label, reason in failed:
-                task = pending.get(label)
-                if task is None:
-                    continue
-                action, backoff = recovery.record_failure(
-                    label, slice_index=slice_index,
-                    shard_index=task["shard_index"], reason=reason)
-                if action == ShardRecovery.QUARANTINE:
-                    pending.pop(label)
-                elif backoff:
-                    time.sleep(backoff)
-        for label in orchestrator.labels:
-            if label in merged:
-                orchestrator.sessions[label].load_state(merged[label].state)
-        return pool
-
-    def run_for_virtual_time(self, orchestrator, budget_seconds,
-                             max_iterations=None, slices=8):
-        frontiers = _slice_frontiers(budget_seconds, slices)
-        recovery = self._recovery = ShardRecovery(
-            self.policy, bus=orchestrator.bus,
-            health=_shard_health(orchestrator))
-        pool = self._make_pool(len(orchestrator.sessions))
-        try:
-            for step, frontier in enumerate(frontiers, start=1):
-                tasks = {
-                    label: _full_task(_make_task(
-                        label, shard_index, "run_for_virtual_time",
-                        frontier=frontier, max_iterations=max_iterations),
-                        session)
-                    for label, shard_index, session in _eligible(
-                        orchestrator, frontier, max_iterations)
-                }
-                pool = self._dispatch_and_merge(orchestrator, pool, tasks,
-                                                recovery, step - 1)
-                orchestrator.bus.milestone(
-                    "time_slice", orchestrator=orchestrator,
-                    frontier=frontier, step=step, slices=len(frontiers))
-        finally:
-            pool.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
-
-    def run_iterations(self, orchestrator, count, batch=16):
-        # Round-robin batching only matters for event interleaving inside
-        # one process; across processes each shard runs its full budget in
-        # one dispatch (identical results, one checkpoint round-trip).
-        recovery = self._recovery = ShardRecovery(
-            self.policy, bus=orchestrator.bus,
-            health=_shard_health(orchestrator))
-        pool = self._make_pool(len(orchestrator.sessions))
-        try:
-            tasks = {
-                label: _full_task(_make_task(label, shard_index,
-                                             "run_iterations", count=count),
-                                  session)
-                for label, shard_index, session in _eligible(
-                    orchestrator, None, None)
-            }
-            self._dispatch_and_merge(orchestrator, pool, tasks, recovery, 0)
-        finally:
-            pool.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
-
-
-# ---------------------------------------------------------------------------
 # Supervised work-queue backend
 # ---------------------------------------------------------------------------
 class _Supervisor:
@@ -417,18 +203,24 @@ class _Supervisor:
     or fit counts as a corrupt checkpoint) drops the shard's residency
     and routes through :meth:`ShardRecovery.record_failure`, which either
     re-dispatches a full task captured from the orchestrator's session
-    (after deterministic backoff) or quarantines the shard.  A worker's
-    queue dies with it, and the supervisor knows which tasks it held: the
-    one it was running is charged a failure, the ones queued behind it
-    are re-dispatched uncharged.  Worker loss triggers a respawn into the
-    same slot; when the respawn budget is exhausted or spawning fails
-    outright, the supervisor emits ``degraded`` and falls back to
-    in-process execution of the remaining tasks with full checkpoints —
-    the same :func:`execute_task` path as the pool, so results stay
-    bit-identical.
+    (after deterministic backoff) or quarantines the shard.  A task's
+    deadline starts when its worker claims it: waiting in a queue behind
+    another shard's slice is not a failure.  Deadlines and heartbeat
+    silence are measured in supervision time (:meth:`_now`), which does
+    not count a host stall against the workers.  A worker's queue dies with
+    it, and the supervisor knows which tasks it held: the one it was
+    running is charged a failure, the ones queued behind it are
+    re-dispatched uncharged.  Worker loss triggers a respawn into the
+    same slot, and a slot whose respawn fails is dropped (its shards
+    re-route to the remaining workers).  When the respawn budget is
+    exhausted or no worker is left, the supervisor emits ``degraded``
+    and runs the remaining tasks in-process: full tasks through the same
+    :func:`~repro.campaign.queue_worker.advance_resident` as a worker,
+    whose deltas are applied the same way, so results stay bit-identical.
     """
 
     POLL_S = 0.05
+    MAX_GAP_S = 1.0  # see _now
 
     def __init__(self, backend, orchestrator):
         self.backend = backend
@@ -442,13 +234,15 @@ class _Supervisor:
         self._slots = []       # slot -> worker_id (None while vacant)
         self._workers = {}     # worker_id -> Process
         self._queues = {}      # worker_id -> its task queue
-        self._last_beat = {}   # worker_id -> monotonic seconds
+        self._last_beat = {}   # worker_id -> supervision seconds
         self._claims = {}      # worker_id -> task_id
         self._resident = {}    # label -> (worker_id, iterations) it holds
         self._stale = set()    # task_ids whose late results must be ignored
         self._next_task_id = 0
         self._next_worker_id = 0
         self._respawns = 0
+        self._clock = 0.0      # supervision seconds (see _now)
+        self._real = time.monotonic()  # the reading _clock last advanced to
         try:
             context = _preferred_context(backend._mp_context)
             self.result_queue = context.Queue()
@@ -465,6 +259,18 @@ class _Supervisor:
                 break
         if not self._workers:
             self._degrade("no workers could be spawned")
+
+    def _now(self):
+        """Supervision time in seconds: the monotonic clock, with every gap
+        between two readings counted as at most ``MAX_GAP_S``.  The loop
+        reads the clock about every ``POLL_S``, so a longer gap means this
+        process was not running; on a host stall the workers were frozen
+        too, and the stall must not count as their silence or against
+        their task deadlines."""
+        real = time.monotonic()
+        self._clock += min(real - self._real, self.MAX_GAP_S)
+        self._real = real
+        return self._clock
 
     # -- fleet ------------------------------------------------------------------
     def _spawn_worker(self):
@@ -487,7 +293,7 @@ class _Supervisor:
         self._next_worker_id = worker_id + 1
         self._workers[worker_id] = process
         self._queues[worker_id] = task_queue
-        self._last_beat[worker_id] = time.monotonic()
+        self._last_beat[worker_id] = self._now()
         if None in self._slots:
             self._slots[self._slots.index(None)] = worker_id
         else:
@@ -496,26 +302,26 @@ class _Supervisor:
         return True
 
     def _ensure_workers(self):
-        """Respawn into vacated slots; drop a slot (degrading gracefully)
-        when spawning fails."""
+        """Respawn into every vacated slot; drop each slot whose respawn
+        fails (degrading gracefully), so no slot is left vacant."""
         while not self.inline and None in self._slots:
             if self._respawns >= self.policy.max_respawns:
                 self._degrade("respawn budget exhausted")
                 return
             self._respawns += 1
             self.recovery.note("respawns")
-            if not self._spawn_worker():
-                self._slots.remove(None)
-                if not self._workers:
-                    self._degrade("respawn kept failing")
-                else:
-                    self.recovery.degraded("respawn failed",
-                                           workers_left=len(self._workers))
-                return
+            if self._spawn_worker():
+                continue
+            self._slots.remove(None)
+            if not self._workers:
+                self._degrade("respawn kept failing")
+            else:
+                self.recovery.degraded("respawn failed",
+                                       workers_left=len(self._workers))
 
     def _degrade(self, reason):
         """Fall back to in-process execution (the last resort: correctness
-        is preserved — same execute_task path — at serial speed)."""
+        is preserved — same worker-side function — at serial speed)."""
         self.inline = True
         self.recovery.degraded(reason, workers_left=len(self._workers))
 
@@ -543,8 +349,7 @@ class _Supervisor:
                 task["faults"] = faults
                 self.recovery.note("faults_injected", len(faults))
         pending[task_id] = {"task": task, "template": template,
-                            "worker": worker_id, "claimed_at": None,
-                            "enqueued_at": time.monotonic()}
+                            "worker": worker_id, "claimed_at": None}
         self._queues[worker_id].put(task)
 
     def _fail_task(self, task_id, pending, delayed, slice_index, reason,
@@ -561,7 +366,7 @@ class _Supervisor:
         self._resident.pop(label, None)
         if not charge:
             self.recovery.requeue(label, slice_index, reason)
-            delayed.append([time.monotonic(), template,
+            delayed.append([self._now(), template,
                             record["task"]["attempt"]])
             return
         action, backoff = self.recovery.record_failure(
@@ -570,7 +375,7 @@ class _Supervisor:
         if action == ShardRecovery.QUARANTINE:
             return
         attempt = self.recovery.attempts_for(label, slice_index)
-        delayed.append([time.monotonic() + backoff, template, attempt])
+        delayed.append([self._now() + backoff, template, attempt])
 
     # -- supervision loop -------------------------------------------------------
     def execute_slice(self, slice_index, templates):
@@ -579,9 +384,6 @@ class _Supervisor:
         pending = {}
         # [not_before, task template, attempt]; label order on dispatch.
         delayed = [[0.0, templates[label], 0] for label in sorted(templates)]
-        now = time.monotonic()
-        for worker_id in self._last_beat:
-            self._last_beat[worker_id] = now  # we weren't listening between slices
         while pending or delayed:
             self._ensure_workers()
             if self.inline:
@@ -591,7 +393,7 @@ class _Supervisor:
                 for _, template, _ in delayed:
                     self._run_inline(template, slice_index)
                 break
-            now = time.monotonic()
+            now = self._now()
             ready = [entry for entry in delayed if now >= entry[0]]
             if ready:
                 delayed[:] = [entry for entry in delayed if now < entry[0]]
@@ -605,21 +407,19 @@ class _Supervisor:
         self._drain_relay()
 
     def _run_inline(self, template, slice_index):
-        """Degraded-mode execution: a full task run in this process (fault
-        directives ignored: chaos targets workers)."""
+        """Degraded-mode execution: a full task run in this process on the
+        orchestrator's cache and bus (fault directives ignored: chaos
+        targets workers), its delta applied like a worker's result."""
         label = template["label"]
         if self.recovery.health.get(label) == "quarantined":
             return
-        session = self.orchestrator.sessions[label]
-        task = _full_task(template, session)
-        task.pop("relay", None)
+        task = _full_task(template, self.orchestrator.sessions[label])
         while True:
             self.recovery.note("inline_tasks")
             try:
-                advanced = CampaignCheckpoint.from_json(execute_task(
-                    task, cache=self.orchestrator.cache,
+                self._apply_delta(label, advance_resident(
+                    task, {}, cache=self.orchestrator.cache,
                     bus=self.orchestrator.bus))
-                session.load_state(advanced.state)
                 break
             except Exception as exc:
                 action, backoff = self.recovery.record_failure(
@@ -630,6 +430,16 @@ class _Supervisor:
                     break
                 if backoff:
                     time.sleep(backoff)
+
+    def _apply_delta(self, label, checkpoint_json):
+        """Apply a slice delta to the shard's orchestrator session and
+        return that session; a delta that does not parse or fit raises
+        :class:`CheckpointError` and leaves the session unchanged."""
+        session = self.orchestrator.sessions[label]
+        with paused_gc():
+            delta = CampaignCheckpoint.from_json(checkpoint_json)
+            session.load_state(delta.state)
+        return session
 
     # -- message handling -------------------------------------------------------
     def _pump_results(self, pending, delayed, slice_index):
@@ -648,7 +458,7 @@ class _Supervisor:
     def _handle_message(self, message, pending, delayed, slice_index):
         worker_id = message.get("worker")
         if worker_id is not None:
-            self._last_beat[worker_id] = time.monotonic()
+            self._last_beat[worker_id] = self._now()
         mtype = message.get("type")
         if mtype == "heartbeat":
             return
@@ -656,7 +466,7 @@ class _Supervisor:
         if mtype == "claim":
             record = pending.get(task_id)
             if record is not None:
-                record["claimed_at"] = time.monotonic()
+                record["claimed_at"] = self._now()
                 self._claims[worker_id] = task_id
             return
         if task_id in self._stale or task_id not in pending:
@@ -666,12 +476,8 @@ class _Supervisor:
             self._claims.pop(record["worker"], None)
         if mtype == "result":
             label = record["template"]["label"]
-            session = self.orchestrator.sessions[label]
             try:
-                with paused_gc():
-                    delta = CampaignCheckpoint.from_json(
-                        message["checkpoint_json"])
-                    session.load_state(delta.state)
+                session = self._apply_delta(label, message["checkpoint_json"])
             except CheckpointError:
                 self.recovery.note("corrupt_checkpoints")
                 self._fail_task(task_id, pending, delayed, slice_index,
@@ -736,7 +542,7 @@ class _Supervisor:
     def _check_heartbeats(self, pending, delayed, slice_index):
         """A worker silent past the heartbeat deadline is presumed wedged
         (beats flow from a daemon thread even mid-slice) and terminated."""
-        now = time.monotonic()
+        now = self._now()
         for worker_id, last in list(self._last_beat.items()):
             if now - last > self.policy.heartbeat_timeout_s:
                 self.recovery.note("heartbeat_losses")
@@ -744,13 +550,17 @@ class _Supervisor:
                                        slice_index, "heartbeat-lost")
 
     def _check_deadlines(self, pending, delayed, slice_index):
-        now = time.monotonic()
+        """A task times out ``slice_timeout_s`` after its worker claimed
+        it.  A task still queued behind another shard's slice has no
+        deadline of its own: its worker's liveness checks and the running
+        task's deadline cover it."""
+        now = self._now()
         timeout = self.policy.slice_timeout_s
         for task_id, record in list(pending.items()):
             if task_id not in pending:
                 continue  # re-dispatched with a worker lost in this sweep
-            started = record["claimed_at"] or record["enqueued_at"]
-            if now - started <= timeout:
+            claimed_at = record["claimed_at"]
+            if claimed_at is None or now - claimed_at <= timeout:
                 continue
             self.recovery.note("timeouts")
             worker_id = record["worker"]
@@ -759,6 +569,7 @@ class _Supervisor:
                 self._terminate_worker(worker_id, pending, delayed,
                                        slice_index, "timeout")
             else:
+                # Its worker has moved on: the result was lost.
                 self._fail_task(task_id, pending, delayed, slice_index,
                                 "timeout")
 

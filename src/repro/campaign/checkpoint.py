@@ -9,13 +9,11 @@ that was never interrupted.  The checkpoint is taken at an iteration
 boundary (the only state the session drivers expose); everything else
 (DUT core, runner, REF) is rebuilt per iteration and never crosses one.
 
-The same bundle is the unit of work the
-:class:`~repro.campaign.backends.ProcessPoolBackend` ships to worker
-processes: a shard travels to the worker as a checkpoint, runs its time
-slice there, and comes back as a checkpoint.  The
-:class:`~repro.campaign.backends.SupervisedQueueBackend` uses the same
-envelope for what a slice changed: its ``state`` is then a
-:meth:`~repro.campaign.session.CampaignSession.state_delta`, which
+The same bundle is how the
+:class:`~repro.campaign.backends.SupervisedQueueBackend` places a shard
+on a worker process (a *full* task carries its checkpoint), and the
+same envelope carries what a slice changed back: its ``state`` is then
+a :meth:`~repro.campaign.session.CampaignSession.state_delta`, which
 ``load_state`` applies to a session at the delta's base.
 """
 
@@ -116,7 +114,7 @@ class CampaignCheckpoint:
                    meta=dict(meta))
 
     def to_json(self):
-        """Compact JSON string (the process-pool wire format)."""
+        """Compact JSON string (the worker-queue wire format)."""
         return json.dumps(self.to_dict(), sort_keys=True)
 
     @classmethod

@@ -14,10 +14,10 @@ at the session's internals after the fact.  Events:
   ``coverage_target``, ``bug_triggered``, ``shard_done``, ...); payload
   always carries ``kind``.
 
-Robustness events, published by the fault-tolerant backends
+Robustness events, published by the supervised queue backend
 (:mod:`repro.campaign.resilience`):
 
-* ``worker_lost`` — a worker process died or its pool broke; payload
+* ``worker_lost`` — a worker process died; payload
   carries ``worker``, ``shard`` (may be None), ``exit_code``.
 * ``redispatch`` — a shard slice is being re-dispatched from its last
   good checkpoint; payload carries ``shard``, ``slice_index``,

@@ -11,10 +11,10 @@ grid as shards with:
 * **pluggable execution backends** — the scheduling policy above is
   mechanism-independent: :class:`~repro.campaign.backends.SerialBackend`
   advances shards in-process (the default), while
-  :class:`~repro.campaign.backends.ProcessPoolBackend` ships each shard
-  to a worker process as a checkpoint and merges results at every slice
-  frontier — bit-identical per-shard results either way, because shards
-  share no mutable state;
+  :class:`~repro.campaign.backends.SupervisedQueueBackend` keeps each
+  shard resident on a worker process and applies what each slice changed
+  at every slice frontier — bit-identical per-shard results either way,
+  because shards share no mutable state;
 * **per-shard deterministic seeding** — ``reseed_base`` derives a distinct,
   reproducible seed per shard index for specs that do not pin one;
 * **a shared instrumentation cache** — shards with identical

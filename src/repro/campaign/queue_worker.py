@@ -1,13 +1,13 @@
 """Supervised campaign workers: the process side of the work-queue backend.
 
-A worker is a **long-running** process (unlike the pool backend's
-stateless futures): it loops on its own multiprocessing task queue and
-keeps the sessions of the shards routed to it **resident** between
-slices.  A shard's first task (and any task after a failure) is *full*:
-it carries the shard's checkpoint, which replaces the resident session.
-Every later task is a *delta* task that only names the base iteration
-count and the slice to run.  Either way the worker posts back only what
-the slice changed (:func:`advance_resident`).  Alongside the task loop:
+A worker is a **long-running** process: it loops on its own
+multiprocessing task queue and keeps the sessions of the shards routed
+to it **resident** between slices.  A shard's first task (and any task
+after a failure) is *full*: it carries the shard's checkpoint, which
+replaces the resident session.  Every later task is a *delta* task that
+only names the base iteration count and the slice to run.  Either way
+the worker posts back only what the slice changed
+(:func:`advance_resident`).  Alongside the task loop:
 
 * a daemon **heartbeat thread** posts liveness beats every
   ``heartbeat_interval_s`` even while the main thread is deep in a slice,
@@ -143,23 +143,7 @@ def _run_slice(session, task):
         raise ValueError(f"unknown task command {command!r}")
 
 
-def execute_task(task, cache=None, relay_queue=None, bus=None):
-    """Restore the shard from its full checkpoint, run the slice, and
-    return the advanced full checkpoint as compact JSON.
-
-    The pool backend's futures and the supervisor's degraded in-process
-    fallback run every slice this way.  ``bus`` overrides the private
-    per-task bus (the inline fallback passes the orchestrator's bus so
-    local subscribers see full-fidelity events)."""
-    if bus is None:
-        bus = _task_bus(task, relay_queue)
-    checkpoint = CampaignCheckpoint.from_json(task["checkpoint_json"])
-    session = checkpoint.restore(bus=bus, cache=cache)
-    _run_slice(session, task)
-    return CampaignCheckpoint.capture(session).to_json()
-
-
-def advance_resident(task, resident, cache=None, relay_queue=None):
+def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
     """Run one slice on a shard this worker keeps resident; return what
     the slice changed, as a checkpoint-envelope JSON whose state is a
     :meth:`~repro.campaign.session.CampaignSession.state_delta`.
@@ -168,9 +152,13 @@ def advance_resident(task, resident, cache=None, relay_queue=None):
     carries ``checkpoint_json``) replaces the shard's session; a *delta*
     task names the iteration count its base is at, and fails when the
     resident session is elsewhere.  A slice that raises leaves the shard
-    non-resident, so only a full task can bring it back."""
+    non-resident, so only a full task can bring it back.  ``bus``
+    overrides the private per-task bus (the supervisor's degraded
+    in-process fallback passes the orchestrator's bus, so local
+    subscribers see full-fidelity events)."""
     label = task["label"]
-    bus = _task_bus(task, relay_queue)
+    if bus is None:
+        bus = _task_bus(task, relay_queue)
     session = resident.pop(label, None)
     if "checkpoint_json" in task:
         with paused_gc():

@@ -1,8 +1,7 @@
 """Fault tolerance for campaign execution: policy, injection, recovery.
 
-Three pieces, shared by both parallel backends
-(:class:`~repro.campaign.backends.ProcessPoolBackend` and
-:class:`~repro.campaign.backends.SupervisedQueueBackend`):
+Three pieces, used by the parallel backend
+(:class:`~repro.campaign.backends.SupervisedQueueBackend`):
 
 * :class:`FaultPolicy` — the knobs of the failure/recovery state machine:
   per-slice timeout, retry budget per shard, exponential backoff with
@@ -53,7 +52,7 @@ def derive_seed(base, index):
 # ---------------------------------------------------------------------------
 @dataclass(frozen=True)
 class FaultPolicy:
-    """Failure-handling knobs shared by the parallel backends.
+    """Failure-handling knobs of the parallel backend.
 
     ``max_retries`` bounds attempts per *(shard, slice)*: the first
     failure is attempt 1, and a shard whose slice fails more than
@@ -285,7 +284,6 @@ class _RecoveryCounters:
     worker_losses: int = 0
     timeouts: int = 0
     corrupt_checkpoints: int = 0
-    dropped_results: int = 0
     worker_errors: int = 0
     heartbeat_losses: int = 0
     faults_injected: int = 0
@@ -302,7 +300,7 @@ class _RecoveryCounters:
 
 
 class ShardRecovery:
-    """The shared failure/recovery path of both parallel backends.
+    """The one failure/recovery path of the parallel backend.
 
     One instance per backend run: it owns the per-``(shard, slice)``
     attempt counts, the retry-vs-quarantine decision, the robustness
@@ -342,7 +340,7 @@ class ShardRecovery:
 
     # -- event-shaped notifications ---------------------------------------------
     def worker_lost(self, worker_id, label=None, exit_code=None):
-        """A worker process died (or its pool broke)."""
+        """A worker process died."""
         self.note("worker_losses")
         self._emit("worker_lost", worker=worker_id, shard=label,
                    exit_code=exit_code)

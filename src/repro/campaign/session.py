@@ -373,7 +373,7 @@ class CampaignSession:
             raise TypeError(
                 f"fuzzer {type(self.fuzzer).__name__!r} does not implement "
                 f"the checkpoint protocol ({method}()); checkpointing and "
-                "the process-pool backend require registered fuzzers to "
+                "the supervised-queue backend require registered fuzzers to "
                 "provide state_dict()/load_state()"
             )
         return hook

@@ -11,7 +11,7 @@ registries; grid-shaped experiments (Fig. 7/8/9/11, Table I) run their
 shards through a :class:`~repro.campaign.CampaignOrchestrator` with a
 shared instrumentation cache, so identical netlists are instrumented once
 per grid instead of once per shard.  Grid drivers take a ``backend=`` knob
-(``None``/``"serial"`` or ``"process-pool"``, or any registered
+(``None``/``"serial"`` or ``"supervised-queue"``, or any registered
 :data:`~repro.campaign.BACKENDS` entry) selecting the execution backend;
 results are bit-identical across backends.
 

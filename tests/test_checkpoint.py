@@ -10,8 +10,8 @@ from repro.campaign import (
     CampaignOrchestrator,
     CampaignSpec,
     CheckpointError,
-    ProcessPoolBackend,
     SerialBackend,
+    SupervisedQueueBackend,
     build_session,
     campaign_report,
     checkpoint_session,
@@ -303,12 +303,14 @@ class TestBackends:
     def test_registry_resolution(self):
         assert isinstance(resolve_backend(None), SerialBackend)
         assert isinstance(resolve_backend("serial"), SerialBackend)
-        assert isinstance(resolve_backend("process-pool"), ProcessPoolBackend)
-        backend = ProcessPoolBackend(processes=2)
+        assert isinstance(resolve_backend("supervised-queue"),
+                          SupervisedQueueBackend)
+        backend = SupervisedQueueBackend(workers=2)
         assert resolve_backend(backend) is backend
-        with pytest.raises(ValueError, match="unknown execution backend"):
-            resolve_backend("gpu")
-        assert set(BACKENDS.names()) >= {"serial", "process-pool"}
+        for unknown in ("gpu", "process-pool"):
+            with pytest.raises(ValueError, match="unknown execution backend"):
+                resolve_backend(unknown)
+        assert set(BACKENDS.names()) == {"serial", "supervised-queue"}
 
     def test_third_party_backend_plugs_in(self):
         calls = []
@@ -332,29 +334,22 @@ class TestBackends:
     def test_pool_matches_serial_run_iterations(self):
         serial = self.grid()
         serial.run_iterations(3)
-        pool = self.grid(backend=ProcessPoolBackend(processes=2))
-        pool.run_iterations(3)
-        assert pool.coverage_series() == serial.coverage_series()
-        assert pool.shard_stats() == serial.shard_stats()
-        assert pool.merged_coverage_series() == serial.merged_coverage_series()
+        parallel = self.grid(backend=SupervisedQueueBackend(workers=2))
+        parallel.run_iterations(3)
+        assert parallel.coverage_series() == serial.coverage_series()
+        assert parallel.shard_stats() == serial.shard_stats()
+        assert (parallel.merged_coverage_series()
+                == serial.merged_coverage_series())
         # Checkpoint *files* are deterministic too: freezing either grid
         # yields byte-identical JSON per shard.
         serial_wire = {label: cp.to_json()
                        for label, cp in serial.checkpoint().items()}
-        pool_wire = {label: cp.to_json()
-                     for label, cp in pool.checkpoint().items()}
-        assert serial_wire == pool_wire
-
-    def test_pool_matches_serial_virtual_time(self):
-        serial = self.grid()
-        serial.run_for_virtual_time(0.01, max_iterations=12, slices=3)
-        pool = self.grid(backend="process-pool")
-        pool.run_for_virtual_time(0.01, max_iterations=12, slices=3)
-        assert pool.coverage_series() == serial.coverage_series()
-        assert pool.shard_stats() == serial.shard_stats()
+        parallel_wire = {label: cp.to_json()
+                         for label, cp in parallel.checkpoint().items()}
+        assert serial_wire == parallel_wire
 
     def test_pool_emits_orchestration_milestones(self):
-        grid = self.grid(backend=ProcessPoolBackend(processes=1))
+        grid = self.grid(backend=SupervisedQueueBackend(workers=1))
         kinds = []
         grid.bus.on_milestone(lambda **kw: kinds.append(kw["kind"]))
         grid.run_for_virtual_time(0.005, max_iterations=4, slices=2)
@@ -365,7 +360,7 @@ class TestBackends:
         serial = self.grid()
         serial.run_iterations(2)
         grid = self.grid()  # default serial...
-        grid.run_iterations(2, backend="process-pool")  # ...pool per call
+        grid.run_iterations(2, backend="supervised-queue")  # ...parallel per call
         assert grid.coverage_series() == serial.coverage_series()
 
 
@@ -394,7 +389,7 @@ class TestOrchestratorResume:
         half = CampaignOrchestrator(specs)
         half.run_for_virtual_time(0.005, max_iterations=10, slices=1)
         resumed = CampaignOrchestrator.from_checkpoints(
-            half.checkpoint(), backend="process-pool")
+            half.checkpoint(), backend="supervised-queue")
         resumed.run_for_virtual_time(0.01, max_iterations=10, slices=1)
 
         assert resumed.coverage_series() == full.coverage_series()

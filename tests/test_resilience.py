@@ -8,6 +8,9 @@ run — recovery may cost wall-clock, never results.
 """
 
 import json
+import sys
+import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -19,14 +22,13 @@ from repro.campaign import (
     EventBus,
     FaultInjector,
     FaultPolicy,
-    ProcessPoolBackend,
     ShardRecovery,
     SupervisedQueueBackend,
     build_session,
     campaign_report,
     register_fault,
 )
-from repro.campaign.backends import _Supervisor
+from repro.campaign.backends import _make_task, _Supervisor
 from repro.campaign.queue_worker import advance_resident
 from repro.campaign.resilience import KILL_WORKER_EXIT_CODE
 
@@ -80,6 +82,23 @@ class ExplodeFault:
 
     def apply(self, context):
         raise RuntimeError("injected explosion")
+
+
+@register_fault("wedge", replace=True)
+class WedgeFault:
+    """Test-only fault: spin holding the interpreter lock, so the worker's
+    heartbeat thread falls silent while its process stays alive.  The
+    short sleep first lets the claim message flush, as ``kill-worker``
+    does, so the queue's feeder thread is not starved mid-write."""
+
+    stage = "pre"
+
+    def apply(self, context):
+        time.sleep(0.05)
+        sys.setswitchinterval(1000.0)
+        deadline = time.monotonic() + 60.0
+        while time.monotonic() < deadline:
+            pass
 
 
 class TestFaultPolicy:
@@ -424,10 +443,11 @@ class TestSupervisedQueueBackend:
         assert counters["worker_errors"] == 1
         assert counters["worker_losses"] == 0  # the worker survived
 
-    def test_poison_shard_quarantined_without_aborting_grid(self):
+    @pytest.mark.parametrize("kind", ("explode", "corrupt-checkpoint"))
+    def test_poison_shard_quarantined_without_aborting_grid(self, kind):
         specs = two_shard_specs()
         serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("explode", 0, 0)], repeat=True)
+        injector = FaultInjector(schedule=[(kind, 0, 0)], repeat=True)
         supervised = CampaignOrchestrator(
             specs, backend=SupervisedQueueBackend(
                 workers=2,
@@ -457,6 +477,39 @@ class TestSupervisedQueueBackend:
         assert counters["inline_tasks"] > 0
         assert events and events[0]["workers"] == 0
 
+    def test_failed_respawn_drops_every_vacant_slot(self, monkeypatch):
+        """Two of three workers die in one reaping sweep and every respawn
+        fails: both vacant slots are dropped, so all three shards route to
+        the surviving worker and the slice still matches serial."""
+        specs = [small_spec(seed=seed).named(label)
+                 for label, seed in (("a", 11), ("b", 22), ("c", 33))]
+        serial = CampaignOrchestrator(specs)
+        serial.run_iterations(2)
+        grid = CampaignOrchestrator(specs)
+        supervisor = _Supervisor(SupervisedQueueBackend(workers=3), grid)
+        try:
+            assert supervisor._slots == [0, 1, 2]
+            for worker_id in (0, 1):
+                process = supervisor._workers[worker_id]
+                process.terminate()
+                process.join(timeout=5.0)
+                assert not process.is_alive()
+            supervisor._reap_workers({}, [], 0)
+            assert supervisor._slots == [None, None, 2]
+            monkeypatch.setattr(supervisor, "_spawn_worker", lambda: False)
+            supervisor._ensure_workers()
+            assert supervisor._slots == [2]
+            assert not supervisor.inline
+            supervisor.execute_slice(0, {
+                label: _make_task(label, index, "run_iterations", count=2)
+                for index, label in enumerate(grid.labels)})
+        finally:
+            supervisor.shutdown()
+        assert shard_states(grid) == shard_states(serial)
+        counters = supervisor.recovery.stats()["counters"]
+        assert counters["full_tasks"] == len(specs)
+        assert counters["failures"] == 0
+
     def test_event_relay_reaches_orchestrator_subscribers(self):
         specs = two_shard_specs()
         supervised = CampaignOrchestrator(
@@ -478,6 +531,72 @@ class TestSupervisedQueueBackend:
         counters = supervised.report()["resilience"]["counters"]
         assert counters["relay_events"] == len(remote)
 
+    def test_queue_wait_does_not_count_against_slice_timeout(self):
+        """Four shards on one worker, each first slice's result held back
+        1 s: the last task waits in the queue longer than
+        ``slice_timeout_s``, but only the time since its claim counts."""
+        specs = [small_spec(seed=seed).named(f"s{index}")
+                 for index, seed in enumerate((11, 22, 33, 44))]
+        serial = serial_reference(specs)
+        injector = FaultInjector(
+            schedule=[("delay-result", shard, 0) for shard in range(4)],
+            params={"delay-result": {"seconds": 1.0}})
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=1,
+                policy=FaultPolicy(slice_timeout_s=2.5, backoff_base_s=0.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["timeouts"] == counters["failures"] == 0
+
+    def test_host_stall_is_not_a_heartbeat_loss(self, monkeypatch):
+        """A host stall freezes the supervisor and its workers alike, so no
+        worker can beat while it lasts.  Simulated by moving the
+        supervisor's clock a minute ahead right before a heartbeat check
+        in the second slice: no worker may be presumed wedged."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        stall = [0.0]
+        monkeypatch.setattr("repro.campaign.backends.time", SimpleNamespace(
+            monotonic=lambda: time.monotonic() + stall[0], sleep=time.sleep))
+        check_heartbeats = _Supervisor._check_heartbeats
+
+        def stall_then_check(self, pending, delayed, slice_index):
+            if slice_index == 1 and not stall[0]:
+                stall[0] = 60.0
+            check_heartbeats(self, pending, delayed, slice_index)
+
+        monkeypatch.setattr(_Supervisor, "_check_heartbeats", stall_then_check)
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2, policy=FaultPolicy(slice_timeout_s=60.0)))
+        run_grid(supervised)
+        assert stall[0], "the stall was never simulated"
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["heartbeat_losses"] == counters["worker_losses"] == 0
+        assert counters["full_tasks"] == 2
+
+    def test_silent_worker_is_presumed_wedged(self):
+        """A worker whose heartbeats stop is terminated and its shard
+        re-dispatched, though its process is alive and no deadline has
+        passed."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        injector = FaultInjector(schedule=[("wedge", 1, 1)])
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(heartbeat_timeout_s=2.0, backoff_base_s=0.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["heartbeat_losses"] == counters["worker_losses"] == 1
+        assert counters["timeouts"] == 0
+
     def test_run_iterations_matches_serial(self):
         specs = two_shard_specs()
         serial = CampaignOrchestrator(specs)
@@ -488,56 +607,6 @@ class TestSupervisedQueueBackend:
         assert_bit_identical(serial, supervised)
         counters = supervised.report()["resilience"]["counters"]
         assert (counters["full_tasks"], counters["delta_tasks"]) == (2, 0)
-
-
-class TestProcessPoolRetrofit:
-    def test_corrupt_and_dropped_results_recover_bit_identically(self):
-        specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("corrupt-checkpoint", 1, 0),
-                                           ("drop-result", 0, 0)])
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
-                injector=injector))
-        run_grid(pool)
-        assert_bit_identical(serial, pool)
-        counters = pool.report()["resilience"]["counters"]
-        assert counters["corrupt_checkpoints"] == 1
-        assert counters["dropped_results"] == 1
-        assert counters["redispatches"] == 2
-
-    def test_killed_worker_breaks_pool_but_run_recovers(self):
-        specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("kill-worker", 0, 0)])
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
-                injector=injector))
-        run_grid(pool)
-        assert_bit_identical(serial, pool)
-        counters = pool.report()["resilience"]["counters"]
-        assert counters["worker_losses"] > 0
-        assert counters["redispatches"] > 0
-
-    def test_poison_shard_quarantined_without_aborting_grid(self):
-        specs = two_shard_specs()
-        serial = serial_reference(specs)
-        injector = FaultInjector(schedule=[("corrupt-checkpoint", 0, 0)],
-                                 repeat=True)
-        pool = CampaignOrchestrator(
-            specs, backend=ProcessPoolBackend(
-                processes=2,
-                policy=FaultPolicy(slice_timeout_s=60.0, max_retries=1,
-                                   backoff_base_s=0.0),
-                injector=injector))
-        run_grid(pool)
-        report = pool.report()
-        assert report["shard_health"]["a"] == "quarantined"
-        assert pool.shard_stats()["b"] == serial.shard_stats()["b"]
 
 
 class TestChaosDeterminism:
