@@ -6,12 +6,11 @@ probability, block-operation split).
 """
 
 from benchmarks.conftest import print_header, scaled
-from repro.fuzzer import TurboFuzzConfig
-from repro.harness import FuzzSession, SessionConfig
+from repro.campaign import CampaignSpec, build_session
 
 
-def _coverage_with(config, iterations):
-    session = FuzzSession(SessionConfig(fuzzer_config=config))
+def _coverage_with(options, iterations):
+    session = build_session(CampaignSpec(fuzzer_options=options))
     session.run_iterations(iterations)
     mean_prevalence = sum(
         h.prevalence for h in session.history) / len(session.history)
@@ -24,9 +23,9 @@ def test_ablation_jump_window(benchmark):
     def run():
         rows = {}
         for window in (1, 2, 8, None):
-            config = TurboFuzzConfig(instructions_per_iteration=1000,
-                                     jump_window_blocks=window)
-            rows[window] = _coverage_with(config, iterations)
+            options = {"instructions_per_iteration": 1000,
+                       "jump_window_blocks": window}
+            rows[window] = _coverage_with(options, iterations)
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -46,9 +45,9 @@ def test_ablation_mutation_probability(benchmark):
     def run():
         rows = {}
         for numerator in (0, 7, 15):
-            config = TurboFuzzConfig(instructions_per_iteration=1000,
-                                     mutation_mode_prob=(numerator, 16))
-            rows[numerator] = _coverage_with(config, iterations)
+            options = {"instructions_per_iteration": 1000,
+                       "mutation_mode_prob": (numerator, 16)}
+            rows[numerator] = _coverage_with(options, iterations)
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)
@@ -70,13 +69,13 @@ def test_ablation_block_operations(benchmark):
             ("delete-only 3/13/0", ((3, 16), (13, 16), (0, 16))),
         ):
             generate, delete, retain = probs
-            config = TurboFuzzConfig(
-                instructions_per_iteration=1000,
-                block_generate_prob=generate,
-                block_delete_prob=delete,
-                block_retain_prob=retain,
-            )
-            rows[label] = _coverage_with(config, iterations)
+            options = {
+                "instructions_per_iteration": 1000,
+                "block_generate_prob": generate,
+                "block_delete_prob": delete,
+                "block_retain_prob": retain,
+            }
+            rows[label] = _coverage_with(options, iterations)
         return rows
 
     rows = benchmark.pedantic(run, rounds=1, iterations=1)

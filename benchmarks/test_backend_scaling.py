@@ -7,9 +7,9 @@ wall-clock scales with worker count.  Both columns advance the same
 parallel column pays its per-slice cost on every slice: the supervised
 queue keeps each shard resident on its worker and ships one full task
 per shard, then only slice deltas.  The persisted JSON records both task
-counts next to the wall times.  Throughput is reported through the
-``repro.perf`` harness conventions (instructions/sec + iterations/sec)
-so the numbers line up with ``perf_baseline.json``.
+counts next to the wall times.  Throughput is reported as executed
+instructions/sec (the unit of perfbench's ``instr_per_s``) and
+iterations/sec.
 """
 
 import os

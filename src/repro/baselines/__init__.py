@@ -2,8 +2,8 @@
 
 Both implement the same fuzzer protocol as :class:`~repro.fuzzer.TurboFuzzer`
 (``generate_iteration()`` / ``feedback()``) so a
-:class:`~repro.harness.session.FuzzSession` can drive any of the three with
-the matching per-iteration timing model from :mod:`repro.harness.timing`.
+:class:`~repro.campaign.session.CampaignSession` can drive any of the three
+with the matching per-iteration timing model from :mod:`repro.harness.timing`.
 """
 
 from repro.baselines.difuzzrtl import DifuzzRtlFuzzer, DifuzzRtlConfig

@@ -73,11 +73,9 @@ class FuzzerPlugin:
         """Instantiate the config class from a plain options dict."""
         return self.config_class(**dict(options or {}))
 
-    def build(self, options=None, config=None):
-        """Construct the fuzzer from ``options`` (or a prebuilt config)."""
-        if config is None:
-            config = self.build_config(options)
-        return self.factory(config)
+    def build(self, options=None):
+        """Construct the fuzzer from a plain ``options`` dict."""
+        return self.factory(self.build_config(options))
 
     def apply_tweak(self, fuzzer, name):
         try:

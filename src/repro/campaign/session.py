@@ -6,9 +6,6 @@ A :class:`CampaignSession` resolves a declarative
 runner + virtual clock, and publishes its progress on an
 :class:`~repro.campaign.events.EventBus` — reporting, plotting, and bug
 triage subscribe instead of special-casing the driver loop.
-
-The legacy :class:`~repro.harness.session.FuzzSession` is now a thin
-compatibility shim over this class.
 """
 
 from dataclasses import dataclass
@@ -25,7 +22,8 @@ from repro.harness.runner import IterationRunner
 
 # The probabilistic end-of-program detection model (coarse_detection) draws
 # from its own LFSR so detection luck is decoupled from generation; the
-# seed is a campaign-level constant unless a caller overrides it.
+# seed is a campaign-level constant.  Checkpoints still carry it, so a
+# campaign saved with another seed resumes on its own stream.
 DEFAULT_DETECTION_SEED = 0xC0FFEE
 
 #: ``state_dict()`` keys a slice delta carries as changes since its base.
@@ -108,24 +106,20 @@ class CampaignSession:
     """A fuzzing campaign bound to one DUT and one fuzzer.
 
     Normally constructed from a spec (``CampaignSession(spec)`` or
-    :func:`build_session`); the keyword overrides exist for the
-    ``FuzzSession`` compatibility shim and for tests that inject prebuilt
+    :func:`build_session`); the keyword overrides inject prebuilt
     components:
 
     * ``fuzzer`` — a prebuilt fuzzer instance (skips registry lookup),
-    * ``fuzzer_config`` — a prebuilt config for the plugin factory,
     * ``timing`` — an :class:`~repro.harness.timing.IterationTiming`
       instance overriding the spec/plugin timing preset,
-    * ``weights`` — a prebuilt :class:`~repro.coverage.FeedbackWeights`,
     * ``cache`` — a shared
       :class:`~repro.campaign.cache.InstrumentationCache`,
     * ``bus`` — a shared :class:`~repro.campaign.events.EventBus`
       (the orchestrator passes one bus to all shards).
     """
 
-    def __init__(self, spec=None, *, fuzzer=None, fuzzer_config=None,
-                 timing=None, weights=None, cache=None, bus=None,
-                 detection_seed=DEFAULT_DETECTION_SEED):
+    def __init__(self, spec=None, *, fuzzer=None, timing=None, cache=None,
+                 bus=None):
         self.spec = spec or CampaignSpec()
         spec = self.spec
         self.bus = bus or EventBus()
@@ -146,7 +140,7 @@ class CampaignSession:
         core_class = CORES.get(core_name)
         self.core = core_class(bugs=tuple(spec.bugs),
                                rv32a_only=spec.rv32a_only)
-        self.weights = weights or FeedbackWeights(dict(spec.weight_shifts))
+        self.weights = FeedbackWeights(dict(spec.weight_shifts))
         if cache is not None:
             self.coverage = cache.instrument(
                 self.core, style=spec.instrument_style,
@@ -161,8 +155,7 @@ class CampaignSession:
             )
         self.core.attach_coverage(self.coverage)
 
-        self.fuzzer = fuzzer or plugin.build(spec.fuzzer_options,
-                                             config=fuzzer_config)
+        self.fuzzer = fuzzer or plugin.build(spec.fuzzer_options)
         if plugin is not None:
             for tweak in spec.tweaks:
                 plugin.apply_tweak(self.fuzzer, tweak)
@@ -189,11 +182,11 @@ class CampaignSession:
         self.history = []
         self.total_executed = 0
         self.total_generated = 0
-        self._detection_seed = detection_seed
+        self._detection_seed = DEFAULT_DETECTION_SEED
         # Session-level so its draw position survives a checkpoint: a
         # resumed bug-detection wait continues the same detection-luck
         # stream instead of restarting it.
-        self.detection_lfsr = Lfsr(0xDE7EC7 ^ detection_seed)
+        self.detection_lfsr = Lfsr(0xDE7EC7 ^ DEFAULT_DETECTION_SEED)
         self.bus.milestone("campaign_start", session=self, spec=spec)
 
     # -- one iteration ---------------------------------------------------------

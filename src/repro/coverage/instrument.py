@@ -1,20 +1,20 @@
-"""Design-level instrumentation: per-module collectors with running indices.
+"""Design-level instrumentation: one coverage collector per module.
 
 ``instrument_design`` runs the control-register extraction pass over the
 chosen top-level modules of a DUT netlist (the paper lets users pick the
 modules to instrument) and builds one :class:`ModuleCoverage` per module.
 
-Collectors keep a *running* XOR index updated register-by-register, so the
-per-cycle cost is proportional to the number of registers that changed —
-this mirrors how the hardware instrumentation computes the index
-combinationally for free.
+A collector owns its module's layout, contribution tables and coverage
+map, but keeps no running index: the DUT cores' ``_SlotBinding`` and
+``_FusedObserver`` (:mod:`repro.dut.core`) keep the running XOR index,
+updated register-by-register, and sample it into the map — this mirrors
+how the hardware instrumentation computes the index combinationally for
+free.
 """
 
-from repro.analyze.markers import hot_path
 from repro.coverage.layout import make_layout
 from repro.coverage.map import CoverageMap
 from repro.coverage.weighting import FeedbackWeights
-from repro.perf.evict import evict_half
 from repro.rtl.netlist import control_registers
 
 _MEMO_LIMIT = 1 << 20
@@ -23,95 +23,38 @@ _MEMO_LIMIT = 1 << 20
 class ModuleCoverage:
     """Instrumentation + collection state for one module."""
 
-    __slots__ = ("module", "name", "layout", "map", "tables", "pack_shifts",
-                 "value_masks", "_positions", "_contribs", "index", "_memo",
+    __slots__ = ("module", "name", "layout", "map", "tables", "value_masks",
                  "_reference_memo")
 
-    # Runtime caches rebuilt deterministically by execution (the running
-    # index is recomputed from register values on reset; the memo tables
-    # are pure lookup caches) — deliberately absent from state_dict().
-    _checkpoint_transient = frozenset({
-        "index", "_contribs", "_memo", "_reference_memo",
-    })
+    # A pure lookup cache of the reference observer — deliberately absent
+    # from state_dict().
+    _checkpoint_transient = frozenset({"_reference_memo"})
 
     def __init__(self, module, layout):
         self.module = module
         self.name = module.name
         self.layout = layout
         self.map = CoverageMap(layout.instrumented_points)
-        # Shared per-layout lookup tables: the collectors and the DUT
-        # cores' slot bindings replace contribution() calls with
+        # Shared per-layout lookup tables: the DUT cores' slot bindings
+        # replace contribution() calls with
         # ``tables[position][value & value_masks[position]]``.
         self.tables = layout.contribution_tables()
-        self.pack_shifts = layout.pack_shifts()
         self.value_masks = layout.value_masks()
-        self._positions = {
-            register.uid: position
-            for position, register in enumerate(layout.registers)
-        }
-        self._contribs = [
-            layout.contribution(position, register.value)
-            for position, register in enumerate(layout.registers)
-        ]
-        self.index = 0
-        for contribution in self._contribs:
-            self.index ^= contribution
-        self._memo = {}
         self._reference_memo = {}
-
-    @hot_path
-    def observe_state(self, values, positions=None):
-        """Observe a per-register value tuple (compatibility slow path).
-
-        ``positions`` maps each element of ``values`` to its register
-        position in the layout; ``None`` means the tuple covers all
-        registers in order.  Registers not covered contribute their reset
-        value of zero (static structural state).  States are memoized under
-        a single packed-int key (values masked to their widths and packed
-        at the layout's bit offsets) — ints hash and compare much faster
-        than value tuples, and the packing is injective on masked states so
-        different position subsets share one table safely.  The memo is
-        bounded with an evict-half policy instead of the old wholesale
-        clear, which re-missed on every state right after the cliff.
-
-        The per-instruction hot path no longer funnels through here: DUT
-        cores keep a running XOR index per module (see
-        ``DutCore.attach_coverage``) and only sample it into the map.
-        """
-        memo = self._memo
-        masks = self.value_masks
-        shifts = self.pack_shifts
-        key = 0
-        if positions is None:
-            for position, value in enumerate(values):
-                key |= (value & masks[position]) << shifts[position]
-        else:
-            for position, value in zip(positions, values):
-                key |= (value & masks[position]) << shifts[position]
-        index = memo.get(key)
-        if index is None:
-            tables = self.tables
-            index = 0
-            if positions is None:
-                for position, value in enumerate(values):
-                    index ^= tables[position][value & masks[position]]
-            else:
-                for position, value in zip(positions, values):
-                    index ^= tables[position][value & masks[position]]
-            if len(memo) >= _MEMO_LIMIT:
-                evict_half(memo)
-            memo[key] = index
-        return self.map.observe(index)
 
     def observe_state_reference(self, values, positions=None):
         """The pre-overhaul observation path, preserved verbatim.
 
+        ``positions`` maps each element of ``values`` to its register
+        position in the layout; ``None`` means the tuple covers all
+        registers in order.  Registers not covered contribute their reset
+        value of zero (static structural state).
+
         Value-tuple memo key, per-observation ``layout.contribution()``
-        calls, wholesale ``clear()`` at the bound — exactly the
-        implementation this PR replaced.  It is the oracle the
-        equivalence suite (and ``DutCore.use_reference_observer``) runs
-        against, and the denominator of the perf harness's
-        ``speedup_vs_reference`` ratio.
+        calls, wholesale ``clear()`` at the bound.  It reads no
+        contribution table, which makes it the oracle the equivalence
+        suite (and ``DutCore.use_reference_observer``) checks the
+        table-driven observers against.
         """
         index = self._reference_memo.get(values)
         if index is None:
@@ -128,54 +71,19 @@ class ModuleCoverage:
             self._reference_memo[values] = index
         return self.map.observe(index)
 
-    def update(self, register, value):
-        """Register value changed: refresh the running index (update-on-
-        write; :meth:`tick` samples the result once per clock edge)."""
-        position = self._positions.get(register.uid)
-        if position is None:
-            return
-        register.set(value)
-        new_contribution = self.tables[position][register.value]
-        self.index ^= self._contribs[position] ^ new_contribution
-        self._contribs[position] = new_contribution
-
-    def tick(self):
-        """Sample the current index (one clock edge); True if new point."""
-        return self.map.observe(self.index)
-
     @property
     def count(self):
         return self.map.count
 
     # -- checkpoint protocol ---------------------------------------------------
     def state_dict(self):
-        """Observed-coverage snapshot.  The running index and memo table are
-        runtime caches rebuilt deterministically by execution; the observed
-        point set is the only state that outlives an iteration."""
+        """Observed-coverage snapshot: the observed point set is the only
+        state that outlives an iteration."""
         return {"map": self.map.state_dict()}
 
     def load_state(self, state):
         self.map.load_state(state["map"])
-        self._memo.clear()
         self._reference_memo.clear()
-
-    def reset_runtime(self):
-        """Zero register values and rebuild the running index (DUT reset)."""
-        for register in self.layout.registers:
-            register.value = 0
-        tables = self.tables
-        self._contribs = [table[0] for table in tables]
-        self.index = 0
-        for contribution in self._contribs:
-            self.index ^= contribution
-
-    def zero_index(self):
-        """The running index of the all-zero (reset) state — the base the
-        DUT cores' slot bindings diff from after every reset."""
-        index = 0
-        for table in self.tables:
-            index ^= table[0]
-        return index
 
 
 class DesignCoverage:
@@ -185,28 +93,6 @@ class DesignCoverage:
         self.modules = list(module_coverages)
         self.by_name = {cov.name: cov for cov in self.modules}
         self.weights = weights or FeedbackWeights()
-        self._register_owners = {}
-        for cov in self.modules:
-            for register in cov.layout.registers:
-                self._register_owners.setdefault(register.uid, []).append(cov)
-
-    # -- runtime API used by DUT cores -----------------------------------------
-    def update(self, register, value):
-        """Route a register update to every collector that instruments it."""
-        owners = self._register_owners.get(register.uid)
-        if owners:
-            for owner in owners:
-                owner.update(register, value)
-        else:
-            register.set(value)
-
-    def tick_all(self):
-        """Clock edge across the whole design; returns new-point count."""
-        new_points = 0
-        for cov in self.modules:
-            if cov.tick():
-                new_points += 1
-        return new_points
 
     # -- totals -----------------------------------------------------------------
     @property
@@ -226,10 +112,6 @@ class DesignCoverage:
 
     def counts_by_module(self):
         return {cov.name: cov.count for cov in self.modules}
-
-    def reset_runtime(self):
-        for cov in self.modules:
-            cov.reset_runtime()
 
     def clear(self):
         """Forget all observed coverage (new campaign)."""

@@ -63,8 +63,8 @@ class InstrumentationLayout:
         return sum(register.width for register in self.registers)
 
     def index(self, values):
-        """Full index from a value per register (slow path; collectors keep
-        a running index incrementally instead)."""
+        """Full index from a value per register (slow path; the DUT cores'
+        observers keep a running index incrementally instead)."""
         result = 0
         for position, value in enumerate(values):
             result ^= self.contribution(position, value)
@@ -75,8 +75,8 @@ class InstrumentationLayout:
 
         ``tables[position][value & mask]`` equals
         ``contribution(position, value)`` for every position; the hot path
-        (``ModuleCoverage`` and the DUT cores' slot bindings) replaces the
-        per-observation ``contribution()`` calls with two list indexings.
+        (the DUT cores' slot bindings) replaces the per-observation
+        ``contribution()`` calls with two list indexings.
         Built lazily once per layout and shared by every collector over it
         (the :class:`~repro.campaign.cache.InstrumentationCache` hands one
         layout to many sessions).
@@ -90,24 +90,6 @@ class InstrumentationLayout:
             ]
             self._contribution_tables = tables
         return tables
-
-    def pack_shifts(self):
-        """Per-position bit offsets for packing a full state into one int.
-
-        Register values (masked to their widths) packed at these shifts
-        form an injective encoding of the module state, used as the
-        observation-memo key — a single small-int key hashes and compares
-        in a fraction of the cost of a value tuple.
-        """
-        shifts = getattr(self, "_pack_shifts", None)
-        if shifts is None:
-            shifts = []
-            offset = 0
-            for register in self.registers:
-                shifts.append(offset)
-                offset += register.width
-            self._pack_shifts = shifts
-        return shifts
 
     def value_masks(self):
         """Per-position width masks (``(1 << width) - 1``), precomputed."""

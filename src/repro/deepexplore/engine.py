@@ -44,8 +44,8 @@ class Stage1Report:
 
 
 class DeepExplore:
-    """Drives a :class:`~repro.campaign.session.CampaignSession` (or the
-    legacy ``FuzzSession`` shim) through the hybrid schedule."""
+    """Drives a :class:`~repro.campaign.session.CampaignSession` through
+    the hybrid schedule."""
 
     def __init__(self, session, config=None):
         self.session = session

@@ -12,18 +12,21 @@ A :class:`DutCore` couples three things:
 Runtime coverage sampling is performance-critical (it runs for every
 instruction of every fuzzing iteration).  The core keeps all
 micro-architectural values in a plain dict (subclasses extend
-:meth:`_update_microarch` through the same interface), but observation no
-longer rebuilds name-keyed value tuples per instruction: each instrumented
+:meth:`_update_microarch` through the same interface), but observation does
+not rebuild name-keyed value tuples per instruction: each instrumented
 module gets a :class:`_SlotBinding` resolved once in
 :meth:`attach_coverage` — a position-indexed view (itemgetter over the
 dynamic register names, per-position contribution tables from the layout)
 that maintains a *running XOR index* by diffing against the previously
 observed values, so per-instruction cost scales with the number of
-registers that changed.  The binding then samples the running index into
-the module's coverage map ("update-on-write, sample-on-tick" — the
-software analogue of the hardware computing the index combinationally for
-free).  The pre-overhaul tuple/memo path is preserved as
-``use_reference_observer()`` and is asserted bit-identical by
+registers that changed.  The always-observed modules' bindings are fused
+into one :class:`_FusedObserver` with a single combined running index.
+These two are the only holders of a running index (the per-module
+:class:`~repro.coverage.ModuleCoverage` collectors keep none); they sample
+it into the modules' coverage maps ("update-on-write, sample-on-tick" —
+the software analogue of the hardware computing the index
+combinationally for free).  The pre-overhaul tuple/memo path is preserved
+as ``use_reference_observer()`` and is asserted bit-identical by
 ``tests/test_hotpath_equiv.py``.
 
 Subclasses build the netlist (:meth:`_build_netlist`), set their timing
@@ -37,8 +40,8 @@ from operator import itemgetter
 from repro.analyze.markers import hot_path
 from repro.dut.bugs import BuggyHooks, CorrectHooks
 from repro.dut.caches import DirectMappedCache
+from repro.evict import evict_half
 from repro.isa import csr as CSR
-from repro.perf.evict import evict_half
 from repro.isa.decoder import _CACHE as _DECODE_CACHE
 from repro.isa.decoder import try_decode
 from repro.isa.instructions import (
@@ -555,8 +558,8 @@ class DutCore:
 
     def use_reference_observer(self, enabled=True):
         """Route observation through the pre-overhaul tuple/memo slow path
-        (:meth:`ModuleCoverage.observe_state`).  The equivalence suite runs
-        both paths and asserts bit-identical coverage."""
+        (:meth:`ModuleCoverage.observe_state_reference`).  The equivalence
+        suite runs both paths and asserts bit-identical coverage."""
         self._reference_observer = enabled
         if not enabled and self.coverage is not None:
             # Re-sync the incremental bindings with whatever state the

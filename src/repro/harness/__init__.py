@@ -6,8 +6,8 @@
 * :mod:`repro.harness.runner` — DUT(/REF lockstep) iteration execution
 * :mod:`repro.harness.checker` — ENCORE-style instruction-level checking
 * :mod:`repro.harness.snapshot` — hardware snapshot capture/restore
-* :mod:`repro.harness.session` — legacy session shim over
-  :mod:`repro.campaign` (the campaign layer proper)
+
+The campaign loop that drives these lives in :mod:`repro.campaign`.
 """
 
 from repro.harness.clock import VirtualClock
@@ -25,20 +25,4 @@ __all__ = [
     "HardwareSnapshot",
     "IterationRunner",
     "RunResult",
-    "FuzzSession",
-    "SessionConfig",
-    "IterationOutcome",
 ]
-
-_SESSION_EXPORTS = ("FuzzSession", "SessionConfig", "IterationOutcome")
-
-
-def __getattr__(name):
-    # Imported lazily: repro.harness.session sits on top of repro.campaign,
-    # which itself imports harness submodules — a module-level import here
-    # would close an import cycle when repro.campaign is imported first.
-    if name in _SESSION_EXPORTS:
-        from repro.harness import session
-
-        return getattr(session, name)
-    raise AttributeError(f"module 'repro.harness' has no attribute {name!r}")

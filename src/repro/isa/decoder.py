@@ -8,9 +8,9 @@ heavily (retained blocks, replayed seeds), which makes the cache effective.
 
 from dataclasses import dataclass
 
+from repro.evict import evict_half
 from repro.isa.encoding import bits, sext
 from repro.isa.instructions import SPECS, InstrSpec
-from repro.perf.evict import evict_half
 
 
 class IllegalInstruction(Exception):

@@ -2,8 +2,8 @@
 
 Nodes form a DAG through their ``sources`` lists (fan-in).  Only the
 *structure* matters for the instrumentation trace-back and the area model;
-runtime behaviour lives in the DUT core models, which assign
-:attr:`Register.value` each cycle.
+runtime behaviour lives in the DUT core models, which keep the register
+values themselves.
 """
 
 import itertools
@@ -54,7 +54,6 @@ class Register(Node):
         if domain is not None:
             domain = tuple(domain)
         self.domain = domain
-        self.value = 0
 
     @property
     def domain_size(self):
@@ -65,10 +64,6 @@ class Register(Node):
         if self.domain is not None:
             return self.domain
         return range(1 << self.width)
-
-    def set(self, value):
-        """Behavioural update from the core model (masked to width)."""
-        self.value = value & ((1 << self.width) - 1)
 
 
 class Mux(Node):

@@ -12,7 +12,7 @@ repeats.  Caches are bounded with the shared evict-half policy.
 
 from functools import wraps
 
-from repro.perf.evict import evict_half
+from repro.evict import evict_half
 
 _MEMO_LIMIT = 1 << 18
 

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.baselines import CascadeFuzzer, DifuzzRtlFuzzer
+from repro.campaign import CampaignSession, CampaignSpec, build_session
 from repro.deepexplore import (
     BasicBlockVectorCollector,
     DeepExplore,
@@ -22,7 +23,7 @@ from repro.fpga import (
 )
 from repro.fpga.ila import IlaConfig
 from repro.fuzzer import TurboFuzzConfig, TurboFuzzer
-from repro.harness import FuzzSession, IterationRunner, SessionConfig
+from repro.harness import IterationRunner
 from repro.harness.timing import DIFUZZRTL_FPGA_TIMING
 from repro.isa.decoder import try_decode
 from repro.workloads import all_workloads, coremark_like, raw_iteration
@@ -48,9 +49,9 @@ class TestDifuzzRtl:
         assert len(fuzzer.corpus) == 0
 
     def test_low_prevalence_operating_point(self):
-        session = FuzzSession(
-            SessionConfig(timing=DIFUZZRTL_FPGA_TIMING, stop_on_trap=True),
-            fuzzer=DifuzzRtlFuzzer(),
+        session = CampaignSession(
+            CampaignSpec(fuzzer="difuzzrtl", stop_on_trap=True),
+            fuzzer=DifuzzRtlFuzzer(), timing=DIFUZZRTL_FPGA_TIMING,
         )
         session.run_iterations(10)
         mean_prevalence = sum(
@@ -71,8 +72,9 @@ class TestCascade:
     def test_high_prevalence_operating_point(self):
         from repro.harness.timing import CASCADE_TIMING
 
-        session = FuzzSession(
-            SessionConfig(timing=CASCADE_TIMING), fuzzer=CascadeFuzzer(),
+        session = CampaignSession(
+            CampaignSpec(fuzzer="cascade"),
+            fuzzer=CascadeFuzzer(), timing=CASCADE_TIMING,
         )
         session.run_iterations(10)
         mean_prevalence = sum(
@@ -207,8 +209,8 @@ class TestBbvCollection:
 
 class TestDeepExploreEngine:
     def test_stage1_plants_interval_seeds(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=300)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 300}))
         explorer = DeepExplore(session, DeepExploreConfig(
             profile_cap=15_000, clusters=4))
         reports = explorer.run_stage1(all_workloads(scale=1)[:1])
@@ -220,8 +222,8 @@ class TestDeepExploreEngine:
         assert session.clock.seconds > 0
 
     def test_interval_seeds_are_runnable(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=300)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 300}))
         explorer = DeepExplore(session, DeepExploreConfig(
             profile_cap=10_000, clusters=3))
         explorer.run_stage1(all_workloads(scale=1)[:1])
@@ -230,8 +232,8 @@ class TestDeepExploreEngine:
         assert outcome.executed_instructions > 0
 
     def test_refinement_rounds_bounded(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=300)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 300}))
         explorer = DeepExplore(session, DeepExploreConfig(
             profile_cap=8_000, clusters=3, refine_rounds=3))
         explorer.run_stage1(all_workloads(scale=1)[:1])

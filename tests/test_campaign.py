@@ -17,7 +17,6 @@ from repro.campaign import (
 from repro.campaign import cache as cache_module
 from repro.campaign import session as session_module
 from repro.fuzzer import TurboFuzzConfig, TurboFuzzer
-from repro.harness import FuzzSession, SessionConfig
 
 SMALL = {"instructions_per_iteration": 150}
 
@@ -145,14 +144,6 @@ class TestEventBus:
 
 
 class TestCampaignSession:
-    def test_matches_legacy_fuzz_session(self):
-        legacy = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=150)))
-        modern = build_session(small_spec())
-        legacy.run_iterations(4)
-        modern.run_iterations(4)
-        assert legacy.coverage_series() == modern.coverage_series()
-
     def test_bug_wait_requires_injected_bugs(self):
         session = build_session(small_spec())
         with pytest.raises(ValueError, match="no injected bugs"):
@@ -166,9 +157,7 @@ class TestCampaignSession:
 
     def test_core_names_stay_case_insensitive(self):
         # make_core("Rocket") always worked; the registry path must too.
-        session = FuzzSession(SessionConfig(
-            core="Rocket",
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=150)))
+        session = build_session(small_spec().with_core("Rocket"))
         assert session.core.name == "rocket"
 
     def test_tweaks_require_registered_fuzzer(self):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.campaign import CampaignSpec, build_session
 from repro.dut import RocketCore, make_core
 from repro.fuzzer import TurboFuzzConfig, TurboFuzzer
 from repro.fuzzer.context import MemoryLayout
@@ -13,10 +14,8 @@ from repro.fuzzer.templates import (
 )
 from repro.harness import (
     DifferentialChecker,
-    FuzzSession,
     HardwareSnapshot,
     IterationRunner,
-    SessionConfig,
     VirtualClock,
     build_image,
 )
@@ -213,44 +212,44 @@ class TestSnapshot:
 
 class TestSession:
     def test_iteration_advances_clock_and_coverage(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=200)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 200}))
         outcome = session.run_iteration()
         assert outcome.virtual_seconds > 0
         assert outcome.coverage_total > 0
         assert session.iterations == 1
 
     def test_run_for_virtual_time(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=200)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 200}))
         session.run_for_virtual_time(0.02)
         assert session.clock.seconds >= 0.02
 
     def test_run_until_coverage(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=200)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 200}))
         when = session.run_until_coverage(100, max_iterations=20)
         assert when is not None and session.coverage_total >= 100
 
     def test_coverage_series_is_monotonic(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=200)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 200}))
         session.run_iterations(5)
         series = session.coverage_series()
         assert all(b[1] >= a[1] for a, b in zip(series, series[1:]))
         assert all(b[0] > a[0] for a, b in zip(series, series[1:]))
 
     def test_run_until_mismatch_with_bug(self):
-        session = FuzzSession(SessionConfig(
+        session = build_session(CampaignSpec(
             core="cva6", bugs=("C1",), with_ref=True,
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=500)))
+            fuzzer_options={"instructions_per_iteration": 500}))
         seconds, mismatch = session.run_until_mismatch(max_iterations=50)
         assert seconds is not None and mismatch is not None
 
     def test_run_until_bug_triggered(self):
-        session = FuzzSession(SessionConfig(
+        session = build_session(CampaignSpec(
             core="cva6", bugs=("C1",),
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=500)))
+            fuzzer_options={"instructions_per_iteration": 500}))
         seconds = session.run_until_bug_triggered("C1", max_iterations=50)
         assert seconds is not None
 

@@ -21,8 +21,8 @@ from repro.campaign.checkpoint import CampaignCheckpoint
 from repro.campaign.events import AsyncSink, BufferedSink, EventBus
 from repro.campaign.session import CampaignSession
 from repro.campaign.spec import CampaignSpec
+from repro.evict import evict_half
 from repro.fuzzer.lfsr import Lfsr
-from repro.perf.evict import evict_half
 
 CORES = ("rocket", "cva6", "boom")
 STYLES = ("optimized", "legacy")
@@ -303,29 +303,3 @@ class TestBlockCompile:
         assert any(cov._reference_memo for cov in resumed.coverage.modules)
         assert _fingerprint(resumed) == _fingerprint(straight)
 
-
-class TestPerfHarnessPlumbing:
-    def test_flat_metrics_and_compare(self):
-        from repro.perf.baseline import compare
-
-        baseline = {"metrics": {"macro.speedup_vs_reference": 2.0}}
-        ok = compare({"macro.speedup_vs_reference": 1.95}, baseline,
-                     metrics=("macro.speedup_vs_reference",))
-        assert ok == []
-        bad = compare({"macro.speedup_vs_reference": 1.5}, baseline,
-                      metrics=("macro.speedup_vs_reference",))
-        assert bad and bad[0]["metric"] == "macro.speedup_vs_reference"
-        missing = compare({}, baseline,
-                          metrics=("macro.speedup_vs_reference",))
-        assert missing and missing[0]["reason"] == "metric missing"
-
-    def test_reenact_pre_overhaul_restores(self):
-        from repro.fuzzer.lfsr import Lfsr as LfsrClass
-        from repro.perf.reference import reenact_pre_overhaul
-
-        original = LfsrClass.fill_bytes
-        with reenact_pre_overhaul():
-            assert LfsrClass.fill_bytes is not original
-            # Re-enacted path produces the identical byte stream.
-            assert Lfsr(7).fill_bytes(1000) == original(Lfsr(7), 1000)
-        assert LfsrClass.fill_bytes is original

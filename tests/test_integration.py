@@ -2,9 +2,8 @@
 
 import pytest
 
+from repro.campaign import CampaignSpec, build_session
 from repro.deepexplore import DeepExplore, DeepExploreConfig
-from repro.fuzzer import TurboFuzzConfig
-from repro.harness import FuzzSession, SessionConfig
 from repro.workloads import all_workloads
 
 
@@ -17,12 +16,11 @@ class TestTriggerImpliesMismatch:
         ("B2", "boom"),
     ])
     def test_lockstep_catches_what_trigger_reports(self, bug_id, core_name):
-        config = SessionConfig(
+        spec = CampaignSpec(
             core=core_name, bugs=(bug_id,), with_ref=True,
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=800,
-                                          seed=7),
+            fuzzer_options={"instructions_per_iteration": 800, "seed": 7},
         )
-        session = FuzzSession(config)
+        session = build_session(spec)
         seconds, mismatch = session.run_until_mismatch(max_iterations=80)
         assert mismatch is not None, f"{bug_id} never detected"
         assert bug_id in session.core.hooks.triggered
@@ -30,8 +28,8 @@ class TestTriggerImpliesMismatch:
 
 class TestCampaignDynamics:
     def test_coverage_growth_has_diminishing_returns(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=500)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 500}))
         session.run_iterations(30)
         gains = [h.new_coverage for h in session.history]
         early = sum(gains[:10])
@@ -39,17 +37,17 @@ class TestCampaignDynamics:
         assert late < early  # saturation
 
     def test_corpus_grows_and_schedules(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=500,
-                                          corpus_capacity=4)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 500,
+                            "corpus_capacity": 4}))
         session.run_iterations(15)
         corpus = session.fuzzer.corpus
         assert len(corpus) == 4
         assert corpus.evictions + corpus.rejected > 0
 
     def test_deepexplore_full_schedule(self):
-        session = FuzzSession(SessionConfig(
-            fuzzer_config=TurboFuzzConfig(instructions_per_iteration=400)))
+        session = build_session(CampaignSpec(
+            fuzzer_options={"instructions_per_iteration": 400}))
         explorer = DeepExplore(session, DeepExploreConfig(
             profile_cap=10_000, clusters=3, refine_rounds=2))
         explorer.run(all_workloads(scale=1)[:2],
@@ -62,9 +60,9 @@ class TestCampaignDynamics:
 class TestDeterminism:
     def test_identical_configs_produce_identical_campaigns(self):
         def run():
-            session = FuzzSession(SessionConfig(
-                fuzzer_config=TurboFuzzConfig(
-                    instructions_per_iteration=300, seed=99)))
+            session = build_session(CampaignSpec(
+                fuzzer_options={"instructions_per_iteration": 300,
+                                "seed": 99}))
             session.run_iterations(5)
             return (session.coverage_total, session.clock.seconds,
                     [h.executed_instructions for h in session.history])

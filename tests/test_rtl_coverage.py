@@ -295,8 +295,8 @@ class TestInstrumentDesign:
         top, sub, registers = _toy_module()
         design = instrument_design(top, max_state_size=10)
         module_cov = design.modules[0]
-        assert module_cov.observe_state((1, 1, 1)) is True
-        assert module_cov.observe_state((1, 1, 1)) is False
+        assert module_cov.observe_state_reference((1, 1, 1)) is True
+        assert module_cov.observe_state_reference((1, 1, 1)) is False
         assert module_cov.count == 1
 
     def test_partial_positions(self):
@@ -304,7 +304,7 @@ class TestInstrumentDesign:
         design = instrument_design(top, max_state_size=10)
         module_cov = design.modules[0]
         full = module_cov.layout.index((0, 3, 0))
-        module_cov.observe_state((3,), positions=(1,))
+        module_cov.observe_state_reference((3,), positions=(1,))
         assert full in module_cov.map
 
 
