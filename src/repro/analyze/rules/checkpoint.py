@@ -37,7 +37,7 @@ from repro.analyze.engine import register_rule
 
 #: (save method, load methods, reset-exempt) — the two protocol pairs.
 PROTOCOL_PAIRS = (
-    ("state_dict", ("load_state", "from_state"), False),
+    ("state_dict", ("load_state", "from_state", "prepare_state"), False),
     ("core_state_dict", ("load_core_state",), True),
 )
 

@@ -45,7 +45,7 @@ from repro.campaign.checkpoint import (
     checkpoint_session,
     resume_session,
 )
-from repro.campaign.events import AsyncSink, BufferedSink, EventBus
+from repro.campaign.events import EventBus
 from repro.campaign.orchestrator import (
     CampaignOrchestrator,
     coverage_at_time,
@@ -86,8 +86,6 @@ __all__ = [
     "IterationOutcome",
     "InstrumentationCache",
     "EventBus",
-    "BufferedSink",
-    "AsyncSink",
     "Registry",
     "FuzzerPlugin",
     "ExecutionBackend",

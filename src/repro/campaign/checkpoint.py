@@ -13,8 +13,12 @@ The same bundle is how the
 :class:`~repro.campaign.backends.SupervisedQueueBackend` places a shard
 on a worker process (a *full* task carries its checkpoint), and the
 same envelope carries what a slice changed back: its ``state`` is then
-a :meth:`~repro.campaign.session.CampaignSession.state_delta`, which
-``load_state`` applies to a session at the delta's base.
+a :meth:`~repro.campaign.session.CampaignSession.state_dict` taken
+since a mark, with the ``base`` it applies to.  A full state is the
+change since the empty campaign, so :meth:`CampaignCheckpoint.restore`
+loads it into a freshly built session; ``load_state`` decodes and checks
+either kind whole before it changes anything, and raises
+:class:`CheckpointError` on a state that does not fit.
 """
 
 import contextlib
@@ -30,9 +34,10 @@ STATE_FORMAT_VERSION = 1
 class CheckpointError(ValueError):
     """A checkpoint could not be parsed or validated: truncated/corrupt
     JSON, a non-object payload, state or meta, missing required keys, a
-    malformed spec, an unknown format version, or a slice delta that does
-    not fit the session it is loaded into.  Subclasses :class:`ValueError`
-    so pre-existing callers catching the old raw errors keep working."""
+    malformed spec, an unknown format version, or a state that is
+    malformed or does not fit the session it is loaded into.  Subclasses
+    :class:`ValueError` so pre-existing callers catching the old raw
+    errors keep working."""
 
 
 @dataclass

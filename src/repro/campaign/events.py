@@ -39,17 +39,10 @@ re-enter the session.  ``subscribe`` returns an unsubscribe callable so
 short-lived observers (a figure driver collecting a histogram) can detach
 cleanly.
 
-Emission is engineered for the zero-subscriber case: ``publish``/``emit``
-on a topic with no handlers is a counter bump and one cached-flag check —
-sessions in a tight campaign loop pay nothing for events nobody listens
-to.  For handlers that do real I/O (streaming shard reports to disk), the
-:class:`BufferedSink` and :class:`AsyncSink` wrappers decouple the
-iteration loop from the sink's latency — the ROADMAP's "event-bus
-backpressure" item.
+Emission is engineered for the zero-subscriber case: ``emit`` on a topic
+with no handlers is a counter bump and one cached-flag check — sessions
+in a tight campaign loop pay nothing for events nobody listens to.
 """
-
-import queue
-import threading
 
 
 class EventBus:
@@ -61,7 +54,7 @@ class EventBus:
     def __init__(self):
         self._handlers = {event: [] for event in self.EVENTS}
         self.emitted = {event: 0 for event in self.EVENTS}
-        # Cached per-event "anyone listening?" flags: the hot publish path
+        # Cached per-event "anyone listening?" flags: the hot emit path
         # checks one dict entry instead of taking a len() of the handler
         # list; maintained by subscribe/unsubscribe.
         self._active = {event: False for event in self.EVENTS}
@@ -135,135 +128,6 @@ class EventBus:
         for handler in list(self._handlers[event]):
             handler(**payload)
 
-    # ``publish`` is the preferred producer-facing name; ``emit`` remains
-    # for compatibility with PR-1-era callers.
-    publish = emit
-
     def milestone(self, kind, **payload):
         """Shorthand for ``emit("milestone", kind=kind, ...)``."""
         self.emit("milestone", kind=kind, **payload)
-
-    def handler_count(self, event=None):
-        if event is not None:
-            return len(self._handlers[event])
-        return sum(len(handlers) for handlers in self._handlers.values())
-
-
-class BufferedSink:
-    """Batches events in memory and flushes them in chunks.
-
-    Subscribe its :meth:`push` to any event; ``flush_fn`` receives a list
-    of payload dicts whenever ``capacity`` events have accumulated (and on
-    :meth:`flush`/:meth:`close`).  This absorbs bursty event traffic —
-    e.g. streaming per-iteration shard reports to disk in 512-row chunks
-    instead of one write per iteration.
-    """
-
-    def __init__(self, flush_fn, capacity=512):
-        if capacity <= 0:
-            raise ValueError("capacity must be positive")
-        self.flush_fn = flush_fn
-        self.capacity = capacity
-        self._buffer = []
-        self.flushes = 0
-
-    def push(self, **payload):
-        """Handler-compatible entry point (subscribe this)."""
-        self._buffer.append(payload)
-        if len(self._buffer) >= self.capacity:
-            self.flush()
-
-    def flush(self):
-        """Hand the buffered payloads to ``flush_fn`` (no-op if empty)."""
-        if not self._buffer:
-            return 0
-        batch = self._buffer
-        self._buffer = []
-        self.flush_fn(batch)
-        self.flushes += 1
-        return len(batch)
-
-    def close(self):
-        self.flush()
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
-
-    def __len__(self):
-        return len(self._buffer)
-
-
-class AsyncSink:
-    """Hands events to a worker thread so slow consumers never stall the
-    iteration loop (the event-bus backpressure answer for sinks that do
-    real I/O).
-
-    Subscribe its :meth:`push`.  Payloads go into a bounded queue drained
-    by a daemon thread running ``consume_fn(payload)``; when the queue is
-    full the oldest payload is dropped (and counted in ``dropped``) so the
-    producer never blocks — campaign progress is never hostage to a sink.
-    A ``consume_fn`` exception is counted in ``errors`` and the worker
-    keeps draining (a flaky sink must not silently kill event delivery).
-    :meth:`close` drains outstanding events and joins the worker.
-    """
-
-    _STOP = object()
-
-    def __init__(self, consume_fn, max_pending=1024):
-        if max_pending <= 0:
-            raise ValueError("max_pending must be positive")
-        self.consume_fn = consume_fn
-        self.dropped = 0
-        self.consumed = 0
-        self.errors = 0
-        self._queue = queue.Queue(maxsize=max_pending)
-        self._worker = threading.Thread(target=self._drain, daemon=True)
-        self._closed = False
-        self._worker.start()
-
-    def push(self, **payload):
-        """Handler-compatible entry point (subscribe this)."""
-        if self._closed:
-            raise RuntimeError("AsyncSink is closed")
-        while True:
-            try:
-                self._queue.put_nowait(payload)
-                return
-            except queue.Full:
-                # Shed the oldest event instead of stalling the campaign.
-                try:
-                    self._queue.get_nowait()
-                    self.dropped += 1
-                except queue.Empty:
-                    continue
-
-    def _drain(self):
-        while True:
-            item = self._queue.get()
-            if item is self._STOP:
-                return
-            try:
-                self.consume_fn(item)
-            except Exception:  # noqa: BLE001 — sink faults must not kill delivery
-                self.errors += 1
-            finally:
-                self.consumed += 1
-
-    def close(self, timeout=10.0):
-        """Flush outstanding events and stop the worker."""
-        if self._closed:
-            return
-        self._closed = True
-        self._queue.put(self._STOP)
-        self._worker.join(timeout=timeout)
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

@@ -145,8 +145,9 @@ def _run_slice(session, task):
 
 def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
     """Run one slice on a shard this worker keeps resident; return what
-    the slice changed, as a checkpoint-envelope JSON whose state is a
-    :meth:`~repro.campaign.session.CampaignSession.state_delta`.
+    the slice changed, as a checkpoint-envelope JSON whose state is the
+    session's :meth:`~repro.campaign.session.CampaignSession.state_dict`
+    since a mark taken at the slice start.
 
     ``resident`` maps shard label to session.  A *full* task (one that
     carries ``checkpoint_json``) replaces the shard's session; a *delta*
@@ -175,7 +176,7 @@ def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
     resident[label] = session
     with paused_gc():
         return CampaignCheckpoint(spec=session.spec,
-                                  state=session.state_delta(mark)).to_json()
+                                  state=session.state_dict(mark)).to_json()
 
 
 def _heartbeat_loop(worker_id, result_queue, interval_s, stop):

@@ -1,10 +1,9 @@
 """Pluggable registries for fuzzers, cores, and timing models.
 
-The old ``make_session()`` factory hard-wired every fuzzer/core/timing
-combination through an if/elif chain; the registries collapse that chain
-into data.  A third-party scenario registers its pieces with a decorator
-and every campaign driver can name them in a :class:`CampaignSpec`
-without touching core files::
+The registries turn every fuzzer/core/timing combination into data.  A
+third-party scenario registers its pieces with a decorator and every
+campaign driver can name them in a :class:`CampaignSpec` without
+touching core files::
 
     from repro.campaign import register_fuzzer, register_timing
 

@@ -26,11 +26,13 @@ from repro.harness.runner import IterationRunner
 # campaign saved with another seed resumes on its own stream.
 DEFAULT_DETECTION_SEED = 0xC0FFEE
 
-#: ``state_dict()`` keys a slice delta carries as changes since its base.
+#: The ``base`` of a state taken without a mark: the empty campaign.
+EMPTY_BASE = {"iterations": 0, "total_executed": 0, "total_generated": 0}
+#: ``state_dict()`` keys that, given a mark, carry changes since its base.
 DELTA_INCREMENTAL = ("history", "coverage", "fuzzer")
-#: The ``state_dict()`` keys a slice delta carries whole, with their JSON
-#: types (``triggered_bugs``, a list, only on cores with injected bugs).
-#: A fuzzer without ``state_delta()`` also travels whole.
+#: The ``state_dict()`` keys that travel whole, with their JSON types
+#: (``triggered_bugs``, a list, only on cores with injected bugs).  A
+#: fuzzer without a ``delta_mark()`` also travels whole.
 DELTA_VERBATIM = {
     "total_executed": int,
     "total_generated": int,
@@ -371,7 +373,22 @@ class CampaignSession:
             )
         return hook
 
-    def state_dict(self):
+    def _base(self):
+        return {"iterations": len(self.history),
+                "total_executed": self.total_executed,
+                "total_generated": self.total_generated}
+
+    def delta_mark(self):
+        """Remember where a slice starts, for :meth:`state_dict`: the
+        history length, each module's seen set, and — for a fuzzer with a
+        ``delta_mark()`` of its own, as TurboFuzz has — the corpus seed
+        ids."""
+        fuzzer_mark = getattr(self.fuzzer, "delta_mark", None)
+        return {"base": self._base(),
+                "coverage": self.coverage.delta_mark(),
+                "fuzzer": fuzzer_mark() if fuzzer_mark else None}
+
+    def state_dict(self, mark=None):
         """Every piece of mutable campaign state, as plain JSON data.
 
         Taken at an iteration boundary (the only place the session drivers
@@ -381,13 +398,28 @@ class CampaignSession:
         the instrumentation layouts rebuild deterministically from the
         spec.  Bundle with the spec via
         :class:`~repro.campaign.checkpoint.CampaignCheckpoint`.
+
+        With a :meth:`delta_mark`, history, coverage and corpus hold only
+        what changed since it (:data:`DELTA_INCREMENTAL`), the other keys
+        travel whole, and ``base`` names the point it applies to, so a
+        worker that keeps a shard resident ships a slice's change instead
+        of the campaign.  Without a mark, the state is the change since
+        the empty campaign.
         """
+        if mark is None:
+            base, coverage_mark, fuzzer_mark = EMPTY_BASE, None, None
+        else:
+            base, coverage_mark, fuzzer_mark = (
+                mark["base"], mark["coverage"], mark["fuzzer"])
+        state_fuzzer = self._fuzzer_protocol("state_dict")
         state = {
-            "history": [outcome.to_dict() for outcome in self.history],
+            "history": [outcome.to_dict()
+                        for outcome in self.history[base["iterations"]:]],
             "total_executed": self.total_executed,
             "total_generated": self.total_generated,
-            "fuzzer": self._fuzzer_protocol("state_dict")(),
-            "coverage": self.coverage.state_dict(),
+            "fuzzer": (state_fuzzer() if fuzzer_mark is None
+                       else state_fuzzer(fuzzer_mark)),
+            "coverage": self.coverage.state_dict(coverage_mark),
             "weights": self.weights.state_dict(),
             "clock": self.clock.state_dict(),
             "detection_seed": self._detection_seed,
@@ -396,127 +428,60 @@ class CampaignSession:
             # persistent branch predictor lives here).
             "core": self.core.core_state_dict(),
         }
+        if mark is not None:
+            state["base"] = base
         triggered = getattr(self.core.hooks, "triggered", None)
         if triggered is not None:
             state["triggered_bugs"] = sorted(triggered)
         return state
 
     def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot into this (freshly built,
-        spec-identical) session, or apply a :meth:`state_delta` to this
-        session at the delta's base."""
-        if "base" in state:
-            return self._load_delta(state)
-        self.history = [IterationOutcome.from_dict(outcome)
-                        for outcome in state["history"]]
-        self.total_executed = state["total_executed"]
-        self.total_generated = state["total_generated"]
-        self._fuzzer_protocol("load_state")(state["fuzzer"])
-        self.coverage.load_state(state["coverage"])
-        self.weights.load_state(state["weights"])
-        self.clock.load_state(state["clock"])
-        self._detection_seed = state["detection_seed"]
-        self.detection_lfsr.load_state(state["detection_lfsr"])
-        # Absent in pre-PR-5 checkpoints (which only ever resumed
-        # correctly on predictor-less cores).
-        core_state = state.get("core")
-        if core_state:
-            self.core.load_core_state(core_state)
-        triggered = getattr(self.core.hooks, "triggered", None)
-        if triggered is not None:
-            triggered.clear()
-            triggered.update(state.get("triggered_bugs", ()))
-        return self
-
-    # -- slice deltas ----------------------------------------------------------
-    def _delta_base(self):
-        return {"iterations": len(self.history),
-                "total_executed": self.total_executed,
-                "total_generated": self.total_generated}
-
-    def delta_mark(self):
-        """Remember where a slice starts, for :meth:`state_delta`: the
-        history length, each module's seen set, and — for a fuzzer with
-        the delta protocol (``delta_mark``/``state_delta``/
-        ``prepare_delta``, as TurboFuzz has) — the corpus seed ids."""
-        fuzzer_mark = getattr(self.fuzzer, "delta_mark", None)
-        return {"base": self._delta_base(),
-                "coverage": self.coverage.delta_mark(),
-                "fuzzer": fuzzer_mark() if fuzzer_mark else None}
-
-    def state_delta(self, mark):
-        """What changed since ``mark``: a :meth:`state_dict` whose history,
-        coverage and corpus hold only the change (see
-        :data:`DELTA_INCREMENTAL`) and whose other keys travel whole, plus
-        the ``base`` it applies to.  :meth:`load_state` applies it to a
-        session equal to this one at the mark, so a worker that keeps a
-        shard resident ships a slice's change instead of the campaign."""
-        base = mark["base"]
-        fuzzer = (self._fuzzer_protocol("state_dict")()
-                  if mark["fuzzer"] is None
-                  else self.fuzzer.state_delta(mark["fuzzer"]))
-        state = {
-            "base": base,
-            "history": [outcome.to_dict()
-                        for outcome in self.history[base["iterations"]:]],
-            "total_executed": self.total_executed,
-            "total_generated": self.total_generated,
-            "fuzzer": fuzzer,
-            "coverage": self.coverage.state_delta(mark["coverage"]),
-            "weights": self.weights.state_dict(),
-            "clock": self.clock.state_dict(),
-            "detection_seed": self._detection_seed,
-            "detection_lfsr": self.detection_lfsr.state_dict(),
-            "core": self.core.core_state_dict(),
-        }
-        triggered = getattr(self.core.hooks, "triggered", None)
-        if triggered is not None:
-            state["triggered_bugs"] = sorted(triggered)
-        return state
-
-    def _load_delta(self, delta):
-        """Apply a :meth:`state_delta`: check its base, decode and validate
-        all of it, and only then change the session."""
-        if delta["base"] != self._delta_base():
+        """Load a :meth:`state_dict` into this session at the state's
+        ``base``: decode and check all of it, and only then change the
+        session.  A state without a base is the change since the empty
+        campaign, so it loads only into a freshly built session."""
+        base = state.get("base", EMPTY_BASE)
+        if base != self._base():
             raise CheckpointError(
-                f"slice delta was taken at {delta['base']}, but this "
-                f"session is at {self._delta_base()}")
+                f"checkpoint state was taken at {base}, but this session "
+                f"is at {self._base()}")
+        prepare_fuzzer = getattr(self.fuzzer, "prepare_state", None)
+        load_fuzzer = (None if prepare_fuzzer
+                       else self._fuzzer_protocol("load_state"))
         try:
             history = [IterationOutcome.from_dict(outcome)
-                       for outcome in delta["history"]]
+                       for outcome in state["history"]]
             if [outcome.index for outcome in history] != list(range(
                     len(self.history), len(self.history) + len(history))):
                 raise ValueError("history outcomes do not follow the base")
-            apply_coverage = self.coverage.prepare_delta(delta["coverage"])
-            if not isinstance(delta["fuzzer"], dict):
+            apply_coverage = self.coverage.prepare_state(state["coverage"])
+            if not isinstance(state["fuzzer"], dict):
                 raise TypeError("fuzzer state must be an object")
-            prepare_fuzzer = getattr(self.fuzzer, "prepare_delta", None)
-            apply_fuzzer = (
-                prepare_fuzzer(delta["fuzzer"]) if prepare_fuzzer
-                else partial(self._fuzzer_protocol("load_state"),
-                             delta["fuzzer"]))
+            apply_fuzzer = (partial(load_fuzzer, state["fuzzer"]) if load_fuzzer
+                            else prepare_fuzzer(state["fuzzer"]))
             for key, kind in DELTA_VERBATIM.items():
-                if not isinstance(delta[key], kind):
+                if not isinstance(state[key], kind):
                     raise TypeError(f"{key} must be {kind.__name__}")
             triggered = getattr(self.core.hooks, "triggered", None)
             if triggered is not None and not isinstance(
-                    delta["triggered_bugs"], list):
+                    state["triggered_bugs"], list):
                 raise TypeError("triggered_bugs must be a list")
         except (KeyError, IndexError, TypeError, ValueError) as exc:
-            raise CheckpointError(f"malformed slice delta: {exc!r}") from exc
-        self.weights.load_state(delta["weights"])
-        self.clock.load_state(delta["clock"])
-        self.detection_lfsr.load_state(delta["detection_lfsr"])
-        self.core.load_core_state(delta["core"])
+            raise CheckpointError(
+                f"malformed checkpoint state: {exc!r}") from exc
+        self.weights.load_state(state["weights"])
+        self.clock.load_state(state["clock"])
+        self.detection_lfsr.load_state(state["detection_lfsr"])
+        self.core.load_core_state(state["core"])
         apply_fuzzer()
         apply_coverage()
         self.history.extend(history)
-        self.total_executed = delta["total_executed"]
-        self.total_generated = delta["total_generated"]
-        self._detection_seed = delta["detection_seed"]
+        self.total_executed = state["total_executed"]
+        self.total_generated = state["total_generated"]
+        self._detection_seed = state["detection_seed"]
         if triggered is not None:
             triggered.clear()
-            triggered.update(delta["triggered_bugs"])
+            triggered.update(state["triggered_bugs"])
         return self
 
 

@@ -76,14 +76,16 @@ class ModuleCoverage:
         return self.map.count
 
     # -- checkpoint protocol ---------------------------------------------------
-    def state_dict(self):
+    def state_dict(self, mark=None):
         """Observed-coverage snapshot: the observed point set is the only
-        state that outlives an iteration."""
-        return {"map": self.map.state_dict()}
+        state that outlives an iteration (see :meth:`CoverageMap.state_dict`
+        for ``mark``)."""
+        return {"map": self.map.state_dict(mark)}
 
-    def load_state(self, state):
-        self.map.load_state(state["map"])
-        self._reference_memo.clear()
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict`; returns the function that adds its
+        points."""
+        return self.map.prepare_state(state["map"])
 
 
 class DesignCoverage:
@@ -113,20 +115,23 @@ class DesignCoverage:
     def counts_by_module(self):
         return {cov.name: cov.count for cov in self.modules}
 
-    def clear(self):
-        """Forget all observed coverage (new campaign)."""
-        for cov in self.modules:
-            cov.map.clear()
-
     # -- checkpoint protocol -----------------------------------------------------
-    def state_dict(self):
-        """Per-module observed coverage, keyed by module name."""
-        return {"modules": {cov.name: cov.state_dict()
-                            for cov in self.modules}}
+    def delta_mark(self):
+        """Each module's observed set, for :meth:`state_dict`."""
+        return {cov.name: cov.map.delta_mark() for cov in self.modules}
 
-    def load_state(self, state):
-        """Restore per-module coverage; raises if the module sets differ
-        (a checkpoint only fits an identically instrumented design)."""
+    def state_dict(self, mark=None):
+        """Per-module observed coverage, keyed by module name; with a
+        :meth:`delta_mark`, each module's points observed since it."""
+        return {"modules": {
+            cov.name: cov.state_dict(None if mark is None else mark[cov.name])
+            for cov in self.modules}}
+
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict` against this design; returns the
+        function that adds its points (checking changes nothing).  Raises
+        if the module sets differ: a checkpoint only fits an identically
+        instrumented design."""
         recorded = state["modules"]
         missing = set(recorded) - set(self.by_name)
         extra = set(self.by_name) - set(recorded)
@@ -136,33 +141,12 @@ class DesignCoverage:
                 f"(checkpoint-only modules: {sorted(missing) or '-'}, "
                 f"design-only modules: {sorted(extra) or '-'})"
             )
-        for name, module_state in recorded.items():
-            self.by_name[name].load_state(module_state)
-
-    # -- slice deltas ------------------------------------------------------------
-    def delta_mark(self):
-        """Each module's observed set at a slice start."""
-        return {cov.name: cov.map.delta_mark() for cov in self.modules}
-
-    def state_delta(self, mark):
-        """Per-module points observed since ``mark``, sorted."""
-        return {"modules": {cov.name: cov.map.state_delta(mark[cov.name])
-                            for cov in self.modules}}
-
-    def prepare_delta(self, delta):
-        """Validate a :meth:`state_delta` against this design; returns the
-        function that adds its points (validation changes nothing)."""
-        recorded = delta["modules"]
-        if set(recorded) != set(self.by_name):
-            raise ValueError("coverage delta does not match this design")
-        for name, points in recorded.items():
-            if not (isinstance(points, list)
-                    and all(type(point) is int for point in points)):
-                raise TypeError(f"coverage delta of {name!r} must list ints")
+        applies = [cov.prepare_state(recorded[cov.name])
+                   for cov in self.modules]
 
         def apply():
-            for name, points in recorded.items():
-                self.by_name[name].map.observe_many(points)
+            for apply_module in applies:
+                apply_module()
         return apply
 
 

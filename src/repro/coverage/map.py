@@ -8,24 +8,16 @@ class CoverageMap:
 
     Sparse (a set) because even long campaigns observe a small fraction of
     the instrumented space; ``observe`` returns whether the point is new,
-    which is the fuzzer's feedback signal.
+    which is the fuzzer's feedback signal.  A map only grows: nothing
+    removes a point once observed, which is what lets the DUT cores'
+    skip caches trust their entries for the life of the map.
     """
 
-    __slots__ = ("instrumented_points", "_seen", "epoch")
-
-    # The epoch is a cache-validity counter local to this process's skip
-    # caches; a restored checkpoint must NOT carry the saving process's
-    # epoch (load_state bumps it instead, invalidating the caches).
-    _checkpoint_transient = frozenset({"epoch"})
+    __slots__ = ("instrumented_points", "_seen")
 
     def __init__(self, instrumented_points):
         self.instrumented_points = instrumented_points
         self._seen = set()
-        # Bumped whenever observed coverage may SHRINK (clear / restore):
-        # the DUT cores' combined-observation skip caches key their
-        # validity on this (an entry asserts "these points are already in
-        # the map", which only removal can falsify).
-        self.epoch = 0
 
     @hot_path
     def observe(self, index):
@@ -68,37 +60,34 @@ class CoverageMap:
         """Frozen view of the covered indices."""
         return frozenset(self._seen)
 
-    def clear(self):
-        self._seen.clear()
-        self.epoch += 1
-
     # -- checkpoint protocol ---------------------------------------------------
-    def state_dict(self):
-        """JSON-round-trippable snapshot (indices sorted for stable diffs)."""
-        return {"instrumented_points": self.instrumented_points,
-                "seen": sorted(self._seen)}
-
-    def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot in place.
-
-        The seen-set object is mutated rather than replaced: the DUT
-        cores' slot bindings hold a direct reference to it (hot path), and
-        an in-place restore keeps those references valid."""
-        self.instrumented_points = state["instrumented_points"]
-        self._seen.clear()
-        self._seen.update(state["seen"])
-        self.epoch += 1
-
-    # -- slice deltas ------------------------------------------------------------
     def delta_mark(self):
-        """A copy of the observed set, the base of :meth:`state_delta`."""
+        """A copy of the observed set, for :meth:`state_dict`."""
         return set(self._seen)
 
-    def state_delta(self, mark):
-        """The points observed since ``mark``, sorted; a map equal to this
-        one at the mark catches up with :meth:`observe_many` (adding
-        points never invalidates the skip caches, so the epoch stays)."""
-        return sorted(self._seen - mark)
+    def state_dict(self, mark=None):
+        """JSON-round-trippable snapshot (indices sorted for stable
+        diffs); with a :meth:`delta_mark`, only the points observed since
+        it."""
+        seen = self._seen if mark is None else self._seen - mark
+        return {"instrumented_points": self.instrumented_points,
+                "seen": sorted(seen)}
+
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict` taken on a map of this size; returns
+        the function that adds its points (checking changes nothing).
+
+        The seen-set object is grown, never replaced: the DUT cores' slot
+        bindings hold a direct reference to it (hot path)."""
+        if state["instrumented_points"] != self.instrumented_points:
+            raise ValueError(
+                f"coverage state of {state['instrumented_points']!r} points "
+                f"does not fit a map of {self.instrumented_points}")
+        seen = state["seen"]
+        if not (isinstance(seen, list)
+                and all(type(point) is int for point in seen)):
+            raise TypeError("coverage points must be a list of ints")
+        return lambda: self._seen.update(seen)
 
     def __contains__(self, index):
         return index in self._seen

@@ -105,9 +105,9 @@ class _SlotBinding:
     def __init__(self, module_cov, names, positions, vals):
         self.cov = module_cov
         self.names = tuple(names)
-        # Direct reference into the module's CoverageMap; valid across
-        # checkpoint restores because CoverageMap.load_state mutates the
-        # set in place instead of replacing it.
+        # Direct reference into the module's CoverageMap; valid for the
+        # map's life because a checkpoint load grows the set in place
+        # instead of replacing it.
         self.seen = module_cov.map._seen
         layout_tables = module_cov.tables
         layout_masks = module_cov.value_masks
@@ -127,7 +127,6 @@ class _SlotBinding:
 
     def rebind(self, vals):
         """Recompute the running index from the current register values."""
-        self.seen = self.cov.map._seen  # refresh after any map restore
         values = self.getter(vals)
         self.prev = values
         contribs = [table[value & mask] for table, mask, value
@@ -204,30 +203,28 @@ class _FusedObserver:
     the combined index is decomposed immediately and each field added to
     its module's seen-set, so the per-module maps are exact after every
     instruction — bit-identical to observing each module separately.  The
-    cache is monotone-safe: maps only grow during a run, entries are only
-    trusted while no map shrank (tracked via CoverageMap.epoch, checked at
-    every rebind), and eviction merely costs a redundant, idempotent
-    re-decomposition.
+    cache stays valid because maps only grow (a checkpoint load only adds
+    points, and nothing removes one), and eviction merely costs a
+    redundant, idempotent re-decomposition.
     """
 
-    __slots__ = ("slots", "getter", "tables", "masks", "prev", "contribs",
-                 "combined", "seen_combined", "decomp", "_epochs")
+    __slots__ = ("getter", "tables", "masks", "prev", "contribs",
+                 "combined", "seen_combined", "decomp")
 
     def __init__(self, slot_bindings, vals):
-        self.slots = list(slot_bindings)
         names = []
         tables = []
         masks = []
         decomp = []
         offset = 0
-        for slot in self.slots:
+        for slot in slot_bindings:
             field_bits = slot.cov.layout.max_state_size
             for position, name in enumerate(slot.names):
                 names.append(name)
                 tables.append([contribution << offset
                                for contribution in slot.tables[position]])
                 masks.append(slot.masks[position])
-            decomp.append([offset, (1 << field_bits) - 1, slot.seen])
+            decomp.append((offset, (1 << field_bits) - 1, slot.seen))
             offset += field_bits
         self.tables = tables
         self.masks = masks
@@ -240,19 +237,10 @@ class _FusedObserver:
         else:
             self.getter = itemgetter(*names)
         self.seen_combined = set()
-        self._epochs = None
         self.rebind(vals)
 
     def rebind(self, vals):
-        """Re-sync from the member bindings (callers rebind those first);
-        refreshes seen-set references after any checkpoint restore and
-        drops the skip cache if any member map shrank (epoch moved)."""
-        epochs = [slot.cov.map.epoch for slot in self.slots]
-        if epochs != self._epochs:
-            self.seen_combined.clear()
-            self._epochs = epochs
-        for entry, slot in zip(self.decomp, self.slots):
-            entry[2] = slot.seen  # slot.rebind refreshed it first
+        """Recompute the combined index from the current register values."""
         values = self.getter(vals)
         self.prev = values
         self.contribs = [table[value & mask] for table, mask, value

@@ -144,39 +144,21 @@ class Corpus:
         return seed
 
     # -- checkpoint protocol -----------------------------------------------------
-    def state_dict(self):
-        """JSON-round-trippable snapshot: seeds in list order (selection
-        and eviction break increment ties by position, so order is part of
-        the schedule-determining state)."""
-        return {
-            "capacity": self.capacity,
-            "policy": self.policy,
-            "priority_prob": list(self.priority_prob),
-            "seeds": [seed.state_dict() for seed in self.seeds],
-            "evictions": self.evictions,
-            "rejected": self.rejected,
-        }
-
-    def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot in place."""
-        self.capacity = int(state["capacity"])
-        self.policy = str(state["policy"])
-        self.priority_prob = tuple(state["priority_prob"])
-        self.seeds = [Seed.from_state(seed) for seed in state["seeds"]]
-        self.evictions = int(state["evictions"])
-        self.rejected = int(state["rejected"])
-
-    # -- slice deltas ---------------------------------------------------------------
     def delta_mark(self):
-        """The seed ids in list order at a slice start."""
+        """The seed ids in list order, for :meth:`state_dict`."""
         return [seed.seed_id for seed in self.seeds]
 
-    def state_delta(self, mark):
-        """:meth:`state_dict` relative to ``mark``: a seed the corpus held
-        at the mark travels as ``[position at the mark, coverage_increment,
-        uses]`` (a stored seed's blocks and birth never change), a new
-        seed as its full :meth:`Seed.state_dict`."""
-        positions = {seed_id: position for position, seed_id in enumerate(mark)}
+    def state_dict(self, mark=None):
+        """JSON-round-trippable snapshot: seeds in list order (selection
+        and eviction break increment ties by position, so order is part of
+        the schedule-determining state).
+
+        With a :meth:`delta_mark`, a seed the corpus held at the mark
+        travels as ``[position at the mark, coverage_increment, uses]`` (a
+        stored seed's blocks and birth never change), a new seed as its
+        full :meth:`Seed.state_dict`."""
+        positions = {seed_id: position
+                     for position, seed_id in enumerate(mark or ())}
         seeds = []
         for seed in self.seeds:
             position = positions.get(seed.seed_id)
@@ -191,11 +173,13 @@ class Corpus:
             "rejected": self.rejected,
         }
 
-    def prepare_delta(self, delta):
-        """Decode a :meth:`state_delta` taken on a corpus equal to this one;
-        returns the function that applies it (decoding changes nothing)."""
+    def prepare_state(self, state):
+        """Decode a :meth:`state_dict`; returns the function that applies
+        it (decoding changes nothing).  Kept seeds name their position in
+        this corpus, so a state taken with a mark fits only a corpus equal
+        to this one at the mark."""
         seeds, kept = [], []
-        for entry in delta["seeds"]:
+        for entry in state["seeds"]:
             if isinstance(entry, dict):
                 seeds.append(Seed.from_state(entry))
                 continue
@@ -206,9 +190,9 @@ class Corpus:
             seed = self.seeds[position]
             seeds.append(seed)
             kept.append((seed, increment, int(uses)))
-        capacity, policy = int(delta["capacity"]), str(delta["policy"])
-        priority_prob = tuple(delta["priority_prob"])
-        evictions, rejected = int(delta["evictions"]), int(delta["rejected"])
+        capacity, policy = int(state["capacity"]), str(state["policy"])
+        priority_prob = tuple(state["priority_prob"])
+        evictions, rejected = int(state["evictions"]), int(state["rejected"])
 
         def apply():
             for seed, increment, uses in kept:

@@ -188,8 +188,15 @@ class TurboFuzzer:
                 self.stats.seeds_added += 1
 
     # -- checkpoint protocol -----------------------------------------------------
-    def state_dict(self):
-        """JSON-round-trippable snapshot of all schedule-determining state.
+    def delta_mark(self):
+        """The corpus seed ids, for :meth:`state_dict`."""
+        return self.corpus.delta_mark()
+
+    def state_dict(self, mark=None):
+        """JSON-round-trippable snapshot of all schedule-determining state;
+        with a :meth:`delta_mark`, the corpus is relative to it (see
+        :meth:`Corpus.state_dict`) and everything else, being small,
+        travels whole.
 
         Checkpoints are taken at iteration boundaries (after ``feedback``);
         a generated-but-unfed iteration cannot be serialized faithfully.
@@ -201,7 +208,7 @@ class TurboFuzzer:
             )
         return {
             "lfsr": self.lfsr.state_dict(),
-            "corpus": self.corpus.state_dict(),
+            "corpus": self.corpus.state_dict(mark),
             "stats": self.stats.state_dict(),
             "library": self.library.state_dict(),
             "persistent_data_patches": [
@@ -210,60 +217,22 @@ class TurboFuzzer:
             ],
         }
 
-    def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot; the resumed stream of
+    def prepare_state(self, state):
+        """Decode a :meth:`state_dict` (one taken with a mark fits only a
+        fuzzer equal to this one at the mark); returns the function that
+        applies it (decoding changes nothing).  The resumed stream of
         iterations is bit-identical to an uninterrupted run."""
-        self.lfsr.load_state(state["lfsr"])
-        self.corpus.load_state(state["corpus"])
-        self.stats.load_state(state["stats"])
-        # Older checkpoints predate the library key; they could only have
-        # been taken with the constructor-default extension set, which the
-        # fresh build already holds.
-        if "library" in state:
-            self.library.load_state(state["library"])
-        self.persistent_data_patches = [
-            (int(offset), bytes.fromhex(blob))
-            for offset, blob in state["persistent_data_patches"]
-        ]
-        self._pending = None
-
-    # -- slice deltas ------------------------------------------------------------
-    def delta_mark(self):
-        """The corpus seed ids at a slice start (see :meth:`state_delta`)."""
-        return self.corpus.delta_mark()
-
-    def state_delta(self, mark):
-        """:meth:`state_dict` with the corpus relative to ``mark`` (see
-        :meth:`Corpus.state_delta`); everything else is small and travels
-        whole."""
-        if self._pending is not None:
-            raise ValueError("cannot take a slice delta mid-iteration")
-        return {
-            "lfsr": self.lfsr.state_dict(),
-            "corpus": self.corpus.state_delta(mark),
-            "stats": self.stats.state_dict(),
-            "library": self.library.state_dict(),
-            "persistent_data_patches": [
-                [offset, blob.hex()]
-                for offset, blob in self.persistent_data_patches
-            ],
-        }
-
-    def prepare_delta(self, delta):
-        """Decode a :meth:`state_delta` taken on a fuzzer equal to this
-        one; returns the function that applies it (decoding changes
-        nothing)."""
-        apply_corpus = self.corpus.prepare_delta(delta["corpus"])
+        apply_corpus = self.corpus.prepare_state(state["corpus"])
         patches = [(int(offset), bytes.fromhex(blob))
-                   for offset, blob in delta["persistent_data_patches"]]
-        for key in ("lfsr", "stats", "library"):
-            if not isinstance(delta[key], dict):
-                raise TypeError(f"fuzzer delta {key!r} must be an object")
+                   for offset, blob in state["persistent_data_patches"]]
+        lfsr, stats, library = state["lfsr"], state["stats"], state["library"]
+        if not all(isinstance(part, dict) for part in (lfsr, stats, library)):
+            raise TypeError("fuzzer lfsr, stats and library must be objects")
 
         def apply():
-            self.lfsr.load_state(delta["lfsr"])
-            self.stats.load_state(delta["stats"])
-            self.library.load_state(delta["library"])
+            self.lfsr.load_state(lfsr)
+            self.stats.load_state(stats)
+            self.library.load_state(library)
             self.persistent_data_patches = patches
             self._pending = None
             apply_corpus()

@@ -75,11 +75,6 @@ def campaign_spec(fuzzer_name, instructions_per_iteration=None,
     return spec
 
 
-def make_session(fuzzer_name, **kwargs):
-    """Legacy session factory: resolve a spec through the registries."""
-    return build_session(campaign_spec(fuzzer_name, **kwargs))
-
-
 # ---------------------------------------------------------------------------
 # Fig. 4 — proportion of executable instructions (DifuzzRTL-style streams)
 # ---------------------------------------------------------------------------

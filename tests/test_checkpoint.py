@@ -61,7 +61,7 @@ class TestComponentStateDicts:
         for increment in (5, 2, 9, 1, 7):
             corpus.add(Seed([], coverage_increment=increment))
         restored = Corpus(capacity=1)
-        restored.load_state(json_round_trip(corpus.state_dict()))
+        restored.prepare_state(json_round_trip(corpus.state_dict()))()
         assert restored.increments() == corpus.increments()
         assert restored.capacity == 4
         assert restored.best().coverage_increment == \
@@ -76,11 +76,13 @@ class TestComponentStateDicts:
     def test_coverage_map_round_trip(self):
         cmap = CoverageMap(1 << 10)
         cmap.observe_many([3, 7, 500])
-        clone = CoverageMap(0)
-        clone.load_state(json_round_trip(cmap.state_dict()))
+        clone = CoverageMap(1 << 10)
+        clone.prepare_state(json_round_trip(cmap.state_dict()))()
         assert clone.snapshot() == cmap.snapshot()
         assert clone.instrumented_points == 1 << 10
         assert not clone.observe(7) and clone.observe(8)
+        with pytest.raises(ValueError, match="does not fit a map of 512"):
+            CoverageMap(1 << 9).prepare_state(cmap.state_dict())
 
     def test_weights_round_trip(self):
         weights = FeedbackWeights.attenuate_arithmetic()
@@ -191,7 +193,7 @@ class TestSessionResume:
         state = rocket.state_dict()
         boom = build_session(small_spec(seed=1).with_core("boom"))
         with pytest.raises(ValueError, match="does not match this design"):
-            boom.coverage.load_state(state["coverage"])
+            boom.load_state(state)
 
 
 DELTA_SPECS = (
@@ -205,7 +207,7 @@ DELTA_IDS = ("turbofuzz-rocket", "turbofuzz-boom", "cascade-rocket",
 
 
 class TestSliceDeltas:
-    """``state_delta()`` / ``load_state()``: what a shard resident on a
+    """``state_dict(mark)`` / ``load_state()``: what a shard resident on a
     worker ships per slice instead of its whole checkpoint."""
 
     def advanced(self, spec, before=3, during=4):
@@ -217,7 +219,7 @@ class TestSliceDeltas:
         mark = session.delta_mark()
         session.run_iterations(during)
         delta = CampaignCheckpoint.from_json(CampaignCheckpoint(
-            spec=spec, state=session.state_delta(mark)).to_json()).state
+            spec=spec, state=session.state_dict(mark)).to_json()).state
         return session, base, delta
 
     @pytest.mark.parametrize("spec", DELTA_SPECS, ids=DELTA_IDS)
@@ -233,15 +235,15 @@ class TestSliceDeltas:
 
     @pytest.mark.parametrize("spec", DELTA_SPECS, ids=DELTA_IDS)
     def test_every_state_key_travels_in_the_delta(self, spec):
-        """Adding a state_dict() key without teaching state_delta() to
-        send it (as a change or whole) fails here."""
+        """Adding a state_dict() key without declaring how a delta sends
+        it (as a change or whole) fails here."""
         session, _, delta = self.advanced(spec)
         keys = set(session.state_dict())
         assert set(delta) == keys | {"base"}
         assert keys <= (set(DELTA_INCREMENTAL) | set(DELTA_VERBATIM)
                         | {"triggered_bugs"})
         fuzzer = session.fuzzer
-        if hasattr(fuzzer, "state_delta"):
+        if hasattr(fuzzer, "delta_mark"):
             assert set(delta["fuzzer"]) == set(fuzzer.state_dict())
             assert (set(delta["fuzzer"]["corpus"])
                     == set(fuzzer.corpus.state_dict()))
@@ -287,7 +289,8 @@ class TestSliceDeltas:
         for name, corrupt in corruptions.items():
             bad = json_round_trip(delta)
             corrupt(bad)
-            with pytest.raises(CheckpointError, match="malformed slice delta"):
+            with pytest.raises(CheckpointError,
+                               match="malformed checkpoint state"):
                 follower.load_state(bad)
             assert follower.state_dict() == before, name
         follower.load_state(delta)  # the intact delta still applies
@@ -477,14 +480,14 @@ class TestInstructionLibraryCheckpoint:
         assert resumed.fuzzer.library.enabled_extensions == \
             half.fuzzer.library.enabled_extensions
 
-    def test_old_checkpoint_without_library_key_still_loads(self):
+    def test_checkpoint_without_library_key_is_rejected(self):
         spec = small_spec(seed=5)
         session = build_session(spec)
         session.run_iterations(2)
-        state = json_round_trip(session.fuzzer.state_dict())
-        del state["library"]  # pre-library checkpoint shape
+        state = json_round_trip(session.state_dict())
+        del state["fuzzer"]["library"]  # pre-library checkpoint shape
         fresh = build_session(spec)
-        fresh.fuzzer.load_state(state)
-        assert fresh.fuzzer.lfsr.state == session.fuzzer.lfsr.state
-        assert fresh.fuzzer.library.enabled_extensions == \
-            session.fuzzer.library.enabled_extensions
+        before = fresh.state_dict()
+        with pytest.raises(CheckpointError, match="library"):
+            fresh.load_state(state)
+        assert fresh.state_dict() == before

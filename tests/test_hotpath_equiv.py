@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from repro.campaign.checkpoint import CampaignCheckpoint
-from repro.campaign.events import AsyncSink, BufferedSink, EventBus
+from repro.campaign.events import EventBus
 from repro.campaign.session import CampaignSession
 from repro.campaign.spec import CampaignSpec
 from repro.evict import evict_half
@@ -168,7 +168,7 @@ class TestBoundedCaches:
 class TestEventBusFastPath:
     def test_publish_without_subscribers_counts_only(self):
         bus = EventBus()
-        bus.publish("iteration", session=None)
+        bus.emit("iteration", session=None)
         assert bus.emitted["iteration"] == 1
         assert not bus.has_subscribers("iteration")
 
@@ -184,43 +184,6 @@ class TestEventBusFastPath:
         bus.milestone("ignored")
         assert len(seen) == 1
         assert bus.emitted["milestone"] == 2
-
-    def test_buffered_sink_flushes_in_batches(self):
-        batches = []
-        sink = BufferedSink(batches.append, capacity=3)
-        bus = EventBus()
-        bus.subscribe("iteration", sink.push)
-        for index in range(7):
-            bus.emit("iteration", index=index)
-        assert [len(batch) for batch in batches] == [3, 3]
-        assert len(sink) == 1
-        sink.close()
-        assert [len(batch) for batch in batches] == [3, 3, 1]
-        assert batches[0][0] == {"index": 0}
-
-    def test_async_sink_consumes_without_blocking(self):
-        consumed = []
-        with AsyncSink(consumed.append, max_pending=16) as sink:
-            bus = EventBus()
-            bus.subscribe("new_coverage", sink.push)
-            for index in range(10):
-                bus.emit("new_coverage", index=index)
-        assert [payload["index"] for payload in consumed] == list(range(10))
-        assert sink.dropped == 0
-
-    def test_async_sink_survives_consumer_exceptions(self):
-        consumed = []
-
-        def flaky(payload):
-            if payload["index"] % 2:
-                raise RuntimeError("sink hiccup")
-            consumed.append(payload)
-
-        with AsyncSink(flaky, max_pending=16) as sink:
-            for index in range(6):
-                sink.push(index=index)
-        assert sink.errors == 3
-        assert [payload["index"] for payload in consumed] == [0, 2, 4]
 
     def test_cached_illegal_raise_does_not_grow_traceback(self):
         from repro.isa.decoder import IllegalInstruction, decode
@@ -238,24 +201,6 @@ class TestEventBusFastPath:
                     traceback = traceback.tb_next
                 depths.append(depth)
         assert depths[0] == depths[1] == depths[2]
-
-    def test_async_sink_sheds_oldest_under_backpressure(self):
-        import threading
-
-        gate = threading.Event()
-        consumed = []
-
-        def slow_consume(payload):
-            gate.wait(5.0)
-            consumed.append(payload)
-
-        sink = AsyncSink(slow_consume, max_pending=2)
-        for index in range(8):
-            sink.push(index=index)
-        gate.set()
-        sink.close()
-        assert sink.dropped > 0
-        assert sink.dropped + len(consumed) == 8
 
 
 class TestGoldenFingerprints:

@@ -224,11 +224,67 @@ class TestShardRecovery:
         assert seen[1]["workers"] == 0
 
 
+def busiest_map(state):
+    """The coverage map with the most points, so corrupting it matters."""
+    maps = [module["map"] for module in state["coverage"]["modules"].values()]
+    return max(maps, key=lambda cmap: len(cmap["seen"]))
+
+
+#: Single-field corruptions of a full checkpoint state.  Each must raise
+#: CheckpointError: never resume into a different campaign, never fill a
+#: missing key with a default, never fail half-way with a bare error.
+MALFORMED_STATES = {
+    "seen-as-string": lambda state: busiest_map(state).update(
+        seen=json.dumps(busiest_map(state)["seen"])),
+    "seen-as-floats": lambda state: busiest_map(state).update(
+        seen=[float(point) for point in busiest_map(state)["seen"]]),
+    "wrong-instrumented-points": lambda state: busiest_map(state).update(
+        instrumented_points=busiest_map(state)["instrumented_points"] * 2),
+    "no-coverage": lambda state: state.pop("coverage"),
+    "no-core": lambda state: state.pop("core"),
+    "no-library": lambda state: state["fuzzer"].pop("library"),
+    "history-without-prevalence": lambda state: (
+        state["history"][0].pop("prevalence")),
+    "reversed-history": lambda state: state["history"].reverse(),
+    "new-seed-without-blocks": lambda state: (
+        state["fuzzer"]["corpus"]["seeds"][0].pop("blocks")),
+    "total-executed-as-string": lambda state: state.update(
+        total_executed=str(state["total_executed"])),
+    "clock-as-list": lambda state: state.update(
+        clock=list(state["clock"].values())),
+}
+MALFORMED_CASES = ([("rocket", name) for name in MALFORMED_STATES]
+                   + [("boom", "no-core")])
+
+
 class TestAtomicCheckpoint:
     def checkpoint(self, seed=7):
         session = build_session(small_spec(seed=seed))
         session.run_iterations(3)
         return CampaignCheckpoint.capture(session)
+
+    @pytest.mark.parametrize(
+        "core, corruption", MALFORMED_CASES,
+        ids=[f"{core}-{name}" for core, name in MALFORMED_CASES])
+    def test_malformed_state_never_resumes(self, core, corruption):
+        session = build_session(small_spec(
+            seed=4, instructions_per_iteration=300).with_core(core))
+        session.run_iterations(3)
+        data = json.loads(CampaignCheckpoint.capture(session).to_json())
+        MALFORMED_STATES[corruption](data["state"])
+        with pytest.raises(CheckpointError):
+            CampaignCheckpoint.from_dict(data).restore()
+
+    def test_full_state_loads_only_into_a_fresh_session(self):
+        checkpoint = self.checkpoint()
+        ran = build_session(checkpoint.spec)
+        ran.run_iterations(1)
+        before = ran.state_dict()
+        with pytest.raises(CheckpointError, match="was taken at"):
+            ran.load_state(checkpoint.state)
+        assert ran.state_dict() == before
+        fresh = build_session(checkpoint.spec).load_state(checkpoint.state)
+        assert fresh.state_dict() == checkpoint.state
 
     def test_crash_mid_save_preserves_old_checkpoint(self, tmp_path,
                                                      monkeypatch):
