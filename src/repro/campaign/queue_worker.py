@@ -1,8 +1,10 @@
 """Supervised campaign workers: the process side of the work-queue backend.
 
-A worker is a **long-running** process: it loops on its own
-multiprocessing task queue and keeps the sessions of the shards routed
-to it **resident** between slices.  A shard's first task (and any task
+A worker is a **long-running** process with one duplex pipe to its
+supervisor, which carries everything in both directions: tasks in;
+results, errors, heartbeats and relayed events out.  The worker holds at
+most one task at a time and keeps the sessions of the shards routed to
+it **resident** between slices.  A shard's first task (and any task
 after a failure) is *full*: it carries the shard's checkpoint, which
 replaces the resident session.  Every later task is a *delta* task that
 only names the base iteration count and the slice to run.  Either way
@@ -11,17 +13,18 @@ the worker posts back only what the slice changed
 
 * a daemon **heartbeat thread** posts liveness beats every
   ``heartbeat_interval_s`` even while the main thread is deep in a slice,
-  so the supervisor can tell "busy" from "dead";
-* a :class:`RelayPublisher` subscribes to the worker session's private
-  :class:`~repro.campaign.events.EventBus` and forwards sanitized,
-  JSON-shaped event payloads over the **relay queue** — the cross-process
-  event relay that lets grid-wide subscribers on the orchestrator's bus
-  observe remote iterations;
+  so the supervisor can tell "busy" from "dead"; a lock lets it and the
+  main thread take turns on the pipe, so messages never interleave;
+* the topics a task asks to relay are forwarded from the worker
+  session's private :class:`~repro.campaign.events.EventBus` as
+  sanitized, JSON-shaped payloads — the cross-process event relay that
+  lets grid-wide subscribers on the orchestrator's bus observe remote
+  iterations.  They travel on the pipe ahead of the slice's result;
 * injected-fault directives attached to a task are applied at their
   stages via :func:`~repro.campaign.resilience.apply_fault_directives`
   (chaos testing; see :class:`~repro.campaign.resilience.FaultInjector`).
 
-Everything crossing a queue is plain JSON-shaped data (checkpoints and
+Everything crossing the pipe is plain JSON-shaped data (checkpoints and
 deltas travel as compact JSON strings), so results cannot depend on
 pickled object graphs, and a re-dispatched full task re-runs
 bit-identically from the orchestrator's copy of the shard.
@@ -29,14 +32,11 @@ bit-identically from the orchestrator's copy of the shard.
 
 import contextlib
 import gc
-import queue
 import threading
 
 from repro.campaign.checkpoint import CampaignCheckpoint, CheckpointError
 from repro.campaign.events import EventBus
 from repro.campaign.resilience import apply_fault_directives
-
-DEFAULT_HEARTBEAT_S = 0.2
 
 #: Event payload keys the supervisor adds on re-emission; the sanitizer
 #: must never forward a colliding key from the remote payload.
@@ -89,46 +89,19 @@ def sanitize_event(event, payload):
     return data
 
 
-class RelayPublisher:
-    """Forwards a worker session's events onto the relay queue.
-
-    Delivery is best-effort by design: when the relay queue is full the
-    event is shed (and counted) rather than stalling the iteration loop —
-    campaign progress is never hostage to observers."""
-
-    def __init__(self, relay_queue, shard, events):
-        self.relay_queue = relay_queue
-        self.shard = shard
-        self.events = tuple(events)
-        self.forwarded = 0
-        self.dropped = 0
-
-    def attach(self, bus):
-        for event in self.events:
-            bus.subscribe(event, self._handler(event))
-        return bus
-
-    def _handler(self, event):
-        def forward(**payload):
-            message = {
-                "type": "event",
-                "event": event,
-                "shard": self.shard,
-                "payload": sanitize_event(event, payload),
-            }
-            try:
-                self.relay_queue.put_nowait(message)
-                self.forwarded += 1
-            except queue.Full:
-                self.dropped += 1  # shed under backpressure, never block
-        return forward
+def _relay(post, event, shard):
+    def forward(**payload):
+        post({"type": "event", "event": event, "shard": shard,
+              "payload": sanitize_event(event, payload)})
+    return forward
 
 
-def _task_bus(task, relay_queue):
+def _task_bus(task, post):
     """A private bus for one task, relaying the topics the task asks for."""
     bus = EventBus()
-    if relay_queue is not None and task.get("relay"):
-        RelayPublisher(relay_queue, task["label"], task["relay"]).attach(bus)
+    if post is not None:
+        for event in task.get("relay", ()):
+            bus.subscribe(event, _relay(post, event, task["label"]))
     return bus
 
 
@@ -143,7 +116,7 @@ def _run_slice(session, task):
         raise ValueError(f"unknown task command {command!r}")
 
 
-def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
+def advance_resident(task, resident, cache=None, post=None, bus=None):
     """Run one slice on a shard this worker keeps resident; return what
     the slice changed, as a checkpoint-envelope JSON whose state is the
     session's :meth:`~repro.campaign.session.CampaignSession.state_dict`
@@ -153,13 +126,14 @@ def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
     carries ``checkpoint_json``) replaces the shard's session; a *delta*
     task names the iteration count its base is at, and fails when the
     resident session is elsewhere.  A slice that raises leaves the shard
-    non-resident, so only a full task can bring it back.  ``bus``
-    overrides the private per-task bus (the supervisor's degraded
-    in-process fallback passes the orchestrator's bus, so local
+    non-resident, so only a full task can bring it back.  ``post`` sends
+    one message to the supervisor; the task's relayed events go through
+    it.  ``bus`` overrides the private per-task bus (the supervisor's
+    degraded in-process fallback passes the orchestrator's bus, so local
     subscribers see full-fidelity events)."""
     label = task["label"]
     if bus is None:
-        bus = _task_bus(task, relay_queue)
+        bus = _task_bus(task, post)
     session = resident.pop(label, None)
     if "checkpoint_json" in task:
         with paused_gc():
@@ -179,28 +153,31 @@ def advance_resident(task, resident, cache=None, relay_queue=None, bus=None):
                                   state=session.state_dict(mark)).to_json()
 
 
-def _heartbeat_loop(worker_id, result_queue, interval_s, stop):
+def _heartbeat_loop(post, interval_s, stop):
     while not stop.wait(interval_s):
         try:
-            result_queue.put_nowait({"type": "heartbeat", "worker": worker_id})
-        except queue.Full:
-            continue  # supervisor is behind; skip this beat
+            post({"type": "heartbeat"})
+        except OSError:
+            return  # the supervisor has gone
 
 
-def worker_main(worker_id, task_queue, result_queue, relay_queue,
-                heartbeat_interval_s=DEFAULT_HEARTBEAT_S):
-    """The worker process entry point: loop until the ``None`` sentinel.
+def worker_main(conn, heartbeat_interval_s):
+    """The worker process entry point: serve tasks from ``conn`` until
+    the ``None`` sentinel, one at a time.
 
     A task that raises is reported as an ``error`` message and the loop
     continues — a poison shard must not take the worker (or the grid)
     down with it; retry/quarantine policy lives with the supervisor."""
+    lock = threading.Lock()
+
+    def post(message):
+        with lock:
+            conn.send(message)
+
     stop = threading.Event()
-    beat = threading.Thread(
-        target=_heartbeat_loop,
-        args=(worker_id, result_queue, heartbeat_interval_s, stop),
-        daemon=True,
-    )
-    beat.start()
+    threading.Thread(target=_heartbeat_loop,
+                     args=(post, heartbeat_interval_s, stop),
+                     daemon=True).start()
     # One instrumentation cache per worker: full tasks of the same grid
     # restore identical layouts (layouts are read-only once built).
     from repro.campaign.cache import InstrumentationCache
@@ -209,32 +186,24 @@ def worker_main(worker_id, task_queue, result_queue, relay_queue,
     resident = {}  # shard label -> the session this worker keeps
     try:
         while True:
-            task = task_queue.get()
+            task = conn.recv()
             if task is None:
                 break
-            result_queue.put({"type": "claim", "task_id": task["task_id"],
-                              "worker": worker_id, "label": task["label"]})
             context = {"task": task, "drop": False, "checkpoint_json": None}
             directives = task.get("faults") or ()
             try:
                 apply_fault_directives(directives, "pre", context)
                 context["checkpoint_json"] = advance_resident(
-                    task, resident, cache=cache, relay_queue=relay_queue)
+                    task, resident, cache=cache, post=post)
                 apply_fault_directives(directives, "post", context)
                 apply_fault_directives(directives, "result", context)
             except Exception as exc:  # poison shard: report, keep serving
-                result_queue.put({
-                    "type": "error", "task_id": task["task_id"],
-                    "worker": worker_id, "label": task["label"],
-                    "error": f"{type(exc).__name__}: {exc}",
-                })
+                post({"type": "error",
+                      "error": f"{type(exc).__name__}: {exc}"})
                 continue
             if context["drop"]:
                 continue  # injected drop-result: supervisor recovers by deadline
-            result_queue.put({
-                "type": "result", "task_id": task["task_id"],
-                "worker": worker_id, "label": task["label"],
-                "checkpoint_json": context["checkpoint_json"],
-            })
+            post({"type": "result",
+                  "checkpoint_json": context["checkpoint_json"]})
     finally:
         stop.set()

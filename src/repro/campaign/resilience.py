@@ -120,17 +120,11 @@ def register_fault(name, fault_class=None, replace=False):
 @dataclass
 class KillWorkerFault:
     """Hard-kill the worker process before it runs the slice (the
-    "machine died" chaos case).  ``settle_s`` gives the already-posted
-    claim message a moment to flush through the queue's feeder thread;
-    without the claim the supervisor charges the oldest task the dead
-    worker held, which its FIFO queue makes the same one."""
+    "machine died" chaos case)."""
 
     stage = "pre"
-    settle_s: float = 0.05
 
     def apply(self, context):
-        if self.settle_s > 0:
-            time.sleep(self.settle_s)
         os._exit(KILL_WORKER_EXIT_CODE)
 
 
@@ -294,7 +288,6 @@ class _RecoveryCounters:
     inline_tasks: int = 0
     full_tasks: int = 0    # tasks carrying a shard's whole checkpoint
     delta_tasks: int = 0   # tasks for a shard resident on its worker
-    requeues: int = 0
     relay_events: int = 0
     extra: dict = field(default_factory=dict)
 
@@ -349,17 +342,6 @@ class ShardRecovery:
         """The supervisor lost capacity (fewer workers, or inline)."""
         self.note("degraded")
         self._emit("degraded", reason=reason, workers=workers_left)
-
-    def requeue(self, label, slice_index, reason):
-        """Re-dispatch without charging the shard a failure — used for a
-        task that never ran (it was queued behind the task that killed its
-        worker).  Re-running is idempotent, so over-requeueing is waste,
-        never corruption."""
-        self.note("requeues")
-        self.note("redispatches")
-        self._emit("redispatch", shard=label, slice_index=slice_index,
-                   attempt=self.attempts_for(label, slice_index),
-                   reason=reason, backoff_s=0.0)
 
     # -- the decision -----------------------------------------------------------
     def record_failure(self, label, *, slice_index=0, shard_index=0,

@@ -7,9 +7,15 @@ each shard's full ``state_dict()`` identical to an undisturbed serial
 run — recovery may cost wall-clock, never results.
 """
 
+import contextlib
 import json
+import multiprocessing
+import os
+import signal
+import struct
 import sys
 import time
+from multiprocessing import connection
 from types import SimpleNamespace
 
 import pytest
@@ -87,18 +93,60 @@ class ExplodeFault:
 @register_fault("wedge", replace=True)
 class WedgeFault:
     """Test-only fault: spin holding the interpreter lock, so the worker's
-    heartbeat thread falls silent while its process stays alive.  The
-    short sleep first lets the claim message flush, as ``kill-worker``
-    does, so the queue's feeder thread is not starved mid-write."""
+    heartbeat thread falls silent while its process stays alive."""
 
     stage = "pre"
 
     def apply(self, context):
-        time.sleep(0.05)
         sys.setswitchinterval(1000.0)
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             pass
+
+
+#: A result message larger than this is cut off half-way by
+#: ``die_mid_write`` (the padded result is the only one that large).
+BIG_MESSAGE = 8 << 20
+
+
+@register_fault("pad-result", replace=True)
+class PadResultFault:
+    """Test-only fault: pad the result JSON with trailing spaces (still
+    valid JSON) past ``BIG_MESSAGE`` bytes."""
+
+    stage = "result"
+
+    def apply(self, context):
+        context["checkpoint_json"] = context["checkpoint_json"].ljust(
+            BIG_MESSAGE + 1)
+
+
+SEND_BYTES = connection.Connection._send_bytes
+
+
+def die_mid_write(conn, buf):
+    """``Connection._send_bytes`` that writes a message over
+    ``BIG_MESSAGE`` bytes half-way and then kills its process."""
+    if len(buf) <= BIG_MESSAGE:
+        return SEND_BYTES(conn, buf)
+    conn._send(struct.pack("!i", len(buf)) + bytes(buf[: len(buf) // 2]))
+    os._exit(KILL_WORKER_EXIT_CODE)
+
+
+@contextlib.contextmanager
+def deadline(seconds):
+    """Raise ``TimeoutError`` if the block runs longer than ``seconds``,
+    so a hung grid fails its test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 class TestFaultPolicy:
@@ -202,15 +250,6 @@ class TestShardRecovery:
         actions = [recovery.record_failure("a", slice_index=index)[0]
                    for index in range(3)]  # one failure per distinct slice
         assert actions[-1] == ShardRecovery.QUARANTINE
-
-    def test_requeue_does_not_charge_a_failure(self):
-        bus = EventBus()
-        recovery = ShardRecovery(FaultPolicy(), bus=bus)
-        recovery.requeue("a", 0, "worker-lost-unclaimed")
-        assert recovery.counters.failures == 0
-        assert recovery.counters.redispatches == 1
-        assert recovery.attempts_for("a", 0) == 0
-        assert bus.emitted["redispatch"] == 1
 
     def test_worker_lost_and_degraded_events(self):
         bus = EventBus()
@@ -404,6 +443,76 @@ class TestSupervisedQueueBackend:
         assert counters["full_tasks"] == 4
         assert counters["delta_tasks"] == 2 * (SLICES - 1)
 
+    def test_worker_loss_charges_only_the_task_it_held(self):
+        """Shards a and c share worker 0, which holds one task at a time.
+        Killing it on a's second slice charges a alone: c's task waited
+        in the supervisor, so it is simply sent, as a full task, to the
+        respawned worker."""
+        specs = [small_spec(seed=seed).named(label)
+                 for label, seed in (("a", 11), ("b", 22), ("c", 33))]
+        serial = serial_reference(specs)
+        injector = FaultInjector(schedule=[("kill-worker", 0, 1)])
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["worker_losses"] == 1
+        assert counters["failures"] == counters["redispatches"] == 1
+        # One full task per shard, a's retry, and c's first task on the
+        # respawned worker.
+        assert counters["full_tasks"] == 5
+
+    def test_worker_dying_mid_result_costs_only_its_slice(self, monkeypatch):
+        """Shard 0's worker dies half-way through writing its second
+        slice's result.  Its pipe ends mid-message, which loses that
+        worker alone; the grid finishes bit-identical to serial instead
+        of blocking on the half-written message."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        monkeypatch.setattr(connection.Connection, "_send_bytes",
+                            die_mid_write)
+        injector = FaultInjector(schedule=[("pad-result", 0, 1)])
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2, policy=FaultPolicy(slice_timeout_s=60.0),
+                injector=injector))
+        with deadline(60):
+            run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["worker_losses"] == counters["failures"] == 1
+        assert counters["full_tasks"] == 3
+
+    def test_idle_worker_death_is_a_worker_loss(self):
+        """A worker killed between slices, while idle: the next task sent
+        to it is lost with it, charged once, and re-run on a respawn."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0)))
+
+        def kill_a_worker(kind, **payload):
+            if (kind == "time_slice" and payload.get("step") == 1
+                    and not payload.get("remote")):
+                victim = multiprocessing.active_children()[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+                assert not victim.is_alive()
+
+        supervised.bus.on_milestone(kill_a_worker)
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        report = supervised.report()
+        counters = report["resilience"]["counters"]
+        assert counters["worker_losses"] == counters["failures"] == 1
+        assert report["shard_health"] == {"a": "ok", "b": "ok"}
+
     @pytest.mark.parametrize("kind, counter, params", (
         ("corrupt-checkpoint", "corrupt_checkpoints", {}),
         ("drop-result", "timeouts", {}),
@@ -534,9 +643,10 @@ class TestSupervisedQueueBackend:
         assert events and events[0]["workers"] == 0
 
     def test_failed_respawn_drops_every_vacant_slot(self, monkeypatch):
-        """Two of three workers die in one reaping sweep and every respawn
-        fails: both vacant slots are dropped, so all three shards route to
-        the surviving worker and the slice still matches serial."""
+        """Two of three workers die, one pump of their pipes loses both,
+        and every respawn fails: both vacant slots are dropped, so all
+        three shards route to the surviving worker and the slice still
+        matches serial."""
         specs = [small_spec(seed=seed).named(label)
                  for label, seed in (("a", 11), ("b", 22), ("c", 33))]
         serial = CampaignOrchestrator(specs)
@@ -550,7 +660,7 @@ class TestSupervisedQueueBackend:
                 process.terminate()
                 process.join(timeout=5.0)
                 assert not process.is_alive()
-            supervisor._reap_workers({}, [], 0)
+            supervisor._pump({}, {}, 0)
             assert supervisor._slots == [None, None, 2]
             monkeypatch.setattr(supervisor, "_spawn_worker", lambda: False)
             supervisor._ensure_workers()
@@ -572,20 +682,34 @@ class TestSupervisedQueueBackend:
             specs, backend=SupervisedQueueBackend(
                 workers=2, policy=FaultPolicy(slice_timeout_s=60.0)))
         remote = []
+        remote_milestones = []
+        relayed_by_frontier = []
 
         def on_iteration(**payload):
             if payload.get("remote"):
                 remote.append(payload)
 
+        def on_milestone(kind, **payload):
+            if payload.get("remote"):
+                remote_milestones.append(kind)
+            elif kind == "time_slice":
+                relayed_by_frontier.append(len(remote))
+
         supervised.bus.on_iteration(on_iteration)
+        supervised.bus.on_milestone(on_milestone)
         supervised.run_for_virtual_time(1.0, max_iterations=10, slices=1)
         assert remote, "no remote iteration events relayed"
         sample = remote[0]
         assert sample["session"] is None
         assert sample["shard"] in ("a", "b")
         assert isinstance(sample["outcome"], dict)  # JSON-shaped payload
+        # A slice's events travel on its worker's pipe ahead of its
+        # result, so every one is re-emitted by the slice frontier.
+        assert relayed_by_frontier == [len(remote)]
+        assert len(remote) == sum(session.iterations
+                                  for session in supervised.sessions.values())
         counters = supervised.report()["resilience"]["counters"]
-        assert counters["relay_events"] == len(remote)
+        assert counters["relay_events"] == len(remote) + len(remote_milestones)
 
     def test_queue_wait_does_not_count_against_slice_timeout(self):
         """Four shards on one worker, each first slice's result held back
