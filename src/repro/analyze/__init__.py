@@ -9,7 +9,7 @@ whole bug classes ship.  This package is the lint-time complement: a
 custom AST/introspection rule engine with four rule families,
 
 * **checkpoint** (``CHK*``) — audits every ``state_dict()`` /
-  ``load_state()`` (and ``core_state_dict()`` / ``load_core_state()``)
+  ``load_state()`` (and ``core_state_dict()`` / ``prepare_core_state()``)
   implementation: mutable attributes that do not travel, asymmetric
   save/load key sets, missing protocol halves, stale transient
   declarations;

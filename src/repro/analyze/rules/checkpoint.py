@@ -4,7 +4,8 @@ For every class implementing one of the two save/load protocol pairs —
 
 * ``state_dict()`` / ``load_state()`` (PR 2; resume = fresh build +
   ``load_state``, no reset in between), and
-* ``core_state_dict()`` / ``load_core_state()`` (PR 5; cross-iteration
+* ``core_state_dict()`` / ``prepare_core_state()`` or ``load_core_state()``
+  (PR 5; cross-iteration
   core state — ``reset()`` runs at the start of every iteration, so
   anything ``reset()`` rewrites is per-iteration and exempt)
 
@@ -38,7 +39,7 @@ from repro.analyze.engine import register_rule
 #: (save method, load methods, reset-exempt) — the two protocol pairs.
 PROTOCOL_PAIRS = (
     ("state_dict", ("load_state", "from_state", "prepare_state"), False),
-    ("core_state_dict", ("load_core_state",), True),
+    ("core_state_dict", ("load_core_state", "prepare_core_state"), True),
 )
 
 #: Method calls on ``self.X`` that mutate the attribute in place.

@@ -462,6 +462,7 @@ class CampaignSession:
             for key, kind in DELTA_VERBATIM.items():
                 if not isinstance(state[key], kind):
                     raise TypeError(f"{key} must be {kind.__name__}")
+            apply_core = self.core.prepare_core_state(state["core"])
             triggered = getattr(self.core.hooks, "triggered", None)
             if triggered is not None and not isinstance(
                     state["triggered_bugs"], list):
@@ -472,7 +473,7 @@ class CampaignSession:
         self.weights.load_state(state["weights"])
         self.clock.load_state(state["clock"])
         self.detection_lfsr.load_state(state["detection_lfsr"])
-        self.core.load_core_state(state["core"])
+        apply_core()
         apply_fuzzer()
         apply_coverage()
         self.history.extend(history)

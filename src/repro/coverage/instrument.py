@@ -5,11 +5,12 @@ chosen top-level modules of a DUT netlist (the paper lets users pick the
 modules to instrument) and builds one :class:`ModuleCoverage` per module.
 
 A collector owns its module's layout, contribution tables and coverage
-map, but keeps no running index: the DUT cores' ``_SlotBinding`` and
-``_FusedObserver`` (:mod:`repro.dut.core`) keep the running XOR index,
-updated register-by-register, and sample it into the map — this mirrors
-how the hardware instrumentation computes the index combinationally for
-free.
+map, but computes no index itself: the DUT cores (:mod:`repro.dut.core`)
+fold the contribution tables into per-register-group tables when coverage
+is attached and produce each module's index where they produce the
+register values, the way the hardware instrumentation computes the index
+combinationally for free.  :meth:`ModuleCoverage.observe_state_reference`
+is the table-independent oracle they are checked against.
 """
 
 from repro.coverage.layout import make_layout
@@ -35,9 +36,8 @@ class ModuleCoverage:
         self.name = module.name
         self.layout = layout
         self.map = CoverageMap(layout.instrumented_points)
-        # Shared per-layout lookup tables: the DUT cores' slot bindings
-        # replace contribution() calls with
-        # ``tables[position][value & value_masks[position]]``.
+        # Shared per-layout lookup tables: the DUT cores build their group
+        # tables from ``tables[position][value & value_masks[position]]``.
         self.tables = layout.contribution_tables()
         self.value_masks = layout.value_masks()
         self._reference_memo = {}

@@ -63,8 +63,8 @@ class InstrumentationLayout:
         return sum(register.width for register in self.registers)
 
     def index(self, values):
-        """Full index from a value per register (slow path; the DUT cores'
-        observers keep a running index incrementally instead)."""
+        """Full index from a value per register (slow path; the DUT cores
+        look indices up in tables built from :meth:`contribution_tables`)."""
         result = 0
         for position, value in enumerate(values):
             result ^= self.contribution(position, value)
@@ -74,9 +74,9 @@ class InstrumentationLayout:
         """Per-position ``value -> contribution`` lookup tables.
 
         ``tables[position][value & mask]`` equals
-        ``contribution(position, value)`` for every position; the hot path
-        (the DUT cores' slot bindings) replaces the per-observation
-        ``contribution()`` calls with two list indexings.
+        ``contribution(position, value)`` for every position; the DUT
+        cores fold these into their per-register-group tables when coverage
+        is attached, so the hot path calls no ``contribution()``.
         Built lazily once per layout and shared by every collector over it
         (the :class:`~repro.campaign.cache.InstrumentationCache` hands one
         layout to many sessions).

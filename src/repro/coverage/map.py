@@ -77,8 +77,8 @@ class CoverageMap:
         """Check a :meth:`state_dict` taken on a map of this size; returns
         the function that adds its points (checking changes nothing).
 
-        The seen-set object is grown, never replaced: the DUT cores' slot
-        bindings hold a direct reference to it (hot path)."""
+        The seen-set object is grown, never replaced: the DUT cores hold a
+        direct reference to it (hot path)."""
         if state["instrumented_points"] != self.instrumented_points:
             raise ValueError(
                 f"coverage state of {state['instrumented_points']!r} points "

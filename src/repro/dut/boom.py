@@ -10,14 +10,77 @@ mispredict penalties, and unpipelined division.
 """
 
 from repro.analyze.markers import hot_path
-from repro.dut.core import CoreTiming, DutCore
-from repro.isa.instructions import Category
+from repro.dut.core import (
+    BASE_STATE_SLOTS,
+    KEY_SPECS,
+    CoreTiming,
+    DutCore,
+    RegisterGroup,
+)
+from repro.isa.instructions import FP_CATEGORIES, Category
 
-# Module-level category groups: membership tests against these cost no
-# per-call tuple construction in the hot _update_microarch override.
 _LONG_LATENCY = frozenset({Category.DIV, Category.FP_DIV, Category.AMO})
 _LOADS = frozenset({Category.LOAD, Category.FP_LOAD})
 _STORES = frozenset({Category.STORE, Category.FP_STORE})
+_BRANCH = Category.BRANCH
+
+# Positional state slots after the shared ones.
+_ROB = BASE_STATE_SLOTS      # occupancy | flush << 3 | alu << 4 | fp << 5 | 64
+_LSQ = BASE_STATE_SLOTS + 1  # ldq_level | stq_level << 3 | map_hash << 6
+
+
+def _queue_transitions():
+    """How an instruction moves the ROB and the load/store queues, per
+    spec key, as lookup tables for the hot path:
+
+    * ``rob_next[key << 3 | occupancy]``: the next ROB key.  Occupancy
+      rises with long-latency ops and loads in flight and drains by one
+      otherwise; the key also records the instruction's ALU/FP class.
+    * ``rob_flush[key]``: the ROB key after the instruction trapped (the
+      flush empties the ROB).
+    * ``lsq_next[lsq_class[key] << 6 | ldq | stq << 3]``: the next queue
+      levels; a load fills the load queue, a store the store queue, and
+      each queue it does not fill drains by one.
+    """
+    rob_next, rob_flush, lsq_class = [], [], []
+    for spec in KEY_SPECS:
+        category = spec.category if spec is not None else None
+        kinds = 64 | ((category is Category.ALU) << 4) | ((category in FP_CATEGORIES) << 5)
+        for occupancy in range(8):
+            if category in _LONG_LATENCY:
+                occupancy = min(7, occupancy + 2)
+            elif category in _LOADS:
+                occupancy = min(7, occupancy + 1)
+            else:
+                occupancy = max(0, occupancy - 1)
+            rob_next.append(kinds | occupancy)
+        rob_flush.append(kinds | 8)
+        lsq_class.append(1 if category in _LOADS else 2 if category in _STORES else 0)
+    lsq_next = []
+    for lsq_kind in range(3):
+        for levels in range(64):
+            loads, stores = levels & 7, levels >> 3
+            loads = min(7, loads + 1) if lsq_kind == 1 else max(0, loads - 1)
+            stores = min(7, stores + 1) if lsq_kind == 2 else max(0, stores - 1)
+            lsq_next.append(loads | (stores << 3))
+    return tuple(rob_next), tuple(rob_flush), tuple(lsq_class), tuple(lsq_next)
+
+
+_ROB_NEXT, _ROB_FLUSH, _LSQ_CLASS, _LSQ_NEXT = _queue_transitions()
+
+
+def _rob_values(key):
+    """ROB, Rename free list and issue-queue levels, all derived from the
+    ROB occupancy, the flush and the last instruction's ALU/FP class.
+    Bit 6 marks a key written since reset (all registers read 0 before)."""
+    if not key & 64:
+        return (0,) * 7
+    occupancy = key & 7
+    flush = (key >> 3) & 1
+    half = min(3, occupancy // 2)
+    return (occupancy, flush, flush, 7 - occupancy,
+            min(7, occupancy + ((key >> 4) & 1)), half,
+            half if (key >> 5) & 1 else 0)
 
 
 class BoomCore(DutCore):
@@ -86,6 +149,8 @@ class BoomCore(DutCore):
         top.memory("int_prf", depth=100, width=64)
         top.memory("fp_prf", depth=64, width=64)
 
+    STATE_SLOTS = BASE_STATE_SLOTS + 2
+
     def __init__(self, *args, **kwargs):
         self._mispredicts = 0
         self._branch_predictor = {}
@@ -103,17 +168,33 @@ class BoomCore(DutCore):
             "mispredicts": self._mispredicts,
         }
 
-    def load_core_state(self, state):
-        self._branch_predictor = {
-            int(pc): int(counter)
-            for pc, counter in state.get("branch_predictor", {}).items()
-        }
-        self._mispredicts = int(state.get("mispredicts", 0))
+    def prepare_core_state(self, state):
+        """Check a :meth:`core_state_dict` snapshot; returns the function
+        that loads it (checking changes nothing)."""
+        recorded = state["branch_predictor"]
+        if not isinstance(recorded, dict):
+            raise TypeError("branch_predictor must be an object")
+        predictor = {}
+        for pc, counter in recorded.items():
+            if type(counter) is not int or not 0 <= counter <= 3:
+                raise ValueError(
+                    f"branch predictor counter {counter!r} is not in 0..3")
+            predictor[int(pc)] = counter
+        mispredicts = state["mispredicts"]
+        if type(mispredicts) is not int or mispredicts < 0:
+            raise ValueError(f"mispredicts {mispredicts!r} is not a count")
+
+        def apply():
+            self._branch_predictor = predictor
+            self._mispredicts = mispredicts
+        return apply
 
     @hot_path
     def _latency(self, record, decoded):
-        cycles = super()._latency(record, decoded)
-        if decoded is not None and decoded.spec.category is Category.BRANCH:
+        # The base method is called directly: cheaper than super() per
+        # instruction.
+        cycles = DutCore._latency(self, record, decoded)
+        if decoded is not None and decoded.spec.category is _BRANCH:
             taken = record.next_pc != record.pc + 4
             counter = self._branch_predictor.get(record.pc, 1)
             predicted_taken = counter >= 2
@@ -124,38 +205,26 @@ class BoomCore(DutCore):
             self._branch_predictor[record.pc] = counter
         return cycles
 
+    def _groups(self):
+        groups = super()._groups()
+        groups["rob"] = RegisterGroup(
+            ("rob_occupancy", "rob_flush", "rob_exception", "freelist_level",
+             "iq_int_level", "iq_mem_level", "iq_fp_level"),
+            128, _rob_values, _ROB)
+        groups["lsq"] = RegisterGroup(
+            ("ldq_level", "stq_level", "map_hash"), 1024,
+            lambda k: (k & 7, (k >> 3) & 7, k >> 6), _LSQ)
+        return groups
+
     @hot_path
     def _update_microarch(self, record, decoded):
-        super()._update_microarch(record, decoded)
-        if decoded is None:
-            return
-        category = decoded.spec.category
-        vals = self.vals
-        # ROB occupancy rises with long-latency ops in flight, falls on
-        # flushes (mispredicts, traps).
-        occupancy = vals["rob_occupancy"]
-        if category in _LONG_LATENCY:
-            occupancy = min(7, occupancy + 2)
-        elif category in _LOADS:
-            occupancy = min(7, occupancy + 1)
-        else:
-            occupancy = max(0, occupancy - 1)
-        flush = 1 if record.trap is not None else 0
-        if flush:
-            occupancy = 0
-        vals["rob_occupancy"] = occupancy
-        vals["rob_flush"] = flush
-        vals["rob_exception"] = flush
-        vals["map_hash"] = (decoded.rd * 3 + decoded.rs1) & 0xF
-        vals["freelist_level"] = min(7, 7 - occupancy)
-        vals["iq_int_level"] = min(7, occupancy + (1 if category is Category.ALU else 0))
-        vals["iq_mem_level"] = min(3, occupancy // 2)
-        vals["iq_fp_level"] = min(3, occupancy // 2 if decoded.spec.is_fp else 0)
-        if category in _LOADS:
-            vals["ldq_level"] = min(7, vals["ldq_level"] + 1)
-        else:
-            vals["ldq_level"] = max(0, vals["ldq_level"] - 1)
-        if category in _STORES:
-            vals["stq_level"] = min(7, vals["stq_level"] + 1)
-        else:
-            vals["stq_level"] = max(0, vals["stq_level"] - 1)
+        if decoded is not None:
+            st = self._state
+            key = decoded.spec.dut_key
+            if record.trap is None:
+                st[_ROB] = _ROB_NEXT[(key << 3) | (st[_ROB] & 7)]
+            else:
+                st[_ROB] = _ROB_FLUSH[key]
+            st[_LSQ] = (_LSQ_NEXT[(_LSQ_CLASS[key] << 6) | (st[_LSQ] & 63)]
+                        | (((decoded.rd * 3 + decoded.rs1) & 0xF) << 6))
+        DutCore._update_microarch(self, record, decoded)

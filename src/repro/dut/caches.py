@@ -27,6 +27,18 @@ class DirectMappedCache:
         """Invalidate everything (fence.i / reset)."""
         self._tags = [None] * self.sets
 
+    def snapshot(self):
+        """Tags and hit/miss counters, for :meth:`restore`."""
+        return (list(self._tags), self.hits, self.misses)
+
+    def restore(self, snapshot):
+        tags, hits, misses = snapshot
+        if len(tags) != self.sets:
+            raise ValueError(f"cache snapshot of {len(tags)} sets, not {self.sets}")
+        self._tags = list(tags)
+        self.hits = hits
+        self.misses = misses
+
     @property
     def accesses(self):
         return self.hits + self.misses

@@ -9,33 +9,51 @@ A :class:`DutCore` couples three things:
    cycles, which the harness's :class:`~repro.harness.clock.VirtualClock`
    turns into the paper's 100 MHz wall-clock time axis.
 
-Runtime coverage sampling is performance-critical (it runs for every
-instruction of every fuzzing iteration).  The core keeps all
-micro-architectural values in a plain dict (subclasses extend
-:meth:`_update_microarch` through the same interface), but observation does
-not rebuild name-keyed value tuples per instruction: each instrumented
-module gets a :class:`_SlotBinding` resolved once in
-:meth:`attach_coverage` — a position-indexed view (itemgetter over the
-dynamic register names, per-position contribution tables from the layout)
-that maintains a *running XOR index* by diffing against the previously
-observed values, so per-instruction cost scales with the number of
-registers that changed.  The always-observed modules' bindings are fused
-into one :class:`_FusedObserver` with a single combined running index.
-These two are the only holders of a running index (the per-module
-:class:`~repro.coverage.ModuleCoverage` collectors keep none); they sample
-it into the modules' coverage maps ("update-on-write, sample-on-tick" —
-the software analogue of the hardware computing the index
-combinationally for free).  The pre-overhaul tuple/memo path is preserved
-as ``use_reference_observer()`` and is asserted bit-identical by
-``tests/test_hotpath_equiv.py``.
+Runtime coverage sampling is performance-critical: it runs for every
+instruction of every fuzzing iteration.  The hardware instrumentation
+computes each module's coverage index combinationally, for free, as the
+register values change; :meth:`DutCore._update_microarch` does the
+software equivalent and produces every index where it produces the
+values.
 
-Subclasses build the netlist (:meth:`_build_netlist`), set their timing
-table, and may extend :meth:`_update_microarch` with core-specific state
-(e.g. BOOM's ROB occupancy).
+* The micro-architectural state is positional: a short list of small
+  integer *keys*, each standing for a group of control registers whose
+  values it determines (:class:`RegisterGroup`) — the instruction's spec (with a
+  CSR instruction's CSR class), its register fields ``(rd, rs1, rs2) & 7``,
+  its immediate sign and shift amount, pc bits 2-9, the counters, the
+  result, the branch state, the operands, and each conditional module's
+  inputs.
+* :meth:`DutCore.attach_coverage` turns the layout's per-register
+  contribution tables into one table per group: entry *k* is the XOR of
+  the group's register contributions while its key is *k*.  No table is
+  keyed by instruction word: most fuzzing words are fresh.  The
+  always-observed modules' indices are concatenated into one *combined*
+  integer, each module in its own bit field with the tables pre-shifted
+  into it, so one lookup per group yields every always-observed index.
+  A skip cache of combined indices already recorded saves splitting a
+  combined index again; on first sight it is split into the modules'
+  coverage maps at once, so the maps are exact after every instruction.
+* A conditional module (MulDiv, FPU, LSU, CSRFile, PTW) is observed on the
+  instruction that activates it and on the next one (to capture its return
+  to idle); a multi-cycle operation also records a few sampled
+  busy-counter states.
+* :attr:`DutCore.vals` materializes the register name -> value mapping
+  from the keys on read.  :class:`~repro.harness.HardwareSnapshot`, the
+  tests and the reference observer read it; ``use_reference_observer()``
+  routes observation through
+  :meth:`~repro.coverage.ModuleCoverage.observe_state_reference`, which
+  reads no contribution table and is the oracle
+  ``tests/test_hotpath_equiv.py`` checks the tables against.
+
+Subclasses build the netlist (:meth:`DutCore._build_netlist`), set their
+timing table, and may add always-observed register groups
+(:meth:`DutCore._groups`) whose keys their :meth:`_update_microarch`
+override sets before calling the base (e.g. BOOM's ROB occupancy).
 """
 
 from dataclasses import dataclass, field
-from operator import itemgetter
+from operator import xor
+from types import MappingProxyType
 
 from repro.analyze.markers import hot_path
 from repro.dut.bugs import BuggyHooks, CorrectHooks
@@ -45,6 +63,7 @@ from repro.isa import csr as CSR
 from repro.isa.decoder import _CACHE as _DECODE_CACHE
 from repro.isa.decoder import try_decode
 from repro.isa.instructions import (
+    SPECS as _SPECS,
     Category,
     FP_CATEGORIES as _FP_CATEGORIES,
     MEMORY_CATEGORIES as _MEMORY_CATEGORIES,
@@ -58,27 +77,11 @@ from repro.rtl.module import Module
 _CATEGORY_INDEX = {category: index for index, category in enumerate(Category)}
 _CATEGORY_DOMAIN = tuple(range(len(Category)))
 
-# Per-step enum constants as plain module globals (one LOAD_GLOBAL each on
-# the hot path instead of an attribute lookup on the enum class).
 _BRANCH = Category.BRANCH
-_JUMP = Category.JUMP
-_MUL = Category.MUL
-_DIV = Category.DIV
-_AMO = Category.AMO
-_FP_DIV = Category.FP_DIV
-_CSR_CAT = Category.CSR
-_SYSTEM = Category.SYSTEM
-_FENCE = Category.FENCE
 
 
 def _name_hash(name):
     return sum(ord(ch) * (i + 1) for i, ch in enumerate(name)) & 0xF
-
-
-# Precomputed per-mnemonic hash (hot path).
-from repro.isa.instructions import SPECS as _SPECS  # noqa: E402
-
-_NAME_HASH = {spec.name: _name_hash(spec.name) for spec in _SPECS}
 
 
 _TRAP_CAUSE_DOMAIN = tuple(range(12))
@@ -86,79 +89,236 @@ _TRAP_CAUSE_DOMAIN = tuple(range(12))
 # Bound for the combined-observation skip cache (idempotent to evict).
 _COMBINED_SKIP_LIMIT = 1 << 20
 
+# -- per-spec kind bits -----------------------------------------------------------
+# The low five bits name the conditional modules an instruction activates
+# (an "active" mask); the rest steer the per-instruction update.
+_MULDIV = 1
+_FPU = 2
+_LSU = 4
+_CSRFILE = 8
+_PTW = 16
+_MODULE_BITS = 31
+_BRANCH_KIND = 32
+_JUMP_KIND = 64
+_DIV_KIND = 128
+_FDIV_KIND = 256
+_CSR_KIND = 512
 
-class _SlotBinding:
-    """Allocation-free per-module observer, resolved once per attach.
+_CONDITIONAL_BITS = {"MulDiv": _MULDIV, "FPU": _FPU, "LSU": _LSU,
+                     "CSRFile": _CSRFILE, "PTW": _PTW}
 
-    Holds a position-indexed view of one module's dynamic control
-    registers: an :func:`~operator.itemgetter` over their names (one C
-    call per observation instead of a Python list-build), the layout's
-    per-position contribution tables and width masks, and a running XOR
-    index diffed against the previously observed value tuple — so the
-    per-instruction cost scales with the number of registers that
-    *changed*, and an unchanged module costs one tuple compare.
+_FPU_STATE = {
+    Category.FP_ARITH: 1,
+    Category.FP_DIV: 2,
+    Category.FP_FMA: 3,
+    Category.FP_CVT: 4,
+    Category.FP_CMP: 5,
+    Category.FP_MOVE: 5,
+    Category.FP_LOAD: 1,
+    Category.FP_STORE: 1,
+}
+
+_MEM_OP = {
+    Category.LOAD: 1,
+    Category.FP_LOAD: 1,
+    Category.STORE: 2,
+    Category.FP_STORE: 2,
+    Category.AMO: 3,
+}
+
+# CSR address -> csr_cls (any other address is class 5).
+_CSR_CLASS = {
+    **dict.fromkeys((CSR.FFLAGS, CSR.FRM, CSR.FCSR), 1),
+    **dict.fromkeys((CSR.MSTATUS, CSR.MISA, CSR.SSTATUS), 2),
+    **dict.fromkeys((CSR.MCYCLE, CSR.MINSTRET, CSR.CYCLE, CSR.INSTRET,
+                     CSR.TIME), 3),
+    **dict.fromkeys((CSR.MEPC, CSR.MCAUSE, CSR.MTVAL, CSR.MTVEC, CSR.SEPC,
+                     CSR.SCAUSE, CSR.STVAL, CSR.STVEC), 4),
+}
+
+# fpu_rm keeps a legal rounding mode and shows the reserved ones as 7.
+_RM_VALUE = (0, 1, 2, 3, 4, 7, 7, 7)
+
+
+def _spec_kind(spec):
+    category = spec.category
+    kind = 0
+    if category is Category.MUL:
+        kind |= _MULDIV
+    elif category is Category.DIV:
+        kind |= _MULDIV | _DIV_KIND
+    if category in _FP_CATEGORIES:
+        kind |= _FPU
+        if category is Category.FP_DIV:
+            kind |= _FDIV_KIND
+    if category in _MEMORY_CATEGORIES:
+        kind |= _LSU
+    if category is Category.CSR:
+        kind |= _CSRFILE | _CSR_KIND
+    elif category is Category.SYSTEM:
+        kind |= _CSRFILE
+    elif category is Category.FENCE:
+        kind |= _PTW
+    elif category is _BRANCH:
+        kind |= _BRANCH_KIND
+    elif category is Category.JUMP:
+        kind |= _JUMP_KIND
+    return kind
+
+
+def _attach_spec_keys():
+    """Attach each spec's state key (``dut_key``) and kind bits
+    (``dut_kind``) to the (frozen) spec object once, as the executor
+    attaches its handlers.  Key 0 is the reset state; a CSR instruction
+    owns one key per CSR class (key + class).  Returns the spec and the
+    csr_cls value of every key."""
+    key_specs = [None]
+    key_csr_class = [0]
+    for spec in _SPECS:
+        kind = _spec_kind(spec)
+        object.__setattr__(spec, "dut_key", len(key_specs))
+        object.__setattr__(spec, "dut_kind", kind)
+        if kind & _CSR_KIND:
+            key_specs.extend([spec] * 6)
+            key_csr_class.extend(range(6))
+        else:
+            key_specs.append(spec)
+            key_csr_class.append(5 if spec.category is Category.SYSTEM else 0)
+    return tuple(key_specs), tuple(key_csr_class)
+
+
+KEY_SPECS, _KEY_CSR_CLASS = _attach_spec_keys()
+_SPEC_KEYS = len(KEY_SPECS)
+
+# -- positional state slots -------------------------------------------------------
+_PC = 0             # pc bits 2-9
+_CNT = 1            # fq_count | dec_buf_cnt << 3 | dec_illegal << 5
+#                     | misfetch << 6 | trap_valid << 7
+_SPEC = 2           # spec key of the last decoded, untrapped instruction
+_OPS = 3            # (rd & 7) << 6 | (rs1 & 7) << 3 | rs2 & 7
+_IMM = 4            # imm_sign << 4 | shamt & 15
+_WB = 5             # raw_hazard | wb_sel << 1
+_RES = 6            # result_zero | result_sign << 1 | alu_res_lo << 2
+_CTL = 7            # br_taken | br_hist << 1 | pred_cnt << 3 | ras_ptr << 5
+_OPND = 8           # operand_a_lo | operand_b_lo << 4
+_PREV_RD = 9        # last destination register (RAW hazard detection)
+_ACTIVE = 10        # conditional modules the last instruction activated
+_LAST_MSTATUS = 11  # mstatus and privilege last seen (change detection)
+_LAST_PRIV = 12
+_MD_SPEC = 13       # spec key of the last MulDiv instruction
+_MD_SZ = 14         # md_sign | md_zero << 2
+_MD_QR = 15         # md_quot_lo | md_rem_lo << 4
+_FPU_SPEC = 16      # spec key of the last FP instruction
+_FPU_OPS = 17       # fpu_rm | fpu_flags << 3 | fp_nv_sticky << 8
+_FPU_SE = 18        # fp_sign | fp_exp_lo << 2
+_FPU_MAN = 19       # fp_man_lo
+_LSU_ADDR = 20      # address bits 0-9 (addr_lo, line_off, set_lo)
+_LSU_MISC = 21      # mem_size | dcache_hit << 2 | wb_dirty << 3 | wdata_lo << 4
+_CSR_TRAP = 22      # trap_cause
+_CSR_OP = 23        # csr_addr_lo | csr_wdata_lo << 4
+_CSR_STAT = 24      # fs_status | mie_bit << 2 | priv << 3
+_PTW_KEY = 25       # ptw_state | ptw_level << 2
+BASE_STATE_SLOTS = 26
+
+_LSU_KEPT = 0x1F8       # wb_dirty, wdata_lo
+_CSR_KEPT = 0x1F0       # csr_wdata_lo
+
+_MSTATUS = CSR.MSTATUS
+_FS_SHIFT = CSR.MSTATUS_FS_SHIFT
+
+
+class RegisterGroup:
+    """Control registers whose values one state key determines.
+
+    ``decode(key)`` gives the registers' values, in ``names`` order, for
+    every key in ``range(size)``; key 0 is the reset state (all zero).
+    The key is the positional state's ``slot``, or ``key_of(state)``.
     """
 
-    __slots__ = ("cov", "names", "seen", "getter", "tables", "masks",
-                 "prev", "contribs", "index")
+    __slots__ = ("names", "size", "decode", "slot", "key_of", "_columns")
 
-    def __init__(self, module_cov, names, positions, vals):
-        self.cov = module_cov
-        self.names = tuple(names)
-        # Direct reference into the module's CoverageMap; valid for the
-        # map's life because a checkpoint load grows the set in place
-        # instead of replacing it.
-        self.seen = module_cov.map._seen
-        layout_tables = module_cov.tables
-        layout_masks = module_cov.value_masks
-        self.tables = [layout_tables[position] for position in positions]
-        self.masks = [layout_masks[position] for position in positions]
-        if not names:
-            self.getter = lambda values: ()
-        elif len(names) == 1:
-            name = names[0]
-            self.getter = lambda values: (values[name],)
-        else:
-            self.getter = itemgetter(*names)
-        self.prev = ()
-        self.contribs = []
-        self.index = 0
-        self.rebind(vals)
+    def __init__(self, names, size, decode, slot=None, key_of=None):
+        self.names = names
+        self.size = size
+        self.decode = decode
+        self.slot = slot
+        self.key_of = key_of
+        self._columns = None
 
-    def rebind(self, vals):
-        """Recompute the running index from the current register values."""
-        values = self.getter(vals)
-        self.prev = values
-        contribs = [table[value & mask] for table, mask, value
-                    in zip(self.tables, self.masks, values)]
-        self.contribs = contribs
-        index = 0
-        for contribution in contribs:
-            index ^= contribution
-        self.index = index
+    def values(self, state):
+        """The registers' current values, in ``names`` order."""
+        key = state[self.slot] if self.key_of is None else self.key_of(state)
+        return self.decode(key)
 
-    @hot_path
-    def observe(self, vals):
-        """Sample the module state into the coverage map (hot path)."""
-        values = self.getter(vals)
-        index = self.index
-        if values != self.prev:
-            prev = self.prev
-            contribs = self.contribs
-            tables = self.tables
-            masks = self.masks
-            for position, value in enumerate(values):
-                if value != prev[position]:
-                    new_contribution = tables[position][value & masks[position]]
-                    index ^= contribs[position] ^ new_contribution
-                    contribs[position] = new_contribution
-            self.index = index
-            self.prev = values
-        seen = self.seen
-        if index in seen:
-            return False
-        seen.add(index)
-        return True
+    def columns(self):
+        """Each register's value for every key (built once)."""
+        if self._columns is None:
+            self._columns = tuple(zip(*map(self.decode, range(self.size))))
+        return self._columns
+
+
+def _key_category(key):
+    spec = KEY_SPECS[key]
+    return None if spec is None else spec.category
+
+
+def _spec_values(key):
+    spec = KEY_SPECS[key]
+    if spec is None:
+        return (0, 0, 0)
+    return (_CATEGORY_INDEX[spec.category], _name_hash(spec.name),
+            (spec.match >> 2) & 31)
+
+
+def _writeback_values(key):
+    raw = key & 1
+    wb_sel = key >> 1
+    return (raw, wb_sel, raw * 2 + (1 if wb_sel else 0))
+
+
+def _result_values(key):
+    zero = key & 1
+    sign = (key >> 1) & 1
+    return (zero, sign, key >> 2, (zero << 1) | sign)
+
+
+def _muldiv_mode(key):
+    category = _key_category(key)
+    if category is Category.MUL:
+        return (1, 1)
+    if category is Category.DIV:
+        return (2, 2)
+    return (0, 0)
+
+
+def _fpu_mode(key):
+    return (_FPU_STATE.get(_key_category(key), 0),)
+
+
+def _fpu_spec_values(key):
+    spec = KEY_SPECS[key]
+    return (1 if spec is not None and spec.name.endswith(".d") else 0, 0)
+
+
+def _lsu_mode(key):
+    category = _key_category(key)
+    op = _MEM_OP.get(category, 0)
+    return (4 if category is Category.AMO else op, op)
+
+
+# Core class -> its register groups (shared: a group's values per key are
+# a function of the class alone).
+_GROUPS = {}
+
+
+def _csr_trap_key(state):
+    return (state[_CSR_TRAP] << 1) | (state[_CNT] >> 7)
+
+
+def _busy_samples(total):
+    """The busy-counter values a multi-cycle operation of ``total``
+    cycles exposes to coverage (a few samples, not one per cycle)."""
+    return tuple(min(sample, 24) for sample in (total & 31, (total // 2) & 31, 1))
 
 
 @dataclass
@@ -184,104 +344,14 @@ class CoreTiming:
     extra: dict = field(default_factory=dict)
 
 
-class _FusedObserver:
-    """One combined-index observer for all always-observed modules.
-
-    Fuses their slot bindings behind a single itemgetter over the union of
-    their dynamic register names and a single previous-values tuple, and
-    concatenates the member modules' running XOR indices into ONE integer:
-    each module occupies its own bit field and every contribution table is
-    pre-shifted into the owning module's field, so a register change is
-    two list indexings and two XORs on a single int — no per-module
-    routing.  (A value-tuple memo was tried here and measured ~98% misses:
-    the group contains free-running counters, so the combined state almost
-    never repeats — incremental diffing is the right shape.)
-
-    Observation then needs one membership test: ``seen_combined`` is a
-    skip cache whose entries assert "this combined state's per-module
-    indices are already recorded in their coverage maps".  On first sight
-    the combined index is decomposed immediately and each field added to
-    its module's seen-set, so the per-module maps are exact after every
-    instruction — bit-identical to observing each module separately.  The
-    cache stays valid because maps only grow (a checkpoint load only adds
-    points, and nothing removes one), and eviction merely costs a
-    redundant, idempotent re-decomposition.
-    """
-
-    __slots__ = ("getter", "tables", "masks", "prev", "contribs",
-                 "combined", "seen_combined", "decomp")
-
-    def __init__(self, slot_bindings, vals):
-        names = []
-        tables = []
-        masks = []
-        decomp = []
-        offset = 0
-        for slot in slot_bindings:
-            field_bits = slot.cov.layout.max_state_size
-            for position, name in enumerate(slot.names):
-                names.append(name)
-                tables.append([contribution << offset
-                               for contribution in slot.tables[position]])
-                masks.append(slot.masks[position])
-            decomp.append((offset, (1 << field_bits) - 1, slot.seen))
-            offset += field_bits
-        self.tables = tables
-        self.masks = masks
-        self.decomp = decomp
-        if not names:
-            self.getter = lambda values: ()
-        elif len(names) == 1:
-            single = names[0]
-            self.getter = lambda values: (values[single],)
-        else:
-            self.getter = itemgetter(*names)
-        self.seen_combined = set()
-        self.rebind(vals)
-
-    def rebind(self, vals):
-        """Recompute the combined index from the current register values."""
-        values = self.getter(vals)
-        self.prev = values
-        self.contribs = [table[value & mask] for table, mask, value
-                         in zip(self.tables, self.masks, values)]
-        combined = 0
-        for contribution in self.contribs:
-            combined ^= contribution
-        self.combined = combined
-
-    @hot_path
-    def observe(self, vals):
-        """Observe every member module for this instruction (hot path)."""
-        values = self.getter(vals)
-        combined = self.combined
-        if values != self.prev:
-            prev = self.prev
-            contribs = self.contribs
-            tables = self.tables
-            masks = self.masks
-            for position, value in enumerate(values):
-                if value != prev[position]:
-                    new_contribution = tables[position][value & masks[position]]
-                    combined ^= contribs[position] ^ new_contribution
-                    contribs[position] = new_contribution
-            self.combined = combined
-            self.prev = values
-        seen = self.seen_combined
-        if combined not in seen:
-            if len(seen) >= _COMBINED_SKIP_LIMIT:
-                evict_half(seen)
-            seen.add(combined)
-            for offset, mask, module_seen in self.decomp:
-                module_seen.add((combined >> offset) & mask)
-
-
 class DutCore:
     """Base class for the Rocket/CVA6/BOOM DUT models."""
 
     name = "generic"
     timing = CoreTiming()
     default_frequency_hz = 100e6  # the paper's FPGA clock
+    # Positional state slots; subclasses with their own groups extend it.
+    STATE_SLOTS = BASE_STATE_SLOTS
 
     # Cross-iteration checkpoints carry only what core_state_dict()
     # returns: architectural/memory state travels through the session's
@@ -290,10 +360,9 @@ class DutCore:
     # attach_coverage / use_reference_observer on the restored design)
     # or netlist structure identical in any same-spec process.
     _checkpoint_transient = frozenset({
-        "coverage", "regs",
-        "_cov_bindings", "_cov_by_module", "_slot_bindings",
-        "_always_bindings", "_cond_bindings", "_slot_by_module",
-        "_fused", "_active_modules", "_prev_active", "_reference_observer",
+        "coverage", "regs", "_homes", "_always", "_extra", "_decomp", "_skip",
+        "_combined_seen", "_muldiv", "_fpu", "_lsu", "_csrfile", "_ptw",
+        "_ref_bindings", "_reference_observer",
     })
 
     def __init__(self, bugs=(), rv32a_only=False, reset_pc=0x8000_0000):
@@ -311,27 +380,20 @@ class DutCore:
         self.icache = DirectMappedCache(sets=256)
         self.dcache = DirectMappedCache(sets=256)
         self.coverage = None
-        self._cov_bindings = []  # (ModuleCoverage, names, layout positions)
-        self._cov_by_module = {}
-        self._slot_bindings = []  # _SlotBinding per module, same order
-        self._always_bindings = []
-        self._cond_bindings = []  # (module name, _SlotBinding)
-        self._slot_by_module = {}
-        self._fused = None  # _FusedObserver over the always-observed group
         self._reference_observer = False
-        self._active_modules = set()
-        self._prev_active = set()
+        self._combined_seen = None  # skip cache while observing by table
         self.cycles = 0.0
         self.retired = 0
-        self._prev_rd = 0
-        self._br_hist = 0
-        self._last_mstatus = None
-        self._last_priv = None
         self.top = Module(self.top_name)
         self.regs = {}
-        self.vals = {}
+        self._homes = {}  # dynamic register name -> owning module name
         self._fixed_latency = self._build_fixed_latency()
         self._build_netlist()
+        groups = _GROUPS.get(type(self))
+        if groups is None:
+            groups = _GROUPS[type(self)] = self._groups()
+        self._register_groups = groups
+        self._state = self._reset_state(0)
 
     # -- to be provided by subclasses ------------------------------------------
     top_name = "Core"
@@ -343,7 +405,7 @@ class DutCore:
     def _reg(self, module, name, width, domain=None):
         register = module.register(name, width, domain=domain)
         self.regs[name] = register
-        self.vals[name] = 0
+        self._homes[name] = module.name
         return register
 
     def _static_bank(self, module, prefix, widths):
@@ -502,108 +564,281 @@ class DutCore:
         ptw.mux("ptw_resp_mux", select=sel, width=64)
         ptw.memory("tlb", depth=32, width=64)
 
-    # -- coverage wiring -----------------------------------------------------------
-    CONDITIONAL_MODULES = frozenset({"MulDiv", "FPU", "LSU", "CSRFile", "PTW"})
+    # -- positional state ------------------------------------------------------------
+    def _groups(self):
+        """Register groups by name, each keyed by positional state.
 
+        The ``muldiv_*``, ``fpu_*``, ``lsu_*``, ``csrfile_*`` and ``ptw``
+        groups belong to the conditional module their prefix names; every
+        other group feeds the always-observed modules.  Subclasses add
+        their own always-observed groups and ``_update_microarch`` keys.
+        """
+        mul_counter = int(self.timing.mul) & 31
+
+        def muldiv_spec(key):
+            spec = KEY_SPECS[key]
+            if spec is None:
+                return (0, 0)
+            counter = mul_counter if spec.category is Category.MUL else 0
+            return (counter, 1 if spec.name.endswith("w") else 0)
+
+        return {
+            "pc": RegisterGroup(
+                ("pc_lo", "fetch_addr_lo", "btb_tag_lo", "icache_state"), 256,
+                lambda k: (k & 7, k & 15, k >> 3, 0), _PC),
+            "count": RegisterGroup(
+                ("fq_count", "dec_buf_cnt", "dec_illegal", "misfetch"), 256,
+                lambda k: (k & 7, (k >> 3) & 3, (k >> 5) & 1, (k >> 6) & 1), _CNT),
+            "spec": RegisterGroup(
+                ("dec_class", "ex_subop", "opcode_lo"), _SPEC_KEYS,
+                _spec_values, _SPEC),
+            "operands": RegisterGroup(
+                ("rd_lo", "rs1_lo", "rs2_lo"), 512,
+                lambda k: (k >> 6, (k >> 3) & 7, k & 7), _OPS),
+            "immediate": RegisterGroup(
+                ("imm_sign", "shamt_reg"), 32, lambda k: (k >> 4, k & 15), _IMM),
+            "writeback": RegisterGroup(
+                ("raw_hazard", "wb_sel", "fwd_sel"), 8, _writeback_values, _WB),
+            "result": RegisterGroup(
+                ("result_zero", "result_sign", "alu_res_lo", "cmp_flags"), 256,
+                _result_values, _RES),
+            "control": RegisterGroup(
+                ("br_taken", "br_hist", "pred_cnt", "ras_ptr"), 128,
+                lambda k: (k & 1, (k >> 1) & 3, (k >> 3) & 3, k >> 5), _CTL),
+            "operand_values": RegisterGroup(
+                ("operand_a_lo", "operand_b_lo"), 256,
+                lambda k: (k & 15, k >> 4), _OPND),
+            "muldiv_mode": RegisterGroup(
+                ("md_state", "md_op"), _SPEC_KEYS, _muldiv_mode, _SPEC),
+            "muldiv_spec": RegisterGroup(
+                ("md_counter", "md_word"), _SPEC_KEYS, muldiv_spec, _MD_SPEC),
+            "muldiv_sign": RegisterGroup(
+                ("md_sign", "md_zero"), 8, lambda k: (k & 3, k >> 2), _MD_SZ),
+            "muldiv_result": RegisterGroup(
+                ("md_quot_lo", "md_rem_lo"), 256, lambda k: (k & 15, k >> 4), _MD_QR),
+            "fpu_mode": RegisterGroup(
+                ("fpu_state",), _SPEC_KEYS, _fpu_mode, _SPEC),
+            "fpu_spec": RegisterGroup(
+                ("fpu_fmt", "fdiv_cnt"), _SPEC_KEYS, _fpu_spec_values, _FPU_SPEC),
+            "fpu_ops": RegisterGroup(
+                ("fpu_rm", "fpu_flags", "fp_nv_sticky"), 512,
+                lambda k: (k & 7, (k >> 3) & 31, k >> 8), _FPU_OPS),
+            "fpu_sign_exp": RegisterGroup(
+                ("fp_sign", "fp_exp_lo"), 128, lambda k: (k & 3, k >> 2), _FPU_SE),
+            "fpu_mantissa": RegisterGroup(
+                ("fp_man_lo",), 64, lambda k: (k,), _FPU_MAN),
+            "lsu_mode": RegisterGroup(
+                ("lsu_state", "mem_op"), _SPEC_KEYS, _lsu_mode, _SPEC),
+            "lsu_address": RegisterGroup(
+                ("addr_lo", "line_off", "set_lo"), 1024,
+                lambda k: (k & 7, (k >> 3) & 7, k >> 6), _LSU_ADDR),
+            "lsu_access": RegisterGroup(
+                ("mem_size", "dcache_hit", "wb_dirty", "wdata_lo"), 512,
+                lambda k: (k & 3, (k >> 2) & 1, (k >> 3) & 1, k >> 4), _LSU_MISC),
+            "csrfile_class": RegisterGroup(
+                ("csr_cls",), _SPEC_KEYS, lambda k: (_KEY_CSR_CLASS[k],), _SPEC),
+            "csrfile_trap": RegisterGroup(
+                ("trap_valid", "trap_cause"), 32, lambda k: (k & 1, k >> 1),
+                key_of=_csr_trap_key),
+            "csrfile_access": RegisterGroup(
+                ("csr_addr_lo", "csr_wdata_lo"), 512, lambda k: (k & 15, k >> 4),
+                _CSR_OP),
+            "csrfile_status": RegisterGroup(
+                ("fs_status", "mie_bit", "priv"), 32,
+                lambda k: (k & 3, (k >> 2) & 1, k >> 3), _CSR_STAT),
+            "ptw": RegisterGroup(
+                ("ptw_state", "ptw_level"), 16, lambda k: (k & 3, k >> 2), _PTW_KEY),
+        }
+
+    # Always-observed groups the base hot path reads, in its order.
+    _ALWAYS_GROUPS = ("pc", "count", "spec", "operands", "immediate",
+                      "writeback", "result", "control", "operand_values")
+    # Conditional groups in each module's hot-path order.
+    _CONDITIONAL_GROUPS = {
+        "MulDiv": ("muldiv_mode", "muldiv_spec", "muldiv_sign", "muldiv_result"),
+        "FPU": ("fpu_mode", "fpu_spec", "fpu_ops", "fpu_sign_exp", "fpu_mantissa"),
+        "LSU": ("lsu_mode", "lsu_address", "lsu_access"),
+        "CSRFile": ("csrfile_class", "csrfile_trap", "csrfile_access",
+                    "csrfile_status"),
+        "PTW": ("ptw",),
+    }
+
+    def _reset_state(self, active):
+        state = [0] * self.STATE_SLOTS
+        state[_ACTIVE] = active
+        state[_LAST_MSTATUS] = state[_LAST_PRIV] = None
+        return state
+
+    @property
+    def vals(self):
+        """Every dynamic control register's current value by name: a
+        read-only mapping materialized from the positional state (restore
+        state through :meth:`restore_microarch`)."""
+        state = self._state
+        values = dict.fromkeys(self._homes, 0)
+        for group in self._register_groups.values():
+            values.update(zip(group.names, group.values(state)))
+        return MappingProxyType(values)
+
+    def capture_microarch(self):
+        """Everything :meth:`restore_microarch` needs to resume the model
+        exactly: the positional state, both caches, and the cross-iteration
+        core state (BOOM's branch predictor).  Plain, picklable data."""
+        return {"state": list(self._state),
+                "icache": self.icache.snapshot(),
+                "dcache": self.dcache.snapshot(),
+                "core": self.core_state_dict()}
+
+    def restore_microarch(self, captured):
+        """Load a :meth:`capture_microarch` result (any core of this class)."""
+        if len(captured["state"]) != self.STATE_SLOTS:
+            raise ValueError("micro-architectural state of another core class")
+        apply_core = self.prepare_core_state(captured["core"])
+        self._state = list(captured["state"])
+        self.icache.restore(captured["icache"])
+        self.dcache.restore(captured["dcache"])
+        apply_core()
+
+    # -- coverage wiring -----------------------------------------------------------
     def attach_coverage(self, design_coverage):
         """Install a :class:`~repro.coverage.DesignCoverage` built over
         :attr:`top`; micro-architectural samples start flowing into it.
 
         Only the *dynamic* control registers (those this abstraction level
         animates) enter the observations; static structural registers hold
-        zero and contribute nothing to the running index.  All per-module
-        lookup work (name resolution, contribution tables, width masks) is
-        resolved here, once, into :class:`_SlotBinding` objects that the
-        per-instruction path reuses allocation-free.
+        zero and contribute nothing to the index.  The group tables the
+        per-instruction path reads are built here, once.
         """
-        self.coverage = design_coverage
-        self._cov_bindings = []
-        self._cov_by_module = {}
-        self._slot_bindings = []
-        self._always_bindings = []
-        self._cond_bindings = []
-        self._slot_by_module = {}
+        placements = {}  # register name -> (contribution table, mask, shift)
+        decomp = []
+        ref_bindings = []
+        offset = 0
         for module_cov in design_coverage.modules:
             names = []
             positions = []
+            conditional = _CONDITIONAL_BITS.get(module_cov.name, 0)
+            shift = 0 if conditional else offset
             for position, register in enumerate(module_cov.layout.registers):
-                if register.name in self.vals:
-                    names.append(register.name)
-                    positions.append(position)
-            binding = (module_cov, tuple(names), tuple(positions))
-            self._cov_bindings.append(binding)
-            self._cov_by_module[module_cov.name] = binding
-            slot = _SlotBinding(module_cov, names, positions, self.vals)
-            self._slot_bindings.append(slot)
-            self._slot_by_module[module_cov.name] = slot
-            if module_cov.name in self.CONDITIONAL_MODULES:
-                self._cond_bindings.append((module_cov.name, slot))
-            else:
-                self._always_bindings.append(slot)
-        self._fused = _FusedObserver(self._always_bindings, self.vals)
-        self._active_modules = set()
-        self._prev_active = set()
+                home = self._homes.get(register.name)
+                if home is None:
+                    continue
+                if home != module_cov.name:
+                    raise ValueError(
+                        f"register {register.name!r} of {home} is instrumented "
+                        f"in {module_cov.name}; {self.name} observes each "
+                        "register in its own module")
+                names.append(register.name)
+                positions.append(position)
+                placements[register.name] = (module_cov.tables[position],
+                                             module_cov.value_masks[position],
+                                             shift)
+            ref_bindings.append((module_cov, tuple(names), tuple(positions),
+                                 conditional))
+            if not conditional:
+                field_bits = module_cov.layout.max_state_size
+                decomp.append((offset, (1 << field_bits) - 1, module_cov.map._seen))
+                offset += field_bits
+
+        tables = {name: self._group_table(group, placements)
+                  for name, group in self._register_groups.items()}
+        self.coverage = design_coverage
+        self._always = tuple(tables[name] for name in self._ALWAYS_GROUPS)
+        base_groups = set(self._ALWAYS_GROUPS).union(*self._CONDITIONAL_GROUPS.values())
+        self._extra = tuple((tables[name], group.slot)
+                            for name, group in self._register_groups.items()
+                            if name not in base_groups)
+        self._decomp = tuple(decomp)
+        self._skip = set()
+        self._ref_bindings = tuple(ref_bindings)
+        # A conditional module the design leaves out gets all-zero tables
+        # and a throwaway seen-set (it only ever holds index 0).
+        by_name = {module_cov.name: module_cov
+                   for module_cov in design_coverage.modules}
+        busy = {"MulDiv": ("md_counter", self.timing.div),
+                "FPU": ("fdiv_cnt", self.timing.fp_div)}
+        conditional = {}
+        for module_name, group_names in self._CONDITIONAL_GROUPS.items():
+            module_tables = tuple(tables[name] for name in group_names)
+            if module_name in busy:
+                counter, total = busy[module_name]
+                module_tables += (
+                    self._sample_deltas(counter, int(total), placements),)
+            module_cov = by_name.get(module_name)
+            conditional[module_name] = module_tables + (
+                set() if module_cov is None else module_cov.map._seen,)
+        self._muldiv = conditional["MulDiv"]
+        self._fpu = conditional["FPU"]
+        self._lsu = conditional["LSU"]
+        self._csrfile = conditional["CSRFile"]
+        self._ptw = conditional["PTW"]
+        self._state[_ACTIVE] = 0
+        self.use_reference_observer(self._reference_observer)
+
+    @staticmethod
+    def _group_table(group, placements):
+        """Entry k: XOR of the group's register contributions at key k."""
+        table = [0] * group.size
+        for name, column in zip(group.names, group.columns()):
+            placement = placements.get(name)
+            if placement is None:
+                continue
+            contributions, mask, shift = placement
+            shifted = [contribution << shift for contribution in contributions]
+            table = list(map(xor, table, map(shifted.__getitem__,
+                                             map(mask.__and__, column))))
+        return table
+
+    @staticmethod
+    def _sample_deltas(counter_name, total, placements):
+        """XOR deltas from a finished multi-cycle operation's index (its
+        counter back at 0) to each busy-counter sample's index."""
+        placement = placements.get(counter_name)
+        if placement is None:
+            return (0,) * len(_busy_samples(total))
+        contributions, mask, _ = placement
+        return tuple(contributions[0] ^ contributions[sample & mask]
+                     for sample in _busy_samples(total))
 
     def use_reference_observer(self, enabled=True):
-        """Route observation through the pre-overhaul tuple/memo slow path
-        (:meth:`ModuleCoverage.observe_state_reference`).  The equivalence
-        suite runs both paths and asserts bit-identical coverage."""
+        """Route observation through the table-independent oracle
+        (:meth:`ModuleCoverage.observe_state_reference` over :attr:`vals`).
+        The equivalence suite runs both paths and asserts bit-identical
+        coverage."""
         self._reference_observer = enabled
-        if not enabled and self.coverage is not None:
-            # Re-sync the incremental bindings with whatever state the
-            # reference path left behind.
-            for slot in self._slot_bindings:
-                slot.rebind(self.vals)
-            self._fused.rebind(self.vals)
+        self._combined_seen = (None if enabled or self.coverage is None
+                               else self._skip)
 
-    @hot_path
-    def _observe_active(self):
-        """Observe always-active modules plus any module whose state was
-        touched this instruction or the last (to capture return-to-idle)."""
-        vals = self.vals
-        if self._reference_observer:
-            observe_set = self._active_modules | self._prev_active
-            for module_cov, names, positions in self._cov_bindings:
-                if (module_cov.name in self.CONDITIONAL_MODULES
-                        and module_cov.name not in observe_set):
-                    continue
-                module_cov.observe_state_reference(
-                    # analyze: ignore[HOT001,HOT002] reference path, the oracle
-                    tuple([vals[name] for name in names]), positions
-                )
-            self._prev_active = self._active_modules
-            self._active_modules = set()  # analyze: ignore[HOT002] reference observer path only
-            return
-        self._fused.observe(vals)
-        active = self._active_modules
-        prev = self._prev_active
-        if active or prev:
-            for name, slot in self._cond_bindings:
-                if name in active or name in prev:
-                    slot.observe(vals)
-        # Swap-and-clear instead of allocating a fresh set per instruction.
-        self._prev_active = active
-        prev.clear()
-        self._active_modules = prev
-
-    def _observe_module(self, module_name):
-        if self._reference_observer:
-            binding = self._cov_by_module.get(module_name)
-            if binding is None:
-                return
-            module_cov, names, positions = binding
-            vals = self.vals
+    def _observe_reference(self, observed, kind):
+        """Observe this instruction through the oracle: every
+        always-observed module plus the ``observed`` conditional ones, and
+        the busy-counter samples of a multi-cycle operation."""
+        values = dict(self.vals)
+        for module_cov, names, positions, bit in self._ref_bindings:
+            if bit and not observed & bit:
+                continue
             module_cov.observe_state_reference(
-                tuple([vals[name] for name in names]), positions
-            )
-            return
-        slot = self._slot_by_module.get(module_name)
-        if slot is not None:
-            slot.observe(self.vals)
+                tuple([values[name] for name in names]), positions)
+        for busy, module_name, counter, total in (
+                (_DIV_KIND, "MulDiv", "md_counter", self.timing.div),
+                (_FDIV_KIND, "FPU", "fdiv_cnt", self.timing.fp_div)):
+            if not kind & busy:
+                continue
+            for module_cov, names, positions, _ in self._ref_bindings:
+                if module_cov.name != module_name:
+                    continue
+                for sample in _busy_samples(int(total)):
+                    values[counter] = sample
+                    module_cov.observe_state_reference(
+                        tuple([values[name] for name in names]), positions)
+                values[counter] = 0
 
     # -- program control ----------------------------------------------------------------
     def reset(self, keep_memory=False):
-        """Reset architectural and micro-architectural state."""
+        """Reset architectural and micro-architectural state.
+
+        The conditional modules the last instruction activated stay
+        recorded: the next instruction observes their return to idle.
+        """
         if not keep_memory:
             self.memory = SparseMemory()
         self.state = ArchState(pc=self.reset_pc)
@@ -614,16 +849,7 @@ class DutCore:
         self.dcache.flush()
         self.cycles = 0.0
         self.retired = 0
-        self._prev_rd = 0
-        self._br_hist = 0
-        self._last_mstatus = None
-        self._last_priv = None
-        for name in self.vals:
-            self.vals[name] = 0
-        for slot in self._slot_bindings:
-            slot.rebind(self.vals)
-        if self._fused is not None:
-            self._fused.rebind(self.vals)
+        self._state = self._reset_state(self._state[_ACTIVE])
 
     def load_program(self, address, words):
         self.memory.write_program(address, words)
@@ -642,8 +868,6 @@ class DutCore:
         self.cycles += self._latency(record, decoded)
         self.retired += 1
         self._update_microarch(record, decoded)
-        if self.coverage is not None:
-            self._observe_active()
         return record
 
     def run(self, max_instructions, stop_on=None):
@@ -714,205 +938,183 @@ class DutCore:
         cycles += timing.load_hit if hit else timing.cache_miss
         return cycles
 
-    # -- microarch state update ---------------------------------------------------------------
+    # -- microarch state update and observation ----------------------------------------------
     @hot_path
     def _update_microarch(self, record, decoded):
-        """Drive the control-register values from this instruction."""
-        vals = self.vals
-        vals["pc_lo"] = (record.pc >> 2) & 7
-        vals["fetch_addr_lo"] = (record.pc >> 2) & 15
-        vals["btb_tag_lo"] = (record.pc >> 5) & 31
-        vals["fq_count"] = (vals["fq_count"] + 1) & 7
-
-        active = self._active_modules
-        if record.trap is not None:
-            vals["trap_valid"] = 1
-            vals["trap_cause"] = min(record.trap.cause, 11)
-            vals["dec_illegal"] = 1 if record.trap.cause == 2 else 0
-            vals["misfetch"] = 1 if record.trap.cause in (0, 1) else 0
-            active.add("CSRFile")
-            self._prev_rd = 0
-            return
-
-        vals["trap_valid"] = 0
-        vals["dec_illegal"] = 0
-        vals["misfetch"] = 0
-        if decoded is None:
-            return
-        spec = decoded.spec
-        category = spec.category
-        name = spec.name
-        vals["dec_class"] = _CATEGORY_INDEX[category]
-        vals["ex_subop"] = _NAME_HASH[name]
-        vals["rd_lo"] = decoded.rd & 7
-        vals["rs1_lo"] = decoded.rs1 & 7
-        vals["rs2_lo"] = decoded.rs2 & 7
-        vals["opcode_lo"] = (record.word >> 2) & 31
-        vals["imm_sign"] = 1 if decoded.imm < 0 else 0
-        vals["dec_buf_cnt"] = (vals["dec_buf_cnt"] + 1) & 3
-        vals["shamt_reg"] = decoded.shamt & 15
-
-        prev_rd = self._prev_rd
-        raw = 1 if prev_rd and (prev_rd == decoded.rs1 or prev_rd == decoded.rs2) else 0
-        vals["raw_hazard"] = raw
-        self._prev_rd = record.rd or 0
-
-        taken = 0
-        if category is _BRANCH:
-            taken = 1 if record.next_pc != record.pc + 4 else 0
-            self._br_hist = ((self._br_hist << 1) | taken) & 3
-            vals["br_hist"] = self._br_hist
-            vals["pred_cnt"] = (vals["pred_cnt"] + (1 if taken else -1)) & 3
-        vals["br_taken"] = taken
-        if category is _JUMP:
-            vals["ras_ptr"] = (vals["ras_ptr"] + 1) & 3
-
-        state = self.state
-        rs1_value = state.xregs[decoded.rs1]
-        vals["operand_a_lo"] = rs1_value & 15
-        vals["operand_b_lo"] = state.xregs[decoded.rs2] & 15
-        if record.rd is not None:
-            vals["wb_sel"] = 1
-            vals["alu_res_lo"] = record.rd_value & 63
-            vals["result_zero"] = 1 if record.rd_value == 0 else 0
-            vals["result_sign"] = (record.rd_value >> 63) & 1
-        elif record.frd is not None:
-            vals["wb_sel"] = 2
-        else:
-            vals["wb_sel"] = 0
-        vals["cmp_flags"] = ((vals["result_zero"] << 1) | vals["result_sign"]) & 3
-        vals["fwd_sel"] = raw * 2 + (1 if vals["wb_sel"] else 0)
-
-        # MulDiv
-        if category is _MUL or category is _DIV:
-            active.add("MulDiv")
-            vals["md_op"] = 1 if category is _MUL else 2
-            vals["md_sign"] = ((rs1_value >> 63) << 1 | (state.xregs[decoded.rs2] >> 63)) & 3
-            vals["md_zero"] = 1 if state.xregs[decoded.rs2] == 0 else 0
-            vals["md_word"] = 1 if name.endswith("w") else 0
-            if record.rd_value is not None:
-                vals["md_quot_lo"] = record.rd_value & 15
-                vals["md_rem_lo"] = (record.rd_value >> 4) & 15
-            if category is _DIV:
-                self._multi_cycle("MulDiv", "md_state", "md_counter",
-                                  int(self.timing.div))
+        """Drive the control-register state from this instruction and
+        observe the coverage indices it produces."""
+        st = self._state
+        kpc = (record.pc >> 2) & 255
+        st[_PC] = kpc
+        cnt = st[_CNT]
+        trap = record.trap
+        if trap is None and decoded is not None:
+            # fq_count and dec_buf_cnt advance; the trap bits clear.
+            cnt = ((cnt + 1) & 7) | ((cnt + 8) & 24)
+            spec = decoded.spec
+            kind = spec.dut_kind
+            key = spec.dut_key
+            if kind & _CSR_KIND:
+                key += _CSR_CLASS.get(decoded.csr, 5)
+            rs1 = decoded.rs1
+            rs2 = decoded.rs2
+            kops = ((decoded.rd & 7) << 6) | ((rs1 & 7) << 3) | (rs2 & 7)
+            kimm = ((decoded.imm < 0) << 4) | (decoded.shamt & 15)
+            prev_rd = st[_PREV_RD]
+            raw = 1 if prev_rd and (prev_rd == rs1 or prev_rd == rs2) else 0
+            rd = record.rd
+            if rd is not None:
+                st[_PREV_RD] = rd
+                value = record.rd_value
+                kwb = raw | 2
+                kres = (value == 0) | ((value >> 63) << 1) | ((value & 63) << 2)
+                st[_RES] = kres
             else:
-                vals["md_state"] = 1
-                vals["md_counter"] = int(self.timing.mul) & 31
+                st[_PREV_RD] = 0
+                kwb = raw | 4 if record.frd is not None else raw
+                kres = st[_RES]
+            xregs = self.state.xregs
+            rs1_value = xregs[rs1]
+            rs2_value = xregs[rs2]
+            kopnd = (rs1_value & 15) | ((rs2_value & 15) << 4)
+            ctl = st[_CTL] & 126  # br_taken clears
+            active = kind & _MODULE_BITS
+            if kind:
+                if kind & _BRANCH_KIND:
+                    hist = (ctl >> 1) & 3
+                    pred = (ctl >> 3) & 3
+                    if record.next_pc != record.pc + 4:
+                        ctl = (1 | ((((hist << 1) | 1) & 3) << 1)
+                               | (((pred + 1) & 3) << 3) | (ctl & 96))
+                    else:
+                        ctl = (((hist << 1) & 3) << 1) | (((pred - 1) & 3) << 3) | (ctl & 96)
+                elif kind & _JUMP_KIND:
+                    ctl = (ctl & 31) | ((ctl + 32) & 96)
+                if kind & _MULDIV:
+                    st[_MD_SPEC] = key
+                    st[_MD_SZ] = (((rs1_value >> 63) << 1) | (rs2_value >> 63)
+                                  | ((rs2_value == 0) << 2))
+                    value = record.rd_value
+                    if value is not None:
+                        st[_MD_QR] = value & 255
+                if kind & _FPU:
+                    st[_FPU_SPEC] = key
+                    flags = record.fflags_set & 31
+                    # fp_nv_sticky (bit 8) keeps any NV flag (bit 4 of flags).
+                    st[_FPU_OPS] = (_RM_VALUE[decoded.rm] | (flags << 3)
+                                    | ((st[_FPU_OPS] | (flags << 4)) & 256))
+                    value = record.frd_value
+                    if value is not None:
+                        st[_FPU_SE] = (((value >> 63) << 1) | ((value >> 31) & 1)
+                                       | (((value >> 52) & 31) << 2))
+                        st[_FPU_MAN] = value & 63
+                if kind & _LSU:
+                    address = record.mem_addr
+                    if address is not None:
+                        st[_LSU_ADDR] = address & 1023
+                        stored = record.mem_value
+                        if stored is not None:
+                            misc = 8 | ((stored & 31) << 4)
+                        else:
+                            misc = st[_LSU_MISC] & _LSU_KEPT
+                        st[_LSU_MISC] = (misc | ((record.mem_size or 1).bit_length() - 1)
+                                         | (4 if self.dcache.hits else 0))
+                if kind & _CSR_KIND:
+                    value = record.csr_value
+                    if value is not None:
+                        st[_CSR_OP] = (decoded.csr & 15) | ((value & 31) << 4)
+                    else:
+                        st[_CSR_OP] = (decoded.csr & 15) | (st[_CSR_OP] & _CSR_KEPT)
+                if kind & _PTW:
+                    ptw = st[_PTW_KEY]
+                    ptw_state = ((ptw & 3) + 1) & 3
+                    st[_PTW_KEY] = (ptw_state or 1) | ((((ptw >> 2) + 1) % 3) << 2)
+            st[_SPEC] = key
+            st[_OPS] = kops
+            st[_IMM] = kimm
+            st[_WB] = kwb
+            st[_CTL] = ctl
+            st[_OPND] = kopnd
+            # mstatus/privilege change detection: the fs/mie/priv key is
+            # recomputed only when either moved since the last look.
+            arch = self.state
+            status = arch.csrs[_MSTATUS]
+            privilege = arch.privilege
+            if status != st[_LAST_MSTATUS] or privilege != st[_LAST_PRIV]:
+                kstat = (((status >> _FS_SHIFT) & 3) | (((status >> 3) & 1) << 2)
+                         | (privilege << 3))
+                if kstat != st[_CSR_STAT]:
+                    active |= _CSRFILE
+                    st[_CSR_STAT] = kstat
+                st[_LAST_MSTATUS] = status
+                st[_LAST_PRIV] = privilege
         else:
-            vals["md_state"] = 0
-            vals["md_op"] = 0
+            if trap is not None:
+                cause = trap.cause
+                cnt = (((cnt + 1) & 7) | (cnt & 24) | ((cause == 2) << 5)
+                       | ((cause <= 1) << 6) | 128)
+                st[_CSR_TRAP] = cause if cause < 11 else 11
+                st[_PREV_RD] = 0
+                active = _CSRFILE
+            else:
+                cnt = ((cnt + 1) & 7) | (cnt & 24)
+                active = 0
+            kind = 0
+            key = st[_SPEC]
+            kops = st[_OPS]
+            kimm = st[_IMM]
+            kwb = st[_WB]
+            kres = st[_RES]
+            ctl = st[_CTL]
+            kopnd = st[_OPND]
+        st[_CNT] = cnt
+        observed = active | st[_ACTIVE]
+        st[_ACTIVE] = active
 
-        # FPU
-        if category in _FP_CATEGORIES:
-            active.add("FPU")
-            vals["fpu_state"] = _FPU_STATE.get(category, 1)
-            vals["fpu_fmt"] = 1 if name.endswith(".d") else 0
-            vals["fpu_rm"] = decoded.rm if decoded.rm in (0, 1, 2, 3, 4, 7) else 7
-            vals["fpu_flags"] = record.fflags_set & 0x1F
-            if record.fflags_set & CSR.FFLAGS_NV:
-                vals["fp_nv_sticky"] = 1
-            if record.frd_value is not None:
-                frd_value = record.frd_value
-                vals["fp_sign"] = ((frd_value >> 63) << 1
-                                   | ((frd_value >> 31) & 1)) & 3
-                vals["fp_exp_lo"] = (record.frd_value >> 52) & 31
-                vals["fp_man_lo"] = record.frd_value & 63
-            if category is _FP_DIV:
-                self._multi_cycle("FPU", "fpu_state", "fdiv_cnt",
-                                  int(self.timing.fp_div), busy_value=2)
-        else:
-            vals["fpu_state"] = 0
-
-        # LSU
-        if category in _MEMORY_CATEGORIES:
-            active.add("LSU")
-            op = _MEM_OP[category]
-            vals["mem_op"] = op
-            vals["lsu_state"] = 4 if category is _AMO else op
-            address = record.mem_addr
-            if address is not None:
-                vals["addr_lo"] = address & 7
-                vals["line_off"] = (address >> 3) & 7
-                vals["set_lo"] = (address >> 6) & 15
-                vals["mem_size"] = (record.mem_size or 1).bit_length() - 1
-                if record.mem_value is not None:
-                    vals["wdata_lo"] = record.mem_value & 31
-                    vals["wb_dirty"] = 1
-                vals["dcache_hit"] = 1 if self.dcache.hits else 0
-        else:
-            vals["lsu_state"] = 0
-            vals["mem_op"] = 0
-
-        # CSRFile
-        if category is _CSR_CAT:
-            active.add("CSRFile")
-            vals["csr_cls"] = self._csr_class(decoded.csr)
-            vals["csr_addr_lo"] = decoded.csr & 15
-            if record.csr_value is not None:
-                vals["csr_wdata_lo"] = record.csr_value & 31
-        elif category is _SYSTEM:
-            active.add("CSRFile")
-            vals["csr_cls"] = 5
-        else:
-            vals["csr_cls"] = 0
-        self._mstatus_sync()
-
-        # PTW activity is tied to fences in this M-mode-only model.
-        if category is _FENCE:
-            active.add("PTW")
-            ptw_state = (vals["ptw_state"] + 1) & 3
-            vals["ptw_state"] = ptw_state if ptw_state else 1
-            vals["ptw_level"] = (vals["ptw_level"] + 1) % 3
-
-    @hot_path
-    def _mstatus_sync(self):
-        """MSTATUS/privilege change detection, cached: when neither moved
-        since the last non-trap instruction, the fs/mie/priv vals already
-        hold the current decoding and the whole block is skipped."""
-        state = self.state
-        status = state.csrs[CSR.MSTATUS]
-        privilege = state.privilege
-        if status == self._last_mstatus and privilege == self._last_priv:
+        skip = self._combined_seen
+        if skip is None:
+            if self._reference_observer:
+                self._observe_reference(observed, kind)
             return
-        vals = self.vals
-        fs_status = (status >> CSR.MSTATUS_FS_SHIFT) & 3
-        mie_bit = (status >> 3) & 1
-        if (fs_status != vals["fs_status"] or mie_bit != vals["mie_bit"]
-                or privilege != vals["priv"]):
-            self._active_modules.add("CSRFile")
-        vals["fs_status"] = fs_status
-        vals["mie_bit"] = mie_bit
-        vals["priv"] = privilege
-        self._last_mstatus = status
-        self._last_priv = privilege
-
-    @staticmethod
-    def _csr_class(address):
-        if address in (CSR.FFLAGS, CSR.FRM, CSR.FCSR):
-            return 1
-        if address in (CSR.MSTATUS, CSR.MISA, CSR.SSTATUS):
-            return 2
-        if address in (CSR.MCYCLE, CSR.MINSTRET, CSR.CYCLE, CSR.INSTRET, CSR.TIME):
-            return 3
-        if address in (CSR.MEPC, CSR.MCAUSE, CSR.MTVAL, CSR.MTVEC,
-                       CSR.SEPC, CSR.SCAUSE, CSR.STVAL, CSR.STVEC):
-            return 4
-        return 5
-
-    def _multi_cycle(self, module_name, state_name, counter_name, total,
-                     busy_value=2):
-        """Expose intermediate busy-counter states to coverage (a few
-        sampled values rather than one observation per cycle)."""
-        vals = self.vals
-        vals[state_name] = busy_value
-        if self.coverage is None:
-            vals[counter_name] = 0
+        t_pc, t_cnt, t_spec, t_ops, t_imm, t_wb, t_res, t_ctl, t_opnd = self._always
+        combined = (t_pc[kpc] ^ t_cnt[cnt] ^ t_spec[key] ^ t_ops[kops] ^ t_imm[kimm]
+                    ^ t_wb[kwb] ^ t_res[kres] ^ t_ctl[ctl] ^ t_opnd[kopnd])
+        for table, slot in self._extra:
+            combined ^= table[st[slot]]
+        if combined not in skip:
+            if len(skip) >= _COMBINED_SKIP_LIMIT:
+                evict_half(skip)
+            skip.add(combined)
+            for offset, mask, module_seen in self._decomp:
+                module_seen.add((combined >> offset) & mask)
+        if not observed:
             return
-        for sample in (total & 31, (total // 2) & 31, 1):
-            vals[counter_name] = min(sample, 24)
-            self._observe_module(module_name)
-        vals[counter_name] = 0
+        if observed & _MULDIV:
+            t_mode, t_spec, t_sign, t_result, samples, seen = self._muldiv
+            index = (t_mode[key] ^ t_spec[st[_MD_SPEC]] ^ t_sign[st[_MD_SZ]]
+                     ^ t_result[st[_MD_QR]])
+            seen.add(index)
+            if kind & _DIV_KIND:
+                for delta in samples:
+                    seen.add(index ^ delta)
+        if observed & _FPU:
+            t_mode, t_spec, t_ops, t_sign_exp, t_mantissa, samples, seen = self._fpu
+            index = (t_mode[key] ^ t_spec[st[_FPU_SPEC]] ^ t_ops[st[_FPU_OPS]]
+                     ^ t_sign_exp[st[_FPU_SE]] ^ t_mantissa[st[_FPU_MAN]])
+            seen.add(index)
+            if kind & _FDIV_KIND:
+                for delta in samples:
+                    seen.add(index ^ delta)
+        if observed & _LSU:
+            t_mode, t_address, t_access, seen = self._lsu
+            seen.add(t_mode[key] ^ t_address[st[_LSU_ADDR]] ^ t_access[st[_LSU_MISC]])
+        if observed & _CSRFILE:
+            t_class, t_trap, t_access, t_status, seen = self._csrfile
+            seen.add(t_class[key] ^ t_trap[(st[_CSR_TRAP] << 1) | (cnt >> 7)]
+                     ^ t_access[st[_CSR_OP]] ^ t_status[st[_CSR_STAT]])
+        if observed & _PTW:
+            t_ptw, seen = self._ptw
+            seen.add(t_ptw[st[_PTW_KEY]])
 
     # -- checkpoint protocol ---------------------------------------------------
     def core_state_dict(self):
@@ -926,8 +1128,13 @@ class DutCore:
         """
         return {}
 
-    def load_core_state(self, state):
-        """Restore a :meth:`core_state_dict` snapshot (default: no-op)."""
+    def prepare_core_state(self, state):
+        """Check a :meth:`core_state_dict` snapshot; returns the function
+        that loads it (checking changes nothing).  Raises ``ValueError``
+        or ``TypeError`` on a snapshot this core did not write."""
+        if state != {}:
+            raise ValueError(f"{self.name} carries no cross-iteration core state")
+        return lambda: None
 
     # -- introspection -----------------------------------------------------------------
     @property
@@ -938,23 +1145,3 @@ class DutCore:
         """Virtual seconds of FPGA time consumed so far."""
         frequency = frequency_hz or self.default_frequency_hz
         return self.cycles / frequency
-
-
-_FPU_STATE = {
-    Category.FP_ARITH: 1,
-    Category.FP_DIV: 2,
-    Category.FP_FMA: 3,
-    Category.FP_CVT: 4,
-    Category.FP_CMP: 5,
-    Category.FP_MOVE: 5,
-    Category.FP_LOAD: 1,
-    Category.FP_STORE: 1,
-}
-
-_MEM_OP = {
-    Category.LOAD: 1,
-    Category.FP_LOAD: 1,
-    Category.STORE: 2,
-    Category.FP_STORE: 2,
-    Category.AMO: 3,
-}

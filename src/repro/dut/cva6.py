@@ -5,11 +5,23 @@ micro-architectural modules; all ten CVA6 bugs (C1-C10) inject here.
 """
 
 from repro.analyze.markers import hot_path
-from repro.dut.core import CoreTiming, DutCore
+from repro.dut.core import BASE_STATE_SLOTS, CoreTiming, DutCore, RegisterGroup
 from repro.isa.instructions import Category
 
 # Hoisted so the hot _update_microarch override allocates nothing per call.
 _DIVIDES = frozenset({Category.DIV, Category.FP_DIV})
+
+# Positional state slot after the shared ones: issue pointer | divide << 3
+# | 16 (bit 4 marks a key written since reset; all registers read 0 before).
+_SCOREBOARD = BASE_STATE_SLOTS
+
+
+def _scoreboard_values(key):
+    if not key & 16:
+        return (0, 0, 0)
+    issue = key & 7
+    lag = 2 if key & 8 else 1
+    return (issue, (issue - lag) & 7, 1 if lag > 1 else 0)
 
 
 class Cva6Core(DutCore):
@@ -17,6 +29,7 @@ class Cva6Core(DutCore):
 
     name = "cva6"
     top_name = "CVA6"
+    STATE_SLOTS = BASE_STATE_SLOTS + 1
     timing = CoreTiming(
         base=1.0,
         branch_taken=5.0,   # deeper frontend than Rocket
@@ -57,17 +70,20 @@ class Cva6Core(DutCore):
         frontend.register("fetch_pipe_regs", width=12_000)
         top.memory("int_regfile", depth=31, width=64)
 
+    def _groups(self):
+        groups = super()._groups()
+        groups["scoreboard"] = RegisterGroup(
+            ("sb_issue_ptr", "sb_commit_ptr", "sb_full"), 32,
+            _scoreboard_values, _SCOREBOARD)
+        return groups
+
     @hot_path
     def _update_microarch(self, record, decoded):
-        super()._update_microarch(record, decoded)
-        if decoded is None:
-            return
-        # Scoreboard pointers advance with issue/commit; long-latency ops
-        # leave the scoreboard partially full.
-        vals = self.vals
-        issue = (vals["sb_issue_ptr"] + 1) & 7
-        vals["sb_issue_ptr"] = issue
-        category = decoded.spec.category
-        lag = 2 if category in _DIVIDES else 1
-        vals["sb_commit_ptr"] = (issue - lag) & 7
-        vals["sb_full"] = 1 if lag > 1 else 0
+        if decoded is not None:
+            # Scoreboard pointers advance with issue/commit; long-latency
+            # ops leave the scoreboard partially full.
+            st = self._state
+            issue = ((st[_SCOREBOARD] & 7) + 1) & 7
+            divide = 8 if decoded.spec.category in _DIVIDES else 0
+            st[_SCOREBOARD] = 16 | issue | divide
+        DutCore._update_microarch(self, record, decoded)

@@ -3,7 +3,8 @@
 On the FPGA, TurboFuzz captures the complete design state — logic, FFs,
 on-chip memories, DDR — via configuration readback when a mismatch occurs,
 for offline replay in a software simulator.  Here a snapshot captures the
-complete model state (architectural state, memory pages, micro-arch values,
+complete model state (architectural state, memory pages, the positional
+micro-architectural state with both caches and BOOM's branch predictor,
 coverage counters, cycle count) and can restore it bit-for-bit, which the
 debugging workflow in the examples uses the same way.
 """
@@ -21,7 +22,8 @@ class HardwareSnapshot:
     retired: int
     arch_state: dict
     memory_pages: dict
-    microarch_values: dict
+    microarch_values: dict  # register name -> value, for inspection
+    microarch: dict  # DutCore.capture_microarch(), what restore() loads
     coverage_counts: dict = field(default_factory=dict)
     annotation: str = ""
 
@@ -35,6 +37,7 @@ class HardwareSnapshot:
             arch_state=core.state.snapshot(),
             memory_pages=core.memory.snapshot_pages(),
             microarch_values=dict(core.vals),
+            microarch=core.capture_microarch(),
             coverage_counts=(
                 core.coverage.counts_by_module() if core.coverage else {}
             ),
@@ -49,7 +52,7 @@ class HardwareSnapshot:
             )
         core.state.restore(self.arch_state)
         core.memory.restore_pages(self.memory_pages)
-        core.vals.update(self.microarch_values)
+        core.restore_microarch(self.microarch)
         core.cycles = self.cycles
         core.retired = self.retired
 

@@ -1,15 +1,18 @@
 """Instruction word decoder.
 
 Decoding is the hottest path in the whole framework (every DUT and REF step
-decodes), so the decoder buckets specs by major opcode and memoizes decoded
-words in a module-level cache.  Fuzzing iterations reuse instruction words
-heavily (retained blocks, replayed seeds), which makes the cache effective.
+decodes), so decoded words are memoized in a module-level cache.  A miss
+is cheap too, because fuzzing keeps producing fresh words: each major
+opcode's specs are grouped by mask into ``match -> extractor`` dicts (no
+two specs overlap, so at most one dict entry can match), and each spec's
+extractor, chosen once from its operand format, builds the decoded tuple
+directly.
 """
 
-from dataclasses import dataclass
+from types import MethodType
+from typing import NamedTuple
 
 from repro.evict import evict_half
-from repro.isa.encoding import bits, sext
 from repro.isa.instructions import SPECS, InstrSpec
 
 
@@ -22,9 +25,11 @@ class IllegalInstruction(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True, slots=True)
-class DecodedInstr:
-    """A fully decoded instruction word."""
+class DecodedInstr(NamedTuple):
+    """A fully decoded instruction word.
+
+    Immutable: one instance is shared by every user of the decode cache.
+    """
 
     spec: InstrSpec
     word: int
@@ -50,103 +55,154 @@ class DecodedInstr:
         return f"DecodedInstr({self.spec.name}, word={self.word:#010x})"
 
 
-_BUCKETS = {}
-for _spec in SPECS:
-    _BUCKETS.setdefault(_spec.match & 0x7F, []).append(_spec)
+_new = tuple.__new__
 
 _CACHE = {}
 _ILLEGAL_CACHE = {}
 _CACHE_LIMIT = 1 << 18
 
 
+# Immediates: sign-extended from the bit layouts of the ISA manual.
 def _imm_i(word):
-    return sext(bits(word, 31, 20), 12)
+    # imm[11:0] = word[31:20]
+    imm = word >> 20
+    return imm - 0x1000 if imm & 0x800 else imm
 
 
 def _imm_s(word):
-    return sext((bits(word, 31, 25) << 5) | bits(word, 11, 7), 12)
+    # imm[11:5] = word[31:25], imm[4:0] = word[11:7]
+    imm = ((word >> 20) & 0xFE0) | ((word >> 7) & 0x1F)
+    return imm - 0x1000 if imm & 0x800 else imm
 
 
 def _imm_b(word):
-    raw = (
-        (bits(word, 31, 31) << 12)
-        | (bits(word, 7, 7) << 11)
-        | (bits(word, 30, 25) << 5)
-        | (bits(word, 11, 8) << 1)
-    )
-    return sext(raw, 13)
+    # imm[12] = word[31], imm[11] = word[7], imm[10:5] = word[30:25],
+    # imm[4:1] = word[11:8]
+    imm = (((word >> 19) & 0x1000) | ((word << 4) & 0x800)
+           | ((word >> 20) & 0x7E0) | ((word >> 7) & 0x1E))
+    return imm - 0x2000 if imm & 0x1000 else imm
 
 
 def _imm_u(word):
-    return sext(bits(word, 31, 12) << 12, 32)
+    # imm[31:12] = word[31:12]
+    imm = word & 0xFFFFF000
+    return imm - 0x1_0000_0000 if imm & 0x8000_0000 else imm
 
 
 def _imm_j(word):
-    raw = (
-        (bits(word, 31, 31) << 20)
-        | (bits(word, 19, 12) << 12)
-        | (bits(word, 20, 20) << 11)
-        | (bits(word, 30, 21) << 1)
-    )
-    return sext(raw, 21)
+    # imm[20] = word[31], imm[19:12] = word[19:12], imm[11] = word[20],
+    # imm[10:1] = word[30:21]
+    imm = ((word & 0x80000000) >> 11 | (word & 0xFF000)
+           | ((word >> 9) & 0x800) | ((word >> 20) & 0x7FE))
+    return imm - 0x20_0000 if imm & 0x10_0000 else imm
 
 
-def _extract(spec, word):
-    rd = bits(word, 11, 7)
-    rs1 = bits(word, 19, 15)
-    rs2 = bits(word, 24, 20)
-    fmt = spec.fmt
-    if fmt == "R":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, rs2=rs2)
-    if fmt in ("I", "L"):
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, imm=_imm_i(word))
-    if fmt == "R_SH":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, shamt=bits(word, 25, 20))
-    if fmt == "R_SHW":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, shamt=bits(word, 24, 20))
-    if fmt == "S":
-        return DecodedInstr(spec, word, rs1=rs1, rs2=rs2, imm=_imm_s(word))
-    if fmt == "B":
-        return DecodedInstr(spec, word, rs1=rs1, rs2=rs2, imm=_imm_b(word))
-    if fmt == "U":
-        return DecodedInstr(spec, word, rd=rd, imm=_imm_u(word))
-    if fmt == "J":
-        return DecodedInstr(spec, word, rd=rd, imm=_imm_j(word))
-    if fmt == "CSR":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, csr=bits(word, 31, 20))
-    if fmt == "CSRI":
-        return DecodedInstr(spec, word, rd=rd, zimm=rs1, csr=bits(word, 31, 20))
-    if fmt in ("FR", "R4"):
-        rs3 = bits(word, 31, 27) if fmt == "R4" else 0
-        return DecodedInstr(
-            spec, word, rd=rd, rs1=rs1, rs2=rs2, rs3=rs3, rm=bits(word, 14, 12)
-        )
-    if fmt in ("FR1", "FCVT_IF", "FCVT_FI"):
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, rm=bits(word, 14, 12))
-    if fmt in ("FRN", "FCMP"):
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, rs2=rs2)
-    if fmt == "FL":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, imm=_imm_i(word))
-    if fmt == "FS":
-        return DecodedInstr(spec, word, rs1=rs1, rs2=rs2, imm=_imm_s(word))
-    if fmt == "AMO":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1, rs2=rs2)
-    if fmt == "LR":
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1)
-    if fmt in ("NONE", "FENCE"):
-        return DecodedInstr(spec, word, rd=rd, rs1=rs1)
-    raise AssertionError(f"unhandled format {fmt!r}")  # pragma: no cover
+# One extractor per operand format: (spec, word) -> DecodedInstr, fields in
+# declaration order (spec, word, rd, rs1, rs2, rs3, imm, csr, shamt, rm, zimm).
+def _r(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               (word >> 20) & 31, 0, 0, 0, 0, 0, 0))
+
+
+def _i(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, _imm_i(word), 0, 0, 0, 0))
+
+
+def _sh(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, 0, 0, (word >> 20) & 63, 0, 0))
+
+
+def _shw(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, 0, 0, (word >> 20) & 31, 0, 0))
+
+
+def _s(spec, word):
+    return _new(DecodedInstr, (spec, word, 0, (word >> 15) & 31,
+                               (word >> 20) & 31, 0, _imm_s(word), 0, 0, 0, 0))
+
+
+def _b(spec, word):
+    return _new(DecodedInstr, (spec, word, 0, (word >> 15) & 31,
+                               (word >> 20) & 31, 0, _imm_b(word), 0, 0, 0, 0))
+
+
+def _u(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, 0, 0, 0,
+                               _imm_u(word), 0, 0, 0, 0))
+
+
+def _j(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, 0, 0, 0,
+                               _imm_j(word), 0, 0, 0, 0))
+
+
+def _csr(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, 0, word >> 20, 0, 0, 0))
+
+
+def _csri(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, 0, 0, 0, 0,
+                               word >> 20, 0, 0, (word >> 15) & 31))
+
+
+def _fr(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               (word >> 20) & 31, 0, 0, 0, 0, (word >> 12) & 7, 0))
+
+
+def _r4(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               (word >> 20) & 31, word >> 27, 0, 0, 0,
+                               (word >> 12) & 7, 0))
+
+
+def _fr1(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, 0, 0, 0, (word >> 12) & 7, 0))
+
+
+def _rd_rs1(spec, word):
+    return _new(DecodedInstr, (spec, word, (word >> 7) & 31, (word >> 15) & 31,
+                               0, 0, 0, 0, 0, 0, 0))
+
+
+_EXTRACTORS = {
+    "R": _r, "FRN": _r, "FCMP": _r, "AMO": _r,
+    "I": _i, "L": _i, "FL": _i,
+    "R_SH": _sh, "R_SHW": _shw,
+    "S": _s, "FS": _s, "B": _b, "U": _u, "J": _j,
+    "CSR": _csr, "CSRI": _csri,
+    "FR": _fr, "R4": _r4,
+    "FR1": _fr1, "FCVT_IF": _fr1, "FCVT_FI": _fr1,
+    "LR": _rd_rs1, "NONE": _rd_rs1, "FENCE": _rd_rs1,
+}
+
+
+def _build_buckets():
+    """Major opcode -> ((mask, {match: extractor bound to its spec}), ...)."""
+    buckets = {}
+    for spec in SPECS:
+        extractor = MethodType(_EXTRACTORS[spec.fmt], spec)
+        by_mask = buckets.setdefault(spec.match & 0x7F, {})
+        by_mask.setdefault(spec.mask, {})[spec.match] = extractor
+    return {opcode: tuple(by_mask.items()) for opcode, by_mask in buckets.items()}
+
+
+_BUCKETS = _build_buckets()
 
 
 def decode(word):
     """Decode a 32-bit instruction word, raising :class:`IllegalInstruction`.
 
     Results are memoized, including *illegal* words (mutation produces
-    them in bulk, and the bucket scan plus exception construction is the
-    expensive part — the cached instance is simply re-raised).  Both memo
-    tables are bounded with the shared evict-half policy instead of a
-    wholesale clear, so a long campaign never hits a re-miss-on-everything
-    latency cliff.
+    them in bulk, and exception construction is the expensive part — the
+    cached instance is simply re-raised).  Both memo tables are bounded
+    with the shared evict-half policy instead of a wholesale clear, so a
+    long campaign never hits a re-miss-on-everything latency cliff.
     """
     word &= 0xFFFFFFFF
     cached = _CACHE.get(word)
@@ -162,9 +218,10 @@ def decode(word):
     if word & 0b11 != 0b11:
         error = IllegalInstruction(word, "compressed/invalid length")
     else:
-        for spec in _BUCKETS.get(word & 0x7F, ()):
-            if word & spec.mask == spec.match:
-                decoded = _extract(spec, word)
+        for mask, extractors in _BUCKETS.get(word & 0x7F, ()):
+            extract = extractors.get(word & mask)
+            if extract is not None:
+                decoded = extract(word)
                 if len(_CACHE) >= _CACHE_LIMIT:
                     evict_half(_CACHE)
                 _CACHE[word] = decoded

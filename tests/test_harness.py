@@ -195,6 +195,38 @@ class TestSnapshot:
         replayed = [core.step().key_fields() for _ in range(10)]
         assert continued == replayed
 
+    @pytest.mark.parametrize("core_name", ["rocket", "boom"])
+    def test_restore_replays_cycles_and_microarch(self, core_name):
+        """The whole model comes back: after a restore, the architectural
+        results, the cycle count (caches, branch predictor) and every
+        micro-architectural value replay step for step."""
+        session = build_session(
+            CampaignSpec()
+            .with_fuzzer("turbofuzz", instructions_per_iteration=1000)
+            .with_core(core_name)
+            .with_seed(3))
+        session.run_iterations(5)
+        core = session.core
+        assert core.coverage is not None
+        image = build_image(session.fuzzer.generate_iteration())
+        core.reset_pc = image.layout.reset
+        core.reset()
+        image.install(core.memory)
+        for _ in range(300):
+            core.step()
+        snapshot = HardwareSnapshot.capture(core)
+
+        def trace(steps):
+            rows = []
+            for _ in range(steps):
+                record = core.step()
+                rows.append((record.key_fields(), core.cycles, dict(core.vals)))
+            return rows
+
+        continued = trace(200)
+        snapshot.restore(core)
+        assert trace(200) == continued
+
     def test_serialization_roundtrip(self):
         core = RocketCore()
         core.load_program(core.reset_pc, [0x13])

@@ -247,3 +247,109 @@ class TestAssembler:
 
     def test_disassemble_illegal(self):
         assert disassemble(0).startswith(".word")
+
+
+# -- an independent decoder ------------------------------------------------------
+# Field positions and immediate layouts transcribed from the RISC-V
+# Unprivileged ISA manual (base formats R/I/S/B/U/J, R4 for fused
+# multiply-add, Zicsr's csr/uimm fields); nothing here is shared with
+# ``repro.isa``'s decoder or encoder.  Which fields an operand format
+# carries is the spec table's convention (``repro.isa.instructions``).
+
+def _slice(word, hi, lo):
+    return (word >> lo) & ((1 << (hi - lo + 1)) - 1)
+
+
+def _signed(value, width):
+    return value - (1 << width) if value >> (width - 1) else value
+
+
+_ORACLE_FIELDS = {
+    "rd": lambda w: _slice(w, 11, 7),
+    "rs1": lambda w: _slice(w, 19, 15),
+    "rs2": lambda w: _slice(w, 24, 20),
+    "rs3": lambda w: _slice(w, 31, 27),
+    "rm": lambda w: _slice(w, 14, 12),
+    "csr": lambda w: _slice(w, 31, 20),
+    "zimm": lambda w: _slice(w, 19, 15),
+    "shamt6": lambda w: _slice(w, 25, 20),
+    "shamt5": lambda w: _slice(w, 24, 20),
+    "imm_i": lambda w: _signed(_slice(w, 31, 20), 12),
+    "imm_s": lambda w: _signed((_slice(w, 31, 25) << 5) | _slice(w, 11, 7), 12),
+    "imm_b": lambda w: _signed(
+        (_slice(w, 31, 31) << 12) | (_slice(w, 7, 7) << 11)
+        | (_slice(w, 30, 25) << 5) | (_slice(w, 11, 8) << 1), 13),
+    "imm_u": lambda w: _signed(_slice(w, 31, 12) << 12, 32),
+    "imm_j": lambda w: _signed(
+        (_slice(w, 31, 31) << 20) | (_slice(w, 19, 12) << 12)
+        | (_slice(w, 20, 20) << 11) | (_slice(w, 30, 21) << 1), 21),
+}
+
+_FORMAT_OPERANDS = {
+    "R": ("rd", "rs1", "rs2"), "FRN": ("rd", "rs1", "rs2"),
+    "FCMP": ("rd", "rs1", "rs2"), "AMO": ("rd", "rs1", "rs2"),
+    "I": ("rd", "rs1", "imm_i"), "L": ("rd", "rs1", "imm_i"),
+    "FL": ("rd", "rs1", "imm_i"),
+    "R_SH": ("rd", "rs1", "shamt6"), "R_SHW": ("rd", "rs1", "shamt5"),
+    "S": ("rs1", "rs2", "imm_s"), "FS": ("rs1", "rs2", "imm_s"),
+    "B": ("rs1", "rs2", "imm_b"),
+    "U": ("rd", "imm_u"), "J": ("rd", "imm_j"),
+    "CSR": ("rd", "rs1", "csr"), "CSRI": ("rd", "zimm", "csr"),
+    "FR": ("rd", "rs1", "rs2", "rm"), "R4": ("rd", "rs1", "rs2", "rs3", "rm"),
+    "FR1": ("rd", "rs1", "rm"), "FCVT_IF": ("rd", "rs1", "rm"),
+    "FCVT_FI": ("rd", "rs1", "rm"),
+    "LR": ("rd", "rs1"), "NONE": ("rd", "rs1"), "FENCE": ("rd", "rs1"),
+}
+
+# DecodedInstr attribute -> the oracle fields that may fill it.
+_DECODED_SLOTS = {
+    "rd": ("rd",), "rs1": ("rs1",), "rs2": ("rs2",), "rs3": ("rs3",),
+    "imm": ("imm_i", "imm_s", "imm_b", "imm_u", "imm_j"), "csr": ("csr",),
+    "shamt": ("shamt6", "shamt5"), "rm": ("rm",), "zimm": ("zimm",),
+}
+
+
+def oracle_decode(word):
+    """First spec whose mask/match accepts ``word`` and its operand fields
+    (absent ones 0), or None for a word no spec accepts."""
+    for spec in SPECS:
+        if word & spec.mask == spec.match:
+            carried = _FORMAT_OPERANDS[spec.fmt]
+            fields = {"spec": spec, "word": word}
+            for slot, sources in _DECODED_SLOTS.items():
+                present = [source for source in sources if source in carried]
+                fields[slot] = _ORACLE_FIELDS[present[0]](word) if present else 0
+            return fields
+    return None
+
+
+def assert_decoder_agrees(word):
+    expected = oracle_decode(word)
+    decoded = try_decode(word)
+    if expected is None:
+        assert decoded is None, f"{word:#010x} decoded as {decoded!r}"
+        with pytest.raises(IllegalInstruction):
+            decode(word)
+        return
+    assert decoded is not None, f"{word:#010x} ({expected['spec'].name}) rejected"
+    assert decode(word) is decoded
+    actual = {name: getattr(decoded, name) for name in expected}
+    assert actual == expected, f"{word:#010x}"
+
+
+class TestDecoderOracle:
+    """``decode`` agrees field for field with an independent first-match
+    decoder, or both reject."""
+
+    @settings(max_examples=1500)
+    @given(spec=st.sampled_from(SPECS),
+           operand_bits=st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_every_spec_under_random_operand_bits(self, spec, operand_bits):
+        word = spec.match | (operand_bits & ~spec.mask & 0xFFFF_FFFF)
+        assert oracle_decode(word)["spec"] is spec
+        assert_decoder_agrees(word)
+
+    @settings(max_examples=1500)
+    @given(word=st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_raw_words(self, word):
+        assert_decoder_agrees(word)

@@ -291,9 +291,15 @@ MALFORMED_STATES = {
         total_executed=str(state["total_executed"])),
     "clock-as-list": lambda state: state.update(
         clock=list(state["clock"].values())),
+    "no-branch-predictor": lambda state: state["core"].pop("branch_predictor"),
+    "branch-predictor-key-not-int": lambda state: (
+        state["core"]["branch_predictor"].update({"not-a-pc": 1})),
 }
-MALFORMED_CASES = ([("rocket", name) for name in MALFORMED_STATES]
-                   + [("boom", "no-core")])
+BOOM_ONLY = ("no-branch-predictor", "branch-predictor-key-not-int")
+MALFORMED_CASES = ([("rocket", name) for name in MALFORMED_STATES
+                    if name not in BOOM_ONLY]
+                   + [("boom", "no-core")]
+                   + [("boom", name) for name in BOOM_ONLY])
 
 
 class TestAtomicCheckpoint:
