@@ -11,8 +11,8 @@ The properties the paper measures against:
 * no corpus / no coverage feedback — each program is independent,
 * software-only execution (RTL simulation throughput).
 
-It reuses the TurboFuzz block builder for architectural validity but keeps
-its own program shaping: moderate jump windows, chained register
+It reuses the TurboFuzz block emitters for architectural validity but
+keeps its own program shaping: moderate jump windows, chained register
 dependencies, and a deliberate absence of feedback.
 """
 
@@ -89,17 +89,17 @@ class CascadeFuzzer:
     def generate_iteration(self, instruction_budget=None):
         """One independent valid-by-construction program."""
         budget = instruction_budget or self.config.instructions_per_iteration
+        window = self.config.jump_window_blocks
+        # The list sample_weighted() draws from, fetched once per program.
+        specs = self.library.weighted_specs(self._weights)
+        build = self.builder.build
+        choice = self.lfsr.choice
         blocks = []
         total = 0
-        index = 0
         while total < budget:
-            spec = self.library.sample_weighted(self.lfsr, self._weights)
-            block = self.builder.build(
-                spec, index, budget, self.config.jump_window_blocks
-            )
+            block = build(choice(specs), len(blocks), budget, window)
             blocks.append(block)
-            total += block.size
-            index += 1
+            total += len(block.entries)
         iteration = Iteration(
             blocks=blocks,
             layout=self.layout,
@@ -119,11 +119,19 @@ class CascadeFuzzer:
             "library": self.library.state_dict(),
         }
 
-    def load_state(self, state):
-        self.lfsr.load_state(state["lfsr"])
-        self.iterations = int(state["iterations"])
-        if "library" in state:  # older checkpoints predate the library key
-            self.library.load_state(state["library"])
+    def prepare_state(self, state):
+        """Decode a :meth:`state_dict` and check all of it; returns the
+        function that applies it (decoding changes nothing)."""
+        lfsr = Lfsr()
+        lfsr.load_state(state["lfsr"])
+        iterations = int(state["iterations"])
+        apply_library = self.library.prepare_state(state["library"])
+
+        def apply():
+            self.lfsr.state = lfsr.state
+            self.iterations = iterations
+            apply_library()
+        return apply
 
     def feedback(self, iteration, coverage_increment):
         """Cascade is not coverage-guided: feedback is discarded."""

@@ -218,15 +218,22 @@ class DifuzzRtlFuzzer:
             "library": self.library.state_dict(),
         }
 
-    def load_state(self, state):
-        from repro.fuzzer.blocks import InstructionBlock
-
-        self.lfsr.load_state(state["lfsr"])
-        self.corpus = [
+    def prepare_state(self, state):
+        """Decode a :meth:`state_dict` and check all of it; returns the
+        function that applies it (decoding changes nothing)."""
+        lfsr = Lfsr()
+        lfsr.load_state(state["lfsr"])
+        corpus = [
             [InstructionBlock.from_state(block) for block in blocks]
             for blocks in state["corpus"]
         ]
-        self.iterations = int(state["iterations"])
-        if "library" in state:  # older checkpoints predate the library key
-            self.library.load_state(state["library"])
-        self._pending = None
+        iterations = int(state["iterations"])
+        apply_library = self.library.prepare_state(state["library"])
+
+        def apply():
+            self.lfsr.state = lfsr.state
+            self.corpus = corpus
+            self.iterations = iterations
+            apply_library()
+            self._pending = None
+        return apply

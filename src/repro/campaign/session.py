@@ -9,7 +9,6 @@ triage subscribe instead of special-casing the driver loop.
 """
 
 from dataclasses import dataclass
-from functools import partial
 
 from repro.campaign.checkpoint import CheckpointError
 from repro.campaign.events import EventBus
@@ -369,7 +368,7 @@ class CampaignSession:
                 f"fuzzer {type(self.fuzzer).__name__!r} does not implement "
                 f"the checkpoint protocol ({method}()); checkpointing and "
                 "the supervised-queue backend require registered fuzzers to "
-                "provide state_dict()/load_state()"
+                "provide state_dict()/prepare_state()"
             )
         return hook
 
@@ -445,9 +444,7 @@ class CampaignSession:
             raise CheckpointError(
                 f"checkpoint state was taken at {base}, but this session "
                 f"is at {self._base()}")
-        prepare_fuzzer = getattr(self.fuzzer, "prepare_state", None)
-        load_fuzzer = (None if prepare_fuzzer
-                       else self._fuzzer_protocol("load_state"))
+        prepare_fuzzer = self._fuzzer_protocol("prepare_state")
         try:
             history = [IterationOutcome.from_dict(outcome)
                        for outcome in state["history"]]
@@ -457,8 +454,7 @@ class CampaignSession:
             apply_coverage = self.coverage.prepare_state(state["coverage"])
             if not isinstance(state["fuzzer"], dict):
                 raise TypeError("fuzzer state must be an object")
-            apply_fuzzer = (partial(load_fuzzer, state["fuzzer"]) if load_fuzzer
-                            else prepare_fuzzer(state["fuzzer"]))
+            apply_fuzzer = prepare_fuzzer(state["fuzzer"])
             for key, kind in DELTA_VERBATIM.items():
                 if not isinstance(state[key], kind):
                     raise TypeError(f"{key} must be {kind.__name__}")

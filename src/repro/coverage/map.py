@@ -9,8 +9,7 @@ class CoverageMap:
     Sparse (a set) because even long campaigns observe a small fraction of
     the instrumented space; ``observe`` returns whether the point is new,
     which is the fuzzer's feedback signal.  A map only grows: nothing
-    removes a point once observed, which is what lets the DUT cores'
-    skip caches trust their entries for the life of the map.
+    removes a point once observed.
     """
 
     __slots__ = ("instrumented_points", "_seen")

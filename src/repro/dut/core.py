@@ -30,9 +30,8 @@ values.
   always-observed modules' indices are concatenated into one *combined*
   integer, each module in its own bit field with the tables pre-shifted
   into it, so one lookup per group yields every always-observed index.
-  A skip cache of combined indices already recorded saves splitting a
-  combined index again; on first sight it is split into the modules'
-  coverage maps at once, so the maps are exact after every instruction.
+  Each combined index is split into the modules' coverage maps at once,
+  so the maps are exact after every instruction.
 * A conditional module (MulDiv, FPU, LSU, CSRFile, PTW) is observed on the
   instruction that activates it and on the next one (to capture its return
   to idle); a multi-cycle operation also records a few sampled
@@ -58,7 +57,6 @@ from types import MappingProxyType
 from repro.analyze.markers import hot_path
 from repro.dut.bugs import BuggyHooks, CorrectHooks
 from repro.dut.caches import DirectMappedCache
-from repro.evict import evict_half
 from repro.isa import csr as CSR
 from repro.isa.decoder import _CACHE as _DECODE_CACHE
 from repro.isa.decoder import try_decode
@@ -85,9 +83,6 @@ def _name_hash(name):
 
 
 _TRAP_CAUSE_DOMAIN = tuple(range(12))
-
-# Bound for the combined-observation skip cache (idempotent to evict).
-_COMBINED_SKIP_LIMIT = 1 << 20
 
 # -- per-spec kind bits -----------------------------------------------------------
 # The low five bits name the conditional modules an instruction activates
@@ -360,8 +355,8 @@ class DutCore:
     # attach_coverage / use_reference_observer on the restored design)
     # or netlist structure identical in any same-spec process.
     _checkpoint_transient = frozenset({
-        "coverage", "regs", "_homes", "_always", "_extra", "_decomp", "_skip",
-        "_combined_seen", "_muldiv", "_fpu", "_lsu", "_csrfile", "_ptw",
+        "coverage", "regs", "_homes", "_always", "_extra", "_decomp", "_split",
+        "_muldiv", "_fpu", "_lsu", "_csrfile", "_ptw",
         "_ref_bindings", "_reference_observer",
     })
 
@@ -381,7 +376,7 @@ class DutCore:
         self.dcache = DirectMappedCache(sets=256)
         self.coverage = None
         self._reference_observer = False
-        self._combined_seen = None  # skip cache while observing by table
+        self._split = None  # _decomp while observing by table, else None
         self.cycles = 0.0
         self.retired = 0
         self.top = Module(self.top_name)
@@ -748,7 +743,6 @@ class DutCore:
                             for name, group in self._register_groups.items()
                             if name not in base_groups)
         self._decomp = tuple(decomp)
-        self._skip = set()
         self._ref_bindings = tuple(ref_bindings)
         # A conditional module the design leaves out gets all-zero tables
         # and a throwaway seen-set (it only ever holds index 0).
@@ -805,8 +799,8 @@ class DutCore:
         The equivalence suite runs both paths and asserts bit-identical
         coverage."""
         self._reference_observer = enabled
-        self._combined_seen = (None if enabled or self.coverage is None
-                               else self._skip)
+        self._split = (None if enabled or self.coverage is None
+                       else self._decomp)
 
     def _observe_reference(self, observed, kind):
         """Observe this instruction through the oracle: every
@@ -1071,8 +1065,8 @@ class DutCore:
         observed = active | st[_ACTIVE]
         st[_ACTIVE] = active
 
-        skip = self._combined_seen
-        if skip is None:
+        split = self._split
+        if split is None:
             if self._reference_observer:
                 self._observe_reference(observed, kind)
             return
@@ -1081,12 +1075,8 @@ class DutCore:
                     ^ t_wb[kwb] ^ t_res[kres] ^ t_ctl[ctl] ^ t_opnd[kopnd])
         for table, slot in self._extra:
             combined ^= table[st[slot]]
-        if combined not in skip:
-            if len(skip) >= _COMBINED_SKIP_LIMIT:
-                evict_half(skip)
-            skip.add(combined)
-            for offset, mask, module_seen in self._decomp:
-                module_seen.add((combined >> offset) & mask)
+        for offset, mask, module_seen in split:
+            module_seen.add((combined >> offset) & mask)
         if not observed:
             return
         if observed & _MULDIV:

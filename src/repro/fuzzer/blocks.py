@@ -6,6 +6,18 @@ prerequisites (base-address materialization for jalr, aligned-address setup
 for AMOs).  An *iteration* is the fuzzer's output unit: tens to thousands
 of instruction blocks assembled into an executable program image.
 
+Each spec's block is made by its *emitter* (the paper's random generation
+and operand assignment modules), bound once at import and chosen from the
+spec's format, as the decoder binds one field extractor per spec.  An
+emitter takes the LFSR state as an int and steps it inline for each
+operand.  It ORs into ``spec.match`` each register, CSR and rounding mode
+from a pre-shifted constant pool (range-checked once, when the emitter is
+bound; the values come from :mod:`repro.fuzzer.context`) and each
+immediate from the draw's low bits, and returns the new state with the
+block: no format dispatch, operand method or encoder call per block.  Its
+draws and words are those ``encode()`` gives for the same operands, which
+the tests check for every spec.
+
 Control-flow targets always land on block base addresses (the paper's
 validity guarantee); assembly is two-pass — blocks are laid out, then
 branch/jump/jalr words are patched with real offsets.
@@ -13,9 +25,21 @@ branch/jump/jalr words are patched with real offsets.
 
 from dataclasses import dataclass, field
 
-from repro.fuzzer.context import REG_JALR_TEMP
+from repro.fuzzer.context import (
+    FREG_POOL,
+    GENERATABLE_CSRS,
+    INVALID_RMS,
+    RD_POOL,
+    REG_DATA_BASE,
+    REG_INSTR_BASE,
+    REG_JALR_TEMP,
+    RS_POOL,
+    VALID_RMS,
+    WRITABLE_CSRS,
+)
 from repro.isa.encoder import encode
-from repro.isa.instructions import Category, SPECS_BY_NAME
+from repro.isa.encoding import MASK64
+from repro.isa.instructions import SPECS, SPECS_BY_NAME, Category
 
 
 @dataclass(slots=True)
@@ -147,28 +171,31 @@ class Iteration:
         ``ecall`` terminates the iteration (the trap handler routes it to
         the done loop).
         """
+        blocks = self.blocks
+        count = len(blocks)
         base = self.fuzz_base
-        self.block_bases = []
+        bases = []
         cursor = base
-        for block in self.blocks:
-            self.block_bases.append(cursor)
-            cursor += 4 * block.size
+        for block in blocks:
+            bases.append(cursor)
+            cursor += 4 * len(block.entries)
+        self.block_bases = bases
 
         words = list(self.setup_words)
-        cursor = base
-        for index, block in enumerate(self.blocks):
+        append = words.append
+        for index, block in enumerate(blocks):
             target_address = None
-            if block.is_control_flow and block.target_block is not None:
+            if block.cf_kind and block.target_block is not None:
                 # Clamp to a strictly-forward block: a target at or before
                 # the block itself (possible after retention re-indexing)
                 # would create a backward edge or a self-loop.
-                target_index = min(block.target_block, len(self.blocks) - 1)
+                target_index = min(block.target_block, count - 1)
                 if target_index <= index:
                     target_index = index + 1
-                if target_index < len(self.blocks):
-                    target_address = self.block_bases[target_index]
+                if target_index < count:
+                    target_address = bases[target_index]
+            address = bases[index]
             for entry in block.entries:
-                word = entry.word
                 if entry.needs_target_patch:
                     # Fallback for dangling control flow (e.g. a retained
                     # jalr whose target fell off the end): continue at the
@@ -176,12 +203,14 @@ class Iteration:
                     effective_target = (
                         target_address
                         if target_address is not None
-                        else self.block_bases[index] + 4 * block.size
+                        else bases[index] + 4 * len(block.entries)
                     )
-                    word = self._patch(entry, word, cursor, effective_target)
-                words.append(word)
-                cursor += 4
-        words.append(encode("ecall"))
+                    append(self._patch(entry, entry.word, address,
+                                       effective_target))
+                else:
+                    append(entry.word)
+                address += 4
+        append(_ECALL)
         self.words = words
         self._total_cache = ((cursor - base) >> 2) + len(self.setup_words)
         return words
@@ -211,6 +240,9 @@ class Iteration:
         raise ValueError(f"unknown patch kind {entry.patch_kind!r}")
 
 
+_ECALL = encode("ecall")
+
+
 def _set_b_imm(word, imm):
     word &= ~0xFE000F80  # clear imm bits of B-format
     imm &= 0x1FFF
@@ -228,8 +260,9 @@ def _set_j_imm(word, imm):
 
 
 class BlockBuilder:
-    """Builds instruction blocks from specs + a fuzzing context
-    (the paper's random generation + operand assignment modules)."""
+    """Builds single instruction blocks from specs through their emitters,
+    stepping the context's LFSR object (the generation loops keep the
+    state on a local and call the emitters directly)."""
 
     def __init__(self, context):
         self.context = context
@@ -240,122 +273,48 @@ class BlockBuilder:
         ``jump_window`` limits forward control-flow distance in blocks
         (``None`` = unbounded, the prior-work behaviour).
         """
-        ctx = self.context
-        fmt = spec.fmt
-        name = spec.name
-        category = spec.category
+        context = self.context
+        lfsr = context.lfsr
+        lfsr.state, block = EMITTERS[spec.name](
+            lfsr.state, block_index, total_blocks, jump_window,
+            context.odds())
+        return block
 
-        if category is Category.BRANCH:
-            word = encode(name, rs1=ctx.gen_rs(), rs2=ctx.gen_rs(), imm=4)
-            target = ctx.pick_jump_target(block_index, total_blocks, jump_window)
-            entry = StimulusEntry(word, needs_target_patch=target is not None,
-                                  patch_kind="branch")
-            return InstructionBlock(name, [entry], cf_kind="branch",
-                                    target_block=target)
 
-        if name == "jal":
-            word = encode("jal", rd=ctx.gen_rd(), imm=4)
-            target = ctx.pick_jump_target(block_index, total_blocks, jump_window)
-            entry = StimulusEntry(word, needs_target_patch=target is not None,
-                                  patch_kind="jal")
-            return InstructionBlock(name, [entry], cf_kind="jal",
-                                    target_block=target)
+# -- emitters -------------------------------------------------------------------
+# Signature: emit(state, block_index, total_blocks, jump_window, odds)
+# -> (state, block): ``state`` is the LFSR state, ``odds`` is
+# FuzzContext.odds(), and the block position, the iteration's block bound
+# and the jump window place a control-flow target.  Each ``state ^= ...``
+# triple is one Lfsr.next() step.  A register, CSR, rounding mode or shift
+# amount is ``pool[state % len(pool)]`` from a pool of its field bits
+# (Lfsr.choice over the context's values; Lfsr.below over a range); an
+# immediate is the draw's low bits (Lfsr.bits) moved into its field.  A
+# Bernoulli draw compares masked bits, as Lfsr.chance does.  Operands are
+# drawn in the order the docstrings list them.
 
-        if name == "jalr":
-            target = ctx.pick_jump_target(block_index, total_blocks, jump_window)
-            if target is None:
-                # No forward block to land on: degrade to a nop-like addi.
-                word = encode("addi", rd=ctx.gen_rd(), rs1=0, imm=ctx.gen_imm12())
-                return InstructionBlock("addi", [StimulusEntry(word)])
-            lui = StimulusEntry(0, is_prime=False, needs_target_patch=True,
-                                patch_kind="lui")
-            addi = StimulusEntry(0, is_prime=False, needs_target_patch=True,
-                                 patch_kind="addi")
-            word = encode("jalr", rd=ctx.gen_rd(), rs1=REG_JALR_TEMP, imm=0)
-            prime = StimulusEntry(word)
-            return InstructionBlock(name, [lui, addi, prime], cf_kind="jalr",
-                                    target_block=target)
+def _placed(values, width, shift):
+    """``values`` as the bits of a ``width``-bit field at bit ``shift``,
+    checked once to fit it."""
+    if min(values) < 0 or max(values) >= 1 << width:
+        raise ValueError(f"operand pool does not fit a {width}-bit field")
+    return tuple([value << shift for value in values])
 
-        if fmt == "L":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.read_base_reg(),
-                          imm=ctx.mem_offset(_access_size(name)))
-            return InstructionBlock(name, [StimulusEntry(word)])
-        if fmt == "FL":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.read_base_reg(),
-                          imm=ctx.mem_offset(_access_size(name)))
-            return InstructionBlock(name, [StimulusEntry(word)])
-        if fmt == "S":
-            word = encode(name, rs2=ctx.gen_rs(), rs1=ctx.write_base_reg(),
-                          imm=ctx.mem_offset(_access_size(name)))
-            return InstructionBlock(name, [StimulusEntry(word)])
-        if fmt == "FS":
-            word = encode(name, rs2=ctx.gen_freg(), rs1=ctx.write_base_reg(),
-                          imm=ctx.mem_offset(_access_size(name)))
-            return InstructionBlock(name, [StimulusEntry(word)])
 
-        if fmt in ("AMO", "LR"):
-            size = 8 if name.endswith(".d") else 4
-            setup = StimulusEntry(
-                encode("addi", rd=REG_JALR_TEMP, rs1=ctx.write_base_reg(),
-                       imm=ctx.amo_offset(size)),
-                is_prime=False,
-            )
-            if fmt == "LR":
-                word = encode(name, rd=ctx.gen_rd(), rs1=REG_JALR_TEMP)
-            else:
-                word = encode(name, rd=ctx.gen_rd(), rs1=REG_JALR_TEMP,
-                              rs2=ctx.gen_rs())
-            return InstructionBlock(name, [setup, StimulusEntry(word)])
-
-        if fmt == "R":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_rs(), rs2=ctx.gen_rs())
-        elif fmt == "I":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_rs(),
-                          imm=ctx.gen_imm12())
-        elif fmt == "R_SH":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_rs(),
-                          shamt=ctx.gen_shamt())
-        elif fmt == "R_SHW":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_rs(),
-                          shamt=ctx.gen_shamt(word_variant=True))
-        elif fmt == "U":
-            word = encode(name, rd=ctx.gen_rd(), imm=ctx.gen_uimm20() << 12)
-        elif fmt == "CSR":
-            writable = name != "csrrs" and name != "csrrc"
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_rs(),
-                          csr=ctx.gen_csr(writable))
-        elif fmt == "CSRI":
-            writable = name == "csrrwi"
-            word = encode(name, rd=ctx.gen_rd(), zimm=ctx.lfsr.bits(5),
-                          csr=ctx.gen_csr(writable))
-        elif fmt == "FR":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.gen_freg(),
-                          rs2=ctx.gen_freg(), rm=ctx.gen_rm())
-        elif fmt == "R4":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.gen_freg(),
-                          rs2=ctx.gen_freg(), rs3=ctx.gen_freg(),
-                          rm=ctx.gen_rm())
-        elif fmt == "FR1":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.gen_freg(),
-                          rm=ctx.gen_rm())
-        elif fmt == "FRN":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.gen_freg(),
-                          rs2=ctx.gen_freg())
-        elif fmt == "FCMP":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_freg(),
-                          rs2=ctx.gen_freg())
-        elif fmt == "FCVT_IF":
-            word = encode(name, rd=ctx.gen_rd(), rs1=ctx.gen_freg(),
-                          rm=ctx.gen_rm())
-        elif fmt == "FCVT_FI":
-            word = encode(name, rd=ctx.gen_freg(), rs1=ctx.gen_rs(),
-                          rm=ctx.gen_rm())
-        elif fmt in ("NONE", "FENCE"):
-            word = encode(name)
-        else:
-            raise ValueError(f"block builder cannot handle format {fmt!r}")
-        return InstructionBlock(name, [StimulusEntry(word)])
-
+_RD = _placed(RD_POOL, 5, 7)
+_RS1 = _placed(RS_POOL, 5, 15)
+_RS2 = _placed(RS_POOL, 5, 20)
+_FD, _FS1, _FS2, _FS3 = (_placed(FREG_POOL, 5, shift) for shift in (7, 15, 20, 27))
+_SHAMT = _placed(range(64), 6, 20)  # below(64); below(32) for *W shifts
+_SHAMTW = _placed(range(32), 5, 20)
+_ZIMM = _placed(range(32), 5, 15)  # bits(5)
+_UIMM = range(0, 1 << 32, 1 << 12)  # bits(20) << 12: a pool computed on index
+_CSRS = {True: _placed(WRITABLE_CSRS, 12, 20),
+         False: _placed(GENERATABLE_CSRS, 12, 20)}
+# (valid, invalid) rounding modes; a spec whose rm field is fixed still
+# draws one.
+_RMS = (_placed(VALID_RMS, 3, 12), _placed(INVALID_RMS, 3, 12))
+_NO_RMS = ((0,) * len(VALID_RMS), (0,) * len(INVALID_RMS))
 
 _ACCESS_SIZES = {
     "lb": 1, "lbu": 1, "sb": 1,
@@ -363,7 +322,261 @@ _ACCESS_SIZES = {
     "lw": 4, "lwu": 4, "sw": 4, "flw": 4, "fsw": 4,
     "ld": 8, "sd": 8, "fld": 8, "fsd": 8,
 }
+# Memory displacements: the 11 drawn bits less 1 KiB, aligned down to the
+# access size (within -1 KiB..+1 KiB of a base register that points 2 KiB
+# into its segment), as 12-bit two's-complement field bits.
+_MEM_OFFSET_BIAS = 1 << 10
 
 
-def _access_size(name):
-    return _ACCESS_SIZES[name]
+def _jump_target(state, index, total, window):
+    """``(state, target)``: a forward target block index within ``window``
+    blocks (``None``: unbounded, the prior fuzzers' behaviour, whose
+    expected jump distance E_j = 1 + (L - p)/2 wastes most of the
+    iteration, paper eq. 1), or ``None`` without a draw when no block
+    follows."""
+    first = index + 1
+    if first >= total:
+        return state, None
+    last = total - 1 if window is None else min(total - 1, index + window)
+    if last < first:
+        raise ValueError("bound must be positive")
+    state ^= (state << 13) & MASK64
+    state ^= state >> 7
+    state ^= (state << 17) & MASK64
+    return state, first + state % (last - first + 1)
+
+
+def _emit_plain(spec, pools, fixed=0):
+    """One word: ``spec.match`` with the ``fixed`` bits, and an operand
+    from each pool."""
+    match, name = spec.match | fixed, spec.name
+    fields = tuple((pool, len(pool)) for pool in pools)
+
+    def emit(state, index, total, window, odds):
+        word = match
+        for pool, count in fields:
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            word |= pool[state % count]
+        return state, InstructionBlock(name, [StimulusEntry(word)])
+    return emit
+
+
+def _emit_rounded(spec, pools):
+    """FP registers and the like from ``pools``, then a rounding mode:
+    an invalid one with the configured odds (exercising the
+    illegal-instruction path and bug B2), else a valid one."""
+    match, name = spec.match, spec.name
+    fields = tuple((pool, len(pool)) for pool in pools)
+    valid, invalid = _NO_RMS if spec.mask & 0x7000 else _RMS
+    valid_count, invalid_count = len(valid), len(invalid)
+
+    def emit(state, index, total, window, odds):
+        word = match
+        for pool, count in fields:
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            word |= pool[state % count]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        invalid_rm = (state & odds[1]) < odds[0]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        if invalid_rm:
+            word |= invalid[state % invalid_count]
+        else:
+            word |= valid[state % valid_count]
+        return state, InstructionBlock(name, [StimulusEntry(word)])
+    return emit
+
+
+def _emit_i(spec):
+    """rd, rs1, a signed 12-bit immediate (bits(12) - 2048)."""
+    match, name = spec.match, spec.name
+    rd_count, rs1_count = len(_RD), len(_RS1)
+
+    def emit(state, index, total, window, odds):
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word = match | _RD[state % rd_count]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word |= _RS1[state % rs1_count]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        # The field bits of (bits(12) - 2048): the draw, sign bit flipped.
+        word |= ((state & 0xFFF) ^ 0x800) << 20
+        return state, InstructionBlock(name, [StimulusEntry(word)])
+    return emit
+
+
+def _emit_load(spec, rd_pool):
+    """rd from ``rd_pool``, a base register (the data segment with the
+    configured odds, else the instruction segment), a displacement."""
+    match, name = spec.match, spec.name
+    rd_count = len(rd_pool)
+    align = 0xFFF & ~(_ACCESS_SIZES[name] - 1)
+    data_base, instr_base = REG_DATA_BASE << 15, REG_INSTR_BASE << 15
+
+    def emit(state, index, total, window, odds):
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word = match | rd_pool[state % rd_count]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word |= data_base if (state & odds[3]) < odds[2] else instr_base
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word |= (((state & 0x7FF) - _MEM_OFFSET_BIAS) & align) << 20
+        return state, InstructionBlock(name, [StimulusEntry(word)])
+    return emit
+
+
+def _emit_store(spec, rs2_pool):
+    """rs2 from ``rs2_pool``, the data base register (stores never target
+    the code: no self-modifying code), a displacement."""
+    match, name = spec.match | (REG_DATA_BASE << 15), spec.name
+    rs2_count = len(rs2_pool)
+    align = 0xFFF & ~(_ACCESS_SIZES[name] - 1)
+
+    def emit(state, index, total, window, odds):
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        word = match | rs2_pool[state % rs2_count]
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        offset = ((state & 0x7FF) - _MEM_OFFSET_BIAS) & align
+        word |= ((offset >> 5) << 25) | ((offset & 0x1F) << 7)
+        return state, InstructionBlock(name, [StimulusEntry(word)])
+    return emit
+
+
+def _emit_amo(spec, pools):
+    """An affiliated ``addi t4, t0, offset`` (offset: bits(10) times the
+    access size, modulo 2 KiB, so aligned and in the data segment), then
+    the prime on (t4) with its operands from ``pools``."""
+    match, name = spec.match | (REG_JALR_TEMP << 15), spec.name
+    size = 8 if name.endswith(".d") else 4
+    setup_base = (SPECS_BY_NAME["addi"].match | (REG_JALR_TEMP << 7)
+                  | (REG_DATA_BASE << 15))
+    fields = tuple((pool, len(pool)) for pool in pools)
+
+    def emit(state, index, total, window, odds):
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        setup = StimulusEntry(
+            setup_base | ((((state & 0x3FF) * size) & 0x7FF) << 20), False)
+        word = match
+        for pool, count in fields:
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            word |= pool[state % count]
+        return state, InstructionBlock(name, [setup, StimulusEntry(word)])
+    return emit
+
+
+def _emit_jump(spec, pools, kind, placeholder):
+    """Branch or jal: ``placeholder`` (the spec's word with a +4
+    displacement) with its operands from ``pools``, then a forward
+    target; the displacement is patched at assembly."""
+    name = spec.name
+    fields = tuple((pool, len(pool)) for pool in pools)
+
+    def emit(state, index, total, window, odds):
+        word = placeholder
+        for pool, count in fields:
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            word |= pool[state % count]
+        state, target = _jump_target(state, index, total, window)
+        entry = StimulusEntry(word, True, target is not None, kind)
+        return state, InstructionBlock(name, [entry], kind, target)
+    return emit
+
+
+def _emit_jalr(spec):
+    """jalr: a forward target, materialized into t4 by an affiliated
+    lui/addi pair (patched at assembly), then rd: ``jalr rd, 0(t4)``.  With
+    no block to land on it degrades to a nop-like ``addi rd, x0, imm``
+    (rd, imm)."""
+    match = spec.match | (REG_JALR_TEMP << 15)
+    addi = SPECS_BY_NAME["addi"].match
+    rd_count = len(_RD)
+
+    def emit(state, index, total, window, odds):
+        state, target = _jump_target(state, index, total, window)
+        state ^= (state << 13) & MASK64
+        state ^= state >> 7
+        state ^= (state << 17) & MASK64
+        rd = _RD[state % rd_count]
+        if target is None:
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            word = addi | rd | (((state & 0xFFF) ^ 0x800) << 20)
+            return state, InstructionBlock("addi", [StimulusEntry(word)])
+        entries = [StimulusEntry(0, False, True, "lui"),
+                   StimulusEntry(0, False, True, "addi"),
+                   StimulusEntry(match | rd)]
+        return state, InstructionBlock("jalr", entries, "jalr", target)
+    return emit
+
+
+# Operand pools of the single-word formats, in draw order.
+_PLAIN = {
+    "R": (_RD, _RS1, _RS2),
+    "R_SH": (_RD, _RS1, _SHAMT), "R_SHW": (_RD, _RS1, _SHAMTW),
+    "U": (_RD, _UIMM), "FRN": (_FD, _FS1, _FS2), "FCMP": (_RD, _FS1, _FS2),
+    "NONE": (), "FENCE": (),
+}
+# ... and of the formats that end with a rounding mode.
+_ROUNDED = {
+    "FR": (_FD, _FS1, _FS2), "R4": (_FD, _FS1, _FS2, _FS3),
+    "FR1": (_FD, _FS1), "FCVT_IF": (_RD, _FS1), "FCVT_FI": (_FD, _RS1),
+}
+
+
+def _bind(spec):
+    """The emitter of one spec, chosen from its category, name and format."""
+    fmt = spec.fmt
+    if spec.category is Category.BRANCH:
+        return _emit_jump(spec, (_RS1, _RS2), "branch", _set_b_imm(spec.match, 4))
+    if spec.name == "jal":
+        return _emit_jump(spec, (_RD,), "jal", _set_j_imm(spec.match, 4))
+    if spec.name == "jalr":
+        return _emit_jalr(spec)
+    if fmt == "I":
+        return _emit_i(spec)
+    if fmt in ("L", "FL"):
+        return _emit_load(spec, _FD if fmt == "FL" else _RD)
+    if fmt in ("S", "FS"):
+        return _emit_store(spec, _FS2 if fmt == "FS" else _RS2)
+    if fmt in ("AMO", "LR"):
+        return _emit_amo(spec, (_RD, _RS2) if fmt == "AMO" else (_RD,))
+    if fmt in ("CSR", "CSRI"):
+        # Only csrrw/csrrwi draw from the writable CSRs.
+        csrs = _CSRS[spec.name in ("csrrw", "csrrwi")]
+        return _emit_plain(spec, (_RD, _ZIMM if fmt == "CSRI" else _RS1, csrs))
+    if fmt in _ROUNDED:
+        return _emit_rounded(spec, _ROUNDED[fmt])
+    # A fence orders everything: pred/succ = iorw,iorw.
+    return _emit_plain(spec, _PLAIN[fmt], 0x0FF00000 if fmt == "FENCE" else 0)
+
+
+#: Spec name -> its block emitter, for every spec.
+EMITTERS = {spec.name: _bind(spec) for spec in SPECS}

@@ -1,10 +1,14 @@
-"""Fuzzing context: memory layout, register conventions, operand generation.
+"""Fuzzing context: memory layout, register conventions, operand pools.
 
 This is the paper's *fuzzing context module*: it manages symbol values to
 enforce memory-address requirements (3/4 data segment vs 1/4 instruction
 segment for reads; writes confined to the data region to prevent
 self-modifying code) and supplies operand values to the unified operand
-assignment stage.
+assignment stage.  Registers, CSRs and rounding modes are drawn from the
+constant pools below: the per-spec block emitters
+(:mod:`repro.fuzzer.blocks`) place each pool's values into their
+instruction field once, when they are bound, and assign such an operand
+with one LFSR step and one tuple index.
 """
 
 from dataclasses import dataclass
@@ -53,102 +57,50 @@ REG_HANDLER_T0 = 30  # t5 -> clobbered by the trap handler
 REG_HANDLER_T1 = 31  # t6 -> clobbered by the trap handler
 
 # Destination pool: avoid zero/ra/sp plus the reserved registers above.
-_RD_POOL = tuple(
-    index for index in range(7, 29)
-)
+RD_POOL = tuple(range(7, 29))
 # Source pool: anything readable including x0 and the base registers.
-_RS_POOL = tuple(index for index in range(0, 30))
+RS_POOL = tuple(range(0, 30))
+# FP registers carry no convention: any of the 32.
+FREG_POOL = tuple(range(32))
 
 # CSRs the generator may touch.  mtvec is excluded (it would tear down the
 # exception template); everything else is fair game — including stval,
 # which bug C7 needs to be read.
-_GENERATABLE_CSRS = (
+GENERATABLE_CSRS = (
     FFLAGS, FRM, FCSR, MSCRATCH, MEPC, MCAUSE, MTVAL, STVAL,
 )
 # Writes are restricted to harmless CSRs.
-_WRITABLE_CSRS = (FFLAGS, FRM, FCSR, MSCRATCH)
+WRITABLE_CSRS = (FFLAGS, FRM, FCSR, MSCRATCH)
 
-_VALID_RMS = (0, 1, 2, 3, 4, 7)
-_INVALID_RMS = (5, 6)
+# Rounding modes: usually valid, occasionally invalid (exercises the
+# illegal-instruction path and bug B2; see FuzzContext.odds).
+VALID_RMS = (0, 1, 2, 3, 4, 7)
+INVALID_RMS = (5, 6)
+
+
+def _odds(probability):
+    """``(numerator, mask)`` of a Bernoulli draw over a power-of-two
+    denominator: true when ``state & mask < numerator``."""
+    numerator, denominator = probability
+    if denominator & (denominator - 1):
+        raise ValueError("denominator must be a power of two")
+    return numerator, denominator - 1
 
 
 class FuzzContext:
-    """Operand factory bound to one LFSR and one memory layout."""
+    """The LFSR, configuration and memory layout one generator draws with."""
 
     def __init__(self, lfsr, config, layout=None):
         self.lfsr = lfsr
         self.config = config
         self.layout = layout or MemoryLayout()
 
-    # -- register operands -----------------------------------------------------
-    def gen_rd(self):
-        return self.lfsr.choice(_RD_POOL)
-
-    def gen_rs(self):
-        return self.lfsr.choice(_RS_POOL)
-
-    def gen_freg(self):
-        return self.lfsr.below(32)
-
-    # -- immediates ----------------------------------------------------------------
-    def gen_imm12(self):
-        """Signed 12-bit immediate."""
-        return self.lfsr.bits(12) - (1 << 11)
-
-    def gen_shamt(self, word_variant=False):
-        return self.lfsr.below(32 if word_variant else 64)
-
-    def gen_uimm20(self):
-        return self.lfsr.bits(20)
-
-    def gen_rm(self):
-        """Rounding mode: usually valid, occasionally invalid (exercises
-        the illegal-instruction path and bug B2)."""
-        if self.lfsr.chance(self.config.invalid_rm_prob):
-            return self.lfsr.choice(_INVALID_RMS)
-        return self.lfsr.choice(_VALID_RMS)
-
-    # -- memory operands ----------------------------------------------------------------
-    def read_base_reg(self):
-        """Base register for a load: 3/4 data segment, 1/4 instruction
-        segment (user-configurable probability, paper Section IV-C)."""
-        if self.lfsr.chance(self.config.data_segment_prob):
-            return REG_DATA_BASE
-        return REG_INSTR_BASE
-
-    def write_base_reg(self):
-        """Stores always target the data segment (no self-modifying code)."""
-        return REG_DATA_BASE
-
-    def mem_offset(self, access_size):
-        """Naturally aligned signed displacement within the segment window."""
-        span = 1 << 11  # +/- 2 KiB around the base register
-        raw = self.lfsr.bits(11) - (span >> 1)
-        return raw & ~(access_size - 1)
-
-    def amo_offset(self, access_size):
-        """AMO addresses must be aligned; keep them in the data segment."""
-        return self.lfsr.bits(10) * access_size % (1 << 11)
-
-    # -- CSRs -------------------------------------------------------------------------------
-    def gen_csr(self, writable):
-        pool = _WRITABLE_CSRS if writable else _GENERATABLE_CSRS
-        return self.lfsr.choice(pool)
-
-    # -- control flow ---------------------------------------------------------------------------
-    def pick_jump_target(self, current_block, total_blocks, window=None):
-        """Pick a forward target block index.
-
-        ``window`` bounds the distance (the paper's jump-range limitation);
-        ``None`` reproduces the unbounded behaviour of prior fuzzers, whose
-        expected jump distance E_j = 1 + (L - p)/2 wastes most of the
-        iteration (paper eq. 1).
-        """
-        first = current_block + 1
-        if first >= total_blocks:
-            return None
-        if window is None:
-            last = total_blocks - 1
-        else:
-            last = min(total_blocks - 1, current_block + window)
-        return first + self.lfsr.below(last - first + 1)
+    def odds(self):
+        """The configuration's two operand Bernoulli draws, as
+        ``(invalid-rm numerator, mask, data-segment numerator, mask)``:
+        an FP rounding mode from :data:`INVALID_RMS`, and a load based on
+        the data segment rather than the instruction segment (3/4 by
+        default, user-configurable, paper Section IV-C).  Generators read
+        it once per iteration."""
+        return (_odds(self.config.invalid_rm_prob)
+                + _odds(self.config.data_segment_prob))

@@ -3,11 +3,14 @@
 
 The LFSR selects prime instructions from the instruction library with
 category weights keeping roughly the paper's observed 1:5 ratio of
-control-flow to non-control-flow instructions; the block builder performs
-the context-aware sizing and operand assignment.
+control-flow to non-control-flow instructions; each spec's block emitter
+(:mod:`repro.fuzzer.blocks`) performs the context-aware sizing and operand
+assignment.  The generation loop itself is
+:meth:`repro.fuzzer.TurboFuzzer.generate_iteration`, which interleaves
+direct mode with mutation mode block by block.
 """
 
-from repro.fuzzer.blocks import BlockBuilder
+from repro.fuzzer.blocks import EMITTERS
 from repro.isa.instructions import Category
 
 # Uniform sampling over ~170 specs would give ~5% control flow; these
@@ -27,51 +30,36 @@ DEFAULT_CATEGORY_WEIGHTS = {
 
 
 class DirectGenerator:
-    """Generates whole iterations (or single blocks) of random stimulus."""
+    """Draws prime instructions: the weighted spec list, as emitters."""
 
-    def __init__(self, library, context, category_weights=None):
+    def __init__(self, library, category_weights=None):
         self.library = library
-        self.context = context
-        self.builder = BlockBuilder(context)
         self.category_weights = (
             dict(category_weights)
             if category_weights is not None
             else dict(DEFAULT_CATEGORY_WEIGHTS)
         )
-        # Cached expanded weighted spec list: rebuilding (or even re-keying)
-        # it per generated block dominates generation cost, so it is
-        # revalidated with two cheap compares — the library's active-set
-        # version and a snapshot of the weights dict (callers may mutate
-        # ``category_weights`` in place between blocks).
+        # Cached expanded weighted emitter list: rebuilding (or even
+        # re-keying) it per iteration would cost more than its draws, so it
+        # is revalidated with two cheap compares — the library's
+        # active-set version and a snapshot of the weights dict (callers may
+        # mutate ``category_weights`` in place between iterations).
         self._expanded = None
         self._expanded_version = None
         self._expanded_weights = None
 
-    def _weighted_specs(self):
+    def emitters(self):
+        """The emitter of every entry of the library's expanded weighted
+        spec list, in its order: ``emitters()[state % len]`` is the block
+        emitter of ``lfsr.choice(library.weighted_specs(weights))``."""
         version = self.library.version
         if (self._expanded is None
                 or self._expanded_version != version
                 or self._expanded_weights != self.category_weights):
-            self._expanded = self.library.weighted_specs(self.category_weights)
+            self._expanded = [
+                EMITTERS[spec.name]
+                for spec in self.library.weighted_specs(self.category_weights)
+            ]
             self._expanded_version = version
             self._expanded_weights = dict(self.category_weights)
         return self._expanded
-
-    def generate_block(self, block_index, estimated_blocks, jump_window):
-        """One random instruction block."""
-        spec = self.context.lfsr.choice(self._weighted_specs())
-        return self.builder.build(spec, block_index, estimated_blocks,
-                                  jump_window)
-
-    def generate_blocks(self, instruction_budget, jump_window):
-        """Blocks until the cumulative instruction count reaches budget."""
-        blocks = []
-        total = 0
-        index = 0
-        estimated = instruction_budget  # upper bound on block count
-        while total < instruction_budget:
-            block = self.generate_block(index, estimated, jump_window)
-            blocks.append(block)
-            total += block.size
-            index += 1
-        return blocks

@@ -17,6 +17,7 @@ from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
 from repro.fuzzer.lfsr import Lfsr
 from repro.fuzzer.mutation import MutationEngine
+from repro.isa.encoding import MASK64
 
 
 @dataclass(slots=True)
@@ -64,7 +65,7 @@ class TurboFuzzer:
         self.lfsr = Lfsr(self.config.seed)
         self.context = FuzzContext(self.lfsr, self.config, self.layout)
         self.library = InstructionLibrary(self.config.extensions)
-        self.direct = DirectGenerator(self.library, self.context)
+        self.direct = DirectGenerator(self.library)
         self.mutation = MutationEngine(self.config, self.context, self.direct)
         self.corpus = Corpus(
             capacity=self.config.corpus_capacity,
@@ -85,79 +86,98 @@ class TurboFuzzer:
         position, the engine chooses direct generation (9/16) or a
         mutation-mode operation on the next seed block (7/16).  With an
         empty corpus the iteration is pure direct mode.
+
+        One loop does it all with the LFSR state on a local: it draws the
+        mode, the block operation and the spec inline, calls the spec's
+        emitter, and writes the LFSR state back only around retained runs
+        (the mutation engine steps the LFSR object) and the counters back
+        once, at the end.  The draw order is that of one Lfsr call per
+        decision, so the stream is a pure function of the seed.
         """
         config = self.config
         budget = instruction_budget or config.instructions_per_iteration
         window = config.jump_window_blocks
-        parent = self.corpus.select(self.lfsr)
-        blocks = []
-        total = 0
-        new_index = 0
-        seed_cursor = 0
-        estimated = budget
+        lfsr = self.lfsr
+        parent = self.corpus.select(lfsr)
         seed_blocks = parent.blocks if parent is not None else ()
         seed_count = len(seed_blocks)
-        # The mode-choice Bernoulli parameters are invariant across the
-        # block loop; validate the power-of-two denominator once and draw
+        # The Bernoulli parameters, cuts and spec list are invariant across
+        # the block loop: check the power-of-two denominator once and draw
         # with a plain mask below (bit-identical to lfsr.chance()).
         mode_numerator, mode_denominator = config.mutation_mode_prob
         if mode_denominator & (mode_denominator - 1):
             raise ValueError("denominator must be a power of two")
         mode_mask = mode_denominator - 1
-        lfsr = self.lfsr
+        generate_cut, delete_cut = self.mutation.block_op_cuts()
+        run_length = max(1, config.retain_run_blocks)
+        retain = self.mutation.retain_block
+        emitters = self.direct.emitters()
+        spec_count = len(emitters)
+        odds = self.context.odds()
+        blocks = []
+        append = blocks.append
+        total = 0
+        seed_cursor = 0
+        direct = mutation = retained = deleted = 0
+        state = lfsr.state
         while total < budget:
-            use_mutation = (
-                seed_cursor < seed_count
-                and (lfsr.next() & mode_mask) < mode_numerator
-            )
-            if use_mutation:
-                operation = self.mutation.roll_block_op()
-                if operation == "delete":
-                    seed_cursor += 1
-                    self.stats.blocks_deleted += 1
-                    continue
-                if operation == "retain":
-                    # Stream a contiguous run of seed blocks (burst read
-                    # from corpus storage) so the retained sequence keeps
-                    # its micro-architectural context.
-                    run_length = max(1, config.retain_run_blocks)
-                    appended = 0
-                    while (appended < run_length
-                           and seed_cursor < len(seed_blocks)
-                           and total < budget):
-                        block = self.mutation.retain_block(
-                            seed_blocks[seed_cursor], seed_cursor, new_index
-                        )
+            if seed_cursor < seed_count:
+                state ^= (state << 13) & MASK64
+                state ^= state >> 7
+                state ^= (state << 17) & MASK64
+                if (state & mode_mask) < mode_numerator:
+                    state ^= (state << 13) & MASK64
+                    state ^= state >> 7
+                    state ^= (state << 17) & MASK64
+                    roll = state & 15
+                    if roll >= delete_cut:
+                        # Retain: stream a contiguous run of seed blocks
+                        # (burst read from corpus storage) so the retained
+                        # sequence keeps its micro-architectural context.
+                        lfsr.state = state
+                        stop = min(seed_count, seed_cursor + run_length)
+                        while seed_cursor < stop and total < budget:
+                            block = retain(seed_blocks[seed_cursor],
+                                           seed_cursor, len(blocks))
+                            seed_cursor += 1
+                            retained += 1
+                            append(block)
+                            total += len(block.entries)
+                        state = lfsr.state
+                        continue
+                    if roll >= generate_cut:
                         seed_cursor += 1
-                        self.stats.blocks_retained += 1
-                        self.stats.mode_counts["mutation"] += 1
-                        blocks.append(block)
-                        total += block.size
-                        new_index += 1
-                        appended += 1
-                    continue
-                # generate: insert a fresh block at this point
-                block = self.direct.generate_block(
-                    new_index, estimated, window
-                )
-                self.stats.blocks_generated += 1
-                self.stats.mode_counts["mutation"] += 1
+                        deleted += 1
+                        continue
+                    # Generate: insert a fresh block at this point.
+                    mutation += 1
+                else:
+                    direct += 1
             else:
-                block = self.direct.generate_block(new_index, estimated, window)
-                self.stats.blocks_generated += 1
-                self.stats.mode_counts["direct"] += 1
-            blocks.append(block)
-            total += block.size
-            new_index += 1
+                direct += 1
+            state ^= (state << 13) & MASK64
+            state ^= state >> 7
+            state ^= (state << 17) & MASK64
+            state, block = emitters[state % spec_count](
+                state, len(blocks), budget, window, odds)
+            append(block)
+            total += len(block.entries)
+        lfsr.state = state
+        stats = self.stats
+        stats.blocks_generated += direct + mutation
+        stats.blocks_retained += retained
+        stats.blocks_deleted += deleted
+        stats.mode_counts["direct"] += direct
+        stats.mode_counts["mutation"] += mutation + retained
         iteration = Iteration(
             blocks=blocks,
             layout=self.layout,
-            data_seed=self.lfsr.next(),
+            data_seed=lfsr.next(),
             data_patches=list(self.persistent_data_patches),
         )
         iteration.assemble()
-        self.stats.iterations += 1
-        self.stats.instructions_generated += iteration.total_instructions
+        stats.iterations += 1
+        stats.instructions_generated += iteration.total_instructions
         self._pending = (iteration, parent)
         return iteration
 
@@ -225,14 +245,15 @@ class TurboFuzzer:
         apply_corpus = self.corpus.prepare_state(state["corpus"])
         patches = [(int(offset), bytes.fromhex(blob))
                    for offset, blob in state["persistent_data_patches"]]
-        lfsr, stats, library = state["lfsr"], state["stats"], state["library"]
-        if not all(isinstance(part, dict) for part in (lfsr, stats, library)):
-            raise TypeError("fuzzer lfsr, stats and library must be objects")
+        lfsr, stats = state["lfsr"], state["stats"]
+        if not all(isinstance(part, dict) for part in (lfsr, stats)):
+            raise TypeError("fuzzer lfsr and stats must be objects")
+        apply_library = self.library.prepare_state(state["library"])
 
         def apply():
             self.lfsr.load_state(lfsr)
             self.stats.load_state(stats)
-            self.library.load_state(library)
+            apply_library()
             self.persistent_data_patches = patches
             self._pending = None
             apply_corpus()

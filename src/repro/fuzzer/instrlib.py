@@ -135,10 +135,15 @@ class InstructionLibrary:
         """
         return {"enabled": sorted(ext.name for ext in self._enabled)}
 
-    def load_state(self, state):
-        """Restore the active-extension set (derived tables are rebuilt)."""
-        self._enabled = {Extension[name] for name in state["enabled"]}
-        self._rebuild()
+    def prepare_state(self, state):
+        """Decode a :meth:`state_dict`; returns the function that restores
+        the active-extension set (derived tables are rebuilt)."""
+        enabled = {Extension[name] for name in state["enabled"]}
+
+        def apply():
+            self._enabled = enabled
+            self._rebuild()
+        return apply
 
     def __len__(self):
         return len(self._active)

@@ -9,7 +9,7 @@ retained control flow preserving its original (unrestricted) jump distance.
 """
 
 from repro.fuzzer.blocks import InstructionBlock, StimulusEntry
-from repro.isa.decoder import try_decode
+from repro.isa.decoder import spec_of
 
 
 class MutationEngine:
@@ -21,19 +21,15 @@ class MutationEngine:
         self.direct = direct_generator
 
     # -- block-level ops ------------------------------------------------------------
-    def roll_block_op(self):
-        """Draw one of generate/delete/retain with the configured odds."""
-        lfsr = self.context.lfsr
-        roll = lfsr.next() & 15
+    def block_op_cuts(self):
+        """``(generate_cut, delete_cut)`` over a 4-bit roll: a roll below
+        the first cut generates, below the second deletes, else retains
+        (the loop in :meth:`TurboFuzzer.generate_iteration` draws it)."""
         generate_cut = self.config.block_generate_prob[0]
         delete_cut = generate_cut + self.config.block_delete_prob[0] * 16 // (
             self.config.block_delete_prob[1]
         )
-        if roll < generate_cut:
-            return "generate"
-        if roll < delete_cut:
-            return "delete"
-        return "retain"
+        return generate_cut, delete_cut
 
     def retain_block(self, seed_block, old_index, new_index):
         """Clone a seed block into the new iteration.
@@ -43,26 +39,20 @@ class MutationEngine:
         assembler clamps any target that falls off the iteration end.
         Operands are rebound with the configured probability.
 
-        Copy-on-write: the entry list is deep-copied only when operand
-        rebinding will actually touch it; an unmutated retain shares the
-        seed's (never-mutated-in-place) entries.  The rebind chance is
-        drawn up front — the clone consumes no randomness, so the LFSR
-        stream is unchanged.
+        Copy-on-write: the entry list is copied only when operand
+        rebinding will touch it, and only the entries it rebinds are new
+        objects; the rest stay shared with the seed (entries are never
+        mutated in place).  The rebind chance is drawn up front — the copy
+        consumes no randomness, so the LFSR stream is unchanged.
         """
         rebind = self.context.lfsr.chance(self.config.operand_mutation_prob)
-        if rebind:
-            block = seed_block.clone(generated=False)
-        else:
-            block = InstructionBlock(
-                prime_name=seed_block.prime_name,
-                entries=seed_block.entries,
-                cf_kind=seed_block.cf_kind,
-                target_block=seed_block.target_block,
-                generated=False,
-            )
-        if block.is_control_flow and block.target_block is not None:
-            delta = max(1, block.target_block - old_index)
-            block.target_block = new_index + delta
+        target = seed_block.target_block
+        if seed_block.cf_kind and target is not None:
+            target = new_index + max(1, target - old_index)
+        block = InstructionBlock(
+            seed_block.prime_name,
+            list(seed_block.entries) if rebind else seed_block.entries,
+            seed_block.cf_kind, target, False)
         if rebind:
             self._rebind_operands(block)
         return block
@@ -93,10 +83,12 @@ class MutationEngine:
         immediates, rs2, funct7); rd/rs1 stay intact so base-register
         conventions survive mutation.  The result is kept only if it still
         decodes (the hardware-enforced validity check of the paper),
-        otherwise a second attempt is made before giving up.
+        otherwise a second attempt is made before giving up.  A probe
+        needs only the spec it decodes to (:func:`spec_of`), not its
+        fields.
         """
-        original = try_decode(word)
-        if original is None or original.spec.fmt in ("CSR", "CSRI"):
+        original = spec_of(word)
+        if original is None or original.fmt in ("CSR", "CSRI"):
             # Bits 20..31 of a CSR instruction are the CSR *address*;
             # flipping them could retarget mtvec and tear down the
             # exception templates.  Leave CSR ops untouched.
@@ -108,11 +100,11 @@ class MutationEngine:
             for _ in range(flips):
                 bit = 20 + lfsr.below(12)
                 mutated ^= 1 << bit
-            decoded = try_decode(mutated)
+            spec = spec_of(mutated)
             if (
-                decoded is not None
-                and decoded.spec.fmt == original.spec.fmt
-                and decoded.spec.writes_fp == original.spec.writes_fp
+                spec is not None
+                and spec.fmt == original.fmt
+                and spec.writes_fp == original.writes_fp
             ):
                 # Format-preserving only: a funct7 flip could otherwise
                 # morph e.g. fadd.d f5 into fmv.x.d x5, silently turning

@@ -6,7 +6,9 @@ is cheap too, because fuzzing keeps producing fresh words: each major
 opcode's specs are grouped by mask into ``match -> extractor`` dicts (no
 two specs overlap, so at most one dict entry can match), and each spec's
 extractor, chosen once from its operand format, builds the decoded tuple
-directly.
+directly.  :func:`spec_of` answers "which instruction is this word?" from
+the same grouping without decoding the fields, for the mutation engine's
+probes.
 """
 
 from types import MethodType
@@ -58,6 +60,10 @@ class DecodedInstr(NamedTuple):
 _new = tuple.__new__
 
 _CACHE = {}
+# Illegal words -> the reason they are illegal.  Only the reason is kept:
+# a cached exception instance would keep the ``__traceback__`` of its last
+# raise, and with it every frame of the caller's stack (a campaign's
+# session and its iteration's blocks) for as long as the entry lives.
 _ILLEGAL_CACHE = {}
 _CACHE_LIMIT = 1 << 18
 
@@ -198,25 +204,30 @@ _BUCKETS = _build_buckets()
 def decode(word):
     """Decode a 32-bit instruction word, raising :class:`IllegalInstruction`.
 
-    Results are memoized, including *illegal* words (mutation produces
-    them in bulk, and exception construction is the expensive part — the
-    cached instance is simply re-raised).  Both memo tables are bounded
-    with the shared evict-half policy instead of a wholesale clear, so a
-    long campaign never hits a re-miss-on-everything latency cliff.
+    Results are memoized, illegal words included (as the reason they are
+    illegal; each raise builds a fresh exception).  Both memo tables are
+    bounded with the shared evict-half policy instead of a wholesale
+    clear, so a long campaign never hits a re-miss-on-everything latency
+    cliff.
     """
+    decoded = try_decode(word)
+    if decoded is None:
+        word &= 0xFFFFFFFF
+        raise IllegalInstruction(word, _ILLEGAL_CACHE[word])
+    return decoded
+
+
+def try_decode(word):
+    """Like :func:`decode` but returns ``None`` for illegal words, without
+    raising."""
     word &= 0xFFFFFFFF
     cached = _CACHE.get(word)
     if cached is not None:
         return cached
-    error = _ILLEGAL_CACHE.get(word)
-    if error is not None:
-        # Reset the traceback before re-raising the cached instance:
-        # ``raise`` APPENDS to an existing __traceback__, so re-raising a
-        # long-lived exception unreset would grow its frame chain (and
-        # retained locals) without bound over a campaign.
-        raise error.with_traceback(None)
+    if word in _ILLEGAL_CACHE:
+        return None
     if word & 0b11 != 0b11:
-        error = IllegalInstruction(word, "compressed/invalid length")
+        reason = "compressed/invalid length"
     else:
         for mask, extractors in _BUCKETS.get(word & 0x7F, ()):
             extract = extractors.get(word & mask)
@@ -226,24 +237,21 @@ def decode(word):
                     evict_half(_CACHE)
                 _CACHE[word] = decoded
                 return decoded
-        error = IllegalInstruction(word)
+        reason = "no matching encoding"
     if len(_ILLEGAL_CACHE) >= _CACHE_LIMIT:
         evict_half(_ILLEGAL_CACHE)
-    _ILLEGAL_CACHE[word] = error
-    raise error
+    _ILLEGAL_CACHE[word] = reason
+    return None
 
 
-def try_decode(word):
-    """Like :func:`decode` but returns ``None`` for illegal words."""
+def spec_of(word):
+    """The :class:`InstrSpec` that ``word`` encodes, or ``None`` for an
+    illegal word: ``try_decode(word).spec`` without building the decoded
+    fields, raising or caching anything (a mutation probe is usually a
+    word nothing will ask about again)."""
     word &= 0xFFFFFFFF
-    cached = _CACHE.get(word)
-    if cached is not None:
-        return cached
-    # Memoized-illegal fast path: no exception round-trip for words the
-    # mutation engine keeps re-probing.
-    if word in _ILLEGAL_CACHE:
-        return None
-    try:
-        return decode(word)
-    except IllegalInstruction:
-        return None
+    for mask, extractors in _BUCKETS.get(word & 0x7F, ()):
+        extract = extractors.get(word & mask)
+        if extract is not None:
+            return extract.__self__  # the spec the extractor is bound to
+    return None

@@ -436,7 +436,7 @@ class TestInstructionLibraryCheckpoint:
         library.disable(Extension.D)
         library.disable(Extension.F)
         restored = InstructionLibrary()
-        restored.load_state(json_round_trip(library.state_dict()))
+        restored.prepare_state(json_round_trip(library.state_dict()))()
         assert restored.enabled_extensions == library.enabled_extensions
         assert [spec.name for spec in restored.active_specs] == \
             [spec.name for spec in library.active_specs]

@@ -12,9 +12,23 @@ from repro.fuzzer import (
     TurboFuzzer,
 )
 from repro.fuzzer.blocks import BlockBuilder, InstructionBlock, StimulusEntry
-from repro.fuzzer.context import FuzzContext, MemoryLayout, REG_DATA_BASE
+from repro.fuzzer.context import (
+    FREG_POOL,
+    GENERATABLE_CSRS,
+    INVALID_RMS,
+    RD_POOL,
+    REG_DATA_BASE,
+    REG_INSTR_BASE,
+    REG_JALR_TEMP,
+    RS_POOL,
+    VALID_RMS,
+    WRITABLE_CSRS,
+    FuzzContext,
+    MemoryLayout,
+)
 from repro.fuzzer.mutation import MutationEngine
 from repro.isa.decoder import decode, try_decode
+from repro.isa.encoder import encode
 from repro.isa.instructions import Category, Extension, SPECS_BY_NAME
 
 
@@ -161,6 +175,223 @@ class TestBlockBuilder:
                     assert try_decode(entry.word) is not None
 
 
+_ACCESS_SIZES = {"b": 1, "h": 2, "w": 4, "d": 8}
+
+
+def _access_size(name):
+    """Bytes a load/store moves, from its mnemonic (``lbu`` -> 1)."""
+    return _ACCESS_SIZES[name[-1] if name[-1] in _ACCESS_SIZES else name[-2]]
+
+
+def reference_block(lfsr, config, spec, index, total, window):
+    """The block generation rules written out with one ``Lfsr`` call per
+    operand and ``encode()`` per word: the reference the emitters must
+    match word for word and draw for draw."""
+    def rd():
+        return lfsr.choice(RD_POOL)
+
+    def rs():
+        return lfsr.choice(RS_POOL)
+
+    def freg():
+        return lfsr.below(32)
+
+    def imm12():
+        return lfsr.bits(12) - 2048
+
+    def rm():
+        if lfsr.chance(config.invalid_rm_prob):
+            return lfsr.choice(INVALID_RMS)
+        return lfsr.choice(VALID_RMS)
+
+    def offset(size):
+        return (lfsr.bits(11) - 1024) & ~(size - 1)
+
+    def target():
+        if index + 1 >= total:
+            return None
+        last = total - 1 if window is None else min(total - 1, index + window)
+        return index + 1 + lfsr.below(last - index)
+
+    name, fmt = spec.name, spec.fmt
+    if spec.category is Category.BRANCH or name == "jal":
+        kind = "jal" if name == "jal" else "branch"
+        word = (encode(name, rd=rd(), imm=4) if kind == "jal"
+                else encode(name, rs1=rs(), rs2=rs(), imm=4))
+        jump = target()
+        return InstructionBlock(name, [StimulusEntry(
+            word, True, jump is not None, kind)], kind, jump)
+    if name == "jalr":
+        jump = target()
+        if jump is None:
+            return InstructionBlock("addi", [StimulusEntry(
+                encode("addi", rd=rd(), rs1=0, imm=imm12()))])
+        return InstructionBlock("jalr", [
+            StimulusEntry(0, False, True, "lui"),
+            StimulusEntry(0, False, True, "addi"),
+            StimulusEntry(encode("jalr", rd=rd(), rs1=REG_JALR_TEMP))],
+            "jalr", jump)
+    if fmt in ("AMO", "LR"):
+        size = 8 if name.endswith(".d") else 4
+        setup = encode("addi", rd=REG_JALR_TEMP, rs1=REG_DATA_BASE,
+                       imm=lfsr.bits(10) * size % 2048)
+        fields = {"rd": rd()}
+        if fmt == "AMO":
+            fields["rs2"] = rs()
+        return InstructionBlock(name, [
+            StimulusEntry(setup, False),
+            StimulusEntry(encode(name, rs1=REG_JALR_TEMP, **fields))])
+    rm_formats = ("FR", "R4", "FR1", "FCVT_IF", "FCVT_FI")
+    operands = {
+        "R": lambda: dict(rd=rd(), rs1=rs(), rs2=rs()),
+        "I": lambda: dict(rd=rd(), rs1=rs(), imm=imm12()),
+        "R_SH": lambda: dict(rd=rd(), rs1=rs(), shamt=lfsr.below(64)),
+        "R_SHW": lambda: dict(rd=rd(), rs1=rs(), shamt=lfsr.below(32)),
+        "U": lambda: dict(rd=rd(), imm=lfsr.bits(20) << 12),
+        "CSR": lambda: dict(rd=rd(), rs1=rs(), csr=lfsr.choice(
+            WRITABLE_CSRS if name == "csrrw" else GENERATABLE_CSRS)),
+        "CSRI": lambda: dict(rd=rd(), zimm=lfsr.bits(5), csr=lfsr.choice(
+            WRITABLE_CSRS if name == "csrrwi" else GENERATABLE_CSRS)),
+        "L": lambda: dict(rd=rd(), rs1=(
+            REG_DATA_BASE if lfsr.chance(config.data_segment_prob)
+            else REG_INSTR_BASE), imm=offset(_access_size(name))),
+        "FL": lambda: dict(rd=freg(), rs1=(
+            REG_DATA_BASE if lfsr.chance(config.data_segment_prob)
+            else REG_INSTR_BASE), imm=offset(_access_size(name))),
+        "S": lambda: dict(rs2=rs(), rs1=REG_DATA_BASE,
+                          imm=offset(_access_size(name))),
+        "FS": lambda: dict(rs2=freg(), rs1=REG_DATA_BASE,
+                           imm=offset(_access_size(name))),
+        "FR": lambda: dict(rd=freg(), rs1=freg(), rs2=freg()),
+        "R4": lambda: dict(rd=freg(), rs1=freg(), rs2=freg(), rs3=freg()),
+        "FR1": lambda: dict(rd=freg(), rs1=freg()),
+        "FRN": lambda: dict(rd=freg(), rs1=freg(), rs2=freg()),
+        "FCMP": lambda: dict(rd=rd(), rs1=freg(), rs2=freg()),
+        "FCVT_IF": lambda: dict(rd=rd(), rs1=freg()),
+        "FCVT_FI": lambda: dict(rd=freg(), rs1=rs()),
+        "NONE": dict,
+        "FENCE": dict,
+    }[fmt]()
+    if fmt in rm_formats:
+        operands["rm"] = rm()
+    return InstructionBlock(name, [StimulusEntry(encode(name, **operands))])
+
+
+def decoded_fields(word):
+    decoded = decode(word)
+    return dict(rd=decoded.rd, rs1=decoded.rs1, rs2=decoded.rs2,
+                rs3=decoded.rs3, imm=decoded.imm, csr=decoded.csr,
+                shamt=decoded.shamt, rm=decoded.rm, zimm=decoded.zimm)
+
+
+class TestEmitters:
+    """Every spec's block emitter, over many LFSR seeds, against
+    ``encode()`` and the context's operand pools."""
+
+    LIBRARY = InstructionLibrary()
+    # Both rounding-mode pools and both load bases come up often.
+    CONFIG = TurboFuzzConfig(invalid_rm_prob=(1, 4),
+                             data_segment_prob=(1, 2))
+
+    @given(seed=st.integers(min_value=1, max_value=(1 << 64) - 1),
+           index=st.integers(min_value=0, max_value=99),
+           window=st.sampled_from((1, 2, 4, None)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_the_reference_draw_for_draw(self, seed, index, window):
+        emitted = FuzzContext(Lfsr(seed), self.CONFIG, MemoryLayout())
+        builder = BlockBuilder(emitted)
+        reference = Lfsr(seed)
+        for spec in self.LIBRARY.active_specs:
+            block = builder.build(spec, index, 100, window)
+            expected = reference_block(reference, self.CONFIG, spec, index,
+                                       100, window)
+            assert block.state_dict() == expected.state_dict(), spec.name
+            assert emitted.lfsr.state == reference.state, spec.name
+
+    @given(seed=st.integers(min_value=1, max_value=(1 << 64) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_word_encodes_its_decoded_fields(self, seed):
+        builder = BlockBuilder(FuzzContext(Lfsr(seed), self.CONFIG))
+        for spec in self.LIBRARY.active_specs:
+            block = builder.build(spec, 3, 100, 4)
+            for entry in block.entries:
+                if entry.needs_target_patch and not entry.is_prime:
+                    assert entry.word == 0  # jalr's lui/addi placeholders
+                    continue
+                decoded = decode(entry.word)
+                if entry.is_prime:
+                    assert decoded.spec is spec
+                assert encode(decoded.name,
+                              **decoded_fields(entry.word)) == entry.word
+
+    @given(seed=st.integers(min_value=1, max_value=(1 << 64) - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_every_operand_lies_in_its_pool(self, seed):
+        builder = BlockBuilder(FuzzContext(Lfsr(seed), self.CONFIG))
+        int_dest = {"R", "I", "R_SH", "R_SHW", "U", "CSR", "CSRI", "L",
+                    "FCMP", "FCVT_IF", "AMO", "LR", "J"}
+        rs_sources = {"R", "I", "R_SH", "R_SHW", "CSR", "FCVT_FI"}
+        for spec in self.LIBRARY.active_specs:
+            block = builder.build(spec, 3, 100, 4)
+            prime = decode(block.entries[-1].word)
+            fmt = spec.fmt
+            if fmt in int_dest or spec.name == "jalr":
+                assert prime.rd in RD_POOL, spec.name
+            elif fmt not in ("S", "FS", "B", "NONE", "FENCE"):
+                assert prime.rd in FREG_POOL, spec.name
+            if fmt in rs_sources:
+                assert prime.rs1 in RS_POOL, spec.name
+            if fmt in ("R", "S", "B", "AMO"):
+                assert prime.rs2 in RS_POOL, spec.name
+            if fmt in ("L", "FL"):
+                assert prime.rs1 in (REG_DATA_BASE, REG_INSTR_BASE)
+            if fmt in ("S", "FS"):
+                assert prime.rs1 == REG_DATA_BASE
+            if fmt in ("L", "FL", "S", "FS"):
+                assert -1024 <= prime.imm < 1024
+                assert prime.imm % _access_size(spec.name) == 0
+            if fmt in ("AMO", "LR") or spec.name == "jalr":
+                assert prime.rs1 == REG_JALR_TEMP
+            if fmt in ("AMO", "LR"):
+                setup = decode(block.entries[0].word)
+                size = 8 if spec.name.endswith(".d") else 4
+                assert (setup.name, setup.rd, setup.rs1) == (
+                    "addi", REG_JALR_TEMP, REG_DATA_BASE)
+                assert 0 <= setup.imm < 2048 and setup.imm % size == 0
+            if fmt in ("CSR", "CSRI"):
+                writable = spec.name in ("csrrw", "csrrwi")
+                assert prime.csr in (WRITABLE_CSRS if writable
+                                     else GENERATABLE_CSRS)
+            if fmt in ("FR", "R4", "FR1") or (
+                    fmt in ("FCVT_IF", "FCVT_FI") and not spec.mask & 0x7000):
+                assert prime.rm in VALID_RMS + INVALID_RMS, spec.name
+
+    def test_block_shapes_and_flags(self, context):
+        builder = BlockBuilder(context)
+        amo = builder.build(SPECS_BY_NAME["amoswap.w"], 0, 10, 2)
+        assert [(e.is_prime, e.needs_target_patch) for e in amo.entries] == [
+            (False, False), (True, False)]
+        assert (amo.cf_kind, amo.target_block) == ("", None)
+        jalr = builder.build(SPECS_BY_NAME["jalr"], 4, 10, 2)
+        assert [(e.is_prime, e.needs_target_patch, e.patch_kind)
+                for e in jalr.entries] == [(False, True, "lui"),
+                                           (False, True, "addi"),
+                                           (True, False, "")]
+        assert jalr.cf_kind == "jalr" and jalr.target_block in (5, 6)
+        last = builder.build(SPECS_BY_NAME["jalr"], 9, 10, 2)
+        assert last.prime_name == "addi" and last.size == 1
+        assert decode(last.entries[0].word).rs1 == 0
+        for name, kind in (("bltu", "branch"), ("jal", "jal")):
+            block = builder.build(SPECS_BY_NAME[name], 4, 10, 2)
+            (entry,) = block.entries
+            assert (entry.is_prime, entry.needs_target_patch,
+                    entry.patch_kind) == (True, True, kind)
+            assert block.cf_kind == kind and block.target_block in (5, 6)
+            dangling = builder.build(SPECS_BY_NAME[name], 9, 10, 2)
+            assert dangling.target_block is None
+            assert not dangling.entries[0].needs_target_patch
+
+
 class TestIterationAssembly:
     def test_forward_only_control_flow(self):
         """Property: every patched branch/jal displacement is positive."""
@@ -279,17 +510,30 @@ class TestMutationEngine:
         context = FuzzContext(Lfsr(seed), config, MemoryLayout())
         from repro.fuzzer.direct import DirectGenerator
 
-        generator = DirectGenerator(InstructionLibrary(), context)
+        generator = DirectGenerator(InstructionLibrary())
         return MutationEngine(config, context, generator)
 
     def test_block_op_distribution(self):
-        engine = self._engine()
-        from collections import Counter
-
-        counts = Counter(engine.roll_block_op() for _ in range(16000))
-        assert abs(counts["generate"] / 16000 - 3 / 16) < 0.03
-        assert abs(counts["delete"] / 16000 - 11 / 16) < 0.03
-        assert abs(counts["retain"] / 16000 - 2 / 16) < 0.03
+        """Mutation-mode block operations split 3/16 generate, 11/16
+        delete, 2/16 retain.  Every position is in mutation mode while the
+        seed lasts, and a retain streams one block, so the counters count
+        the operations."""
+        fuzzer = TurboFuzzer(TurboFuzzConfig(
+            seed=3, instructions_per_iteration=2000,
+            mutation_mode_prob=(16, 16), retain_run_blocks=1))
+        for _ in range(6):
+            fuzzer.feedback(fuzzer.generate_iteration(), 10)
+        stats = fuzzer.stats
+        counts = {
+            "generate": stats.mode_counts["mutation"] - stats.blocks_retained,
+            "delete": stats.blocks_deleted,
+            "retain": stats.blocks_retained,
+        }
+        total = sum(counts.values())
+        assert total > 8000
+        assert abs(counts["generate"] / total - 3 / 16) < 0.03
+        assert abs(counts["delete"] / total - 11 / 16) < 0.03
+        assert abs(counts["retain"] / total - 2 / 16) < 0.03
 
     def test_retain_preserves_relative_target(self):
         engine = self._engine()

@@ -11,8 +11,10 @@ Campaign digests for every core x layout are also pinned to committed
 golden values (``golden_fingerprints.json``).
 """
 
+import gc
 import hashlib
 import json
+import weakref
 from pathlib import Path
 
 import pytest
@@ -26,12 +28,13 @@ from repro.fuzzer.lfsr import Lfsr
 
 CORES = ("rocket", "cva6", "boom")
 STYLES = ("optimized", "legacy")
+BASELINES = ("cascade", "difuzzrtl")
 GOLDEN_PATH = Path(__file__).with_name("golden_fingerprints.json")
 
 
-def _spec(core, style):
+def _spec(core, style, fuzzer="turbofuzz"):
     return (CampaignSpec()
-            .with_fuzzer("turbofuzz", instructions_per_iteration=300)
+            .with_fuzzer(fuzzer, instructions_per_iteration=300)
             .with_core(core)
             .with_instrumentation(style=style))
 
@@ -43,6 +46,21 @@ def _fingerprint(session):
         "history": session.history_dicts(),
         "lfsr": session.fuzzer.lfsr.state,
         "corpus": session.fuzzer.corpus.state_dict(),
+        "counts": session.coverage.counts_by_module(),
+        "total_executed": session.total_executed,
+        "total_generated": session.total_generated,
+    }
+
+
+def _baseline_fingerprint(session):
+    """:func:`_fingerprint` of a baseline campaign: the fuzzer's whole
+    ``state_dict()`` (LFSR, counters and, for DifuzzRTL, its corpus)
+    stands in for the TurboFuzz corpus."""
+    return {
+        "coverage_series": session.coverage_series(),
+        "history": session.history_dicts(),
+        "lfsr": session.fuzzer.lfsr.state,
+        "fuzzer": session.fuzzer.state_dict(),
         "counts": session.coverage.counts_by_module(),
         "total_executed": session.total_executed,
         "total_generated": session.total_generated,
@@ -143,6 +161,38 @@ class TestBoundedCaches:
         finally:
             decoder._CACHE_LIMIT = original_limit
 
+    def test_illegal_decode_pins_no_caller_frame(self):
+        """The illegal-word memo keeps a reason, not an exception whose
+        traceback would keep the raising caller's frame, and its locals,
+        alive for as long as the entry lives."""
+        from repro.isa.decoder import IllegalInstruction, decode
+
+        class Local:
+            pass
+
+        def caller(word):
+            local = Local()
+            try:
+                decode(word)
+            except IllegalInstruction:
+                pass
+            return weakref.ref(local)
+
+        for _ in range(2):  # a fresh illegal word, then the memoized one
+            alive = caller(0x1357_9BDC)
+            gc.collect()
+            assert alive() is None
+
+    def test_finished_session_is_collected(self):
+        """Nothing the decoder memoizes keeps a finished campaign alive
+        (its mutation probes decode illegal words)."""
+        session = CampaignSession(_spec("rocket", "optimized"))
+        session.run_iterations(6)
+        alive = weakref.ref(session)
+        del session
+        gc.collect()
+        assert alive() is None
+
     def test_decoder_caches_serve_identical_results(self):
         from repro.isa.decoder import try_decode
 
@@ -217,6 +267,17 @@ class TestGoldenFingerprints:
                           separators=(",", ":"))
         digest = hashlib.sha256(blob.encode()).hexdigest()
         assert digest == golden["digests"][f"{core}/{style}"]
+
+    @pytest.mark.parametrize("fuzzer", BASELINES)
+    def test_baseline_matches_recorded_digest(self, fuzzer):
+        """The baselines' generated streams (Rocket, optimized layout)."""
+        golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+        session = CampaignSession(_spec("rocket", "optimized", fuzzer))
+        session.run_iterations(golden["iterations"])
+        blob = json.dumps(_baseline_fingerprint(session), sort_keys=True,
+                          separators=(",", ":"))
+        digest = hashlib.sha256(blob.encode()).hexdigest()
+        assert digest == golden["baseline_digests"][fuzzer]
 
 
 class TestBlockCompile:

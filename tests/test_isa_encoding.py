@@ -12,7 +12,7 @@ from repro.isa import (
     disassemble,
     encode,
 )
-from repro.isa.decoder import try_decode
+from repro.isa.decoder import spec_of, try_decode
 from repro.isa.encoder import EncodeError, assemble_all
 from repro.isa.encoding import (
     align_down,
@@ -353,3 +353,22 @@ class TestDecoderOracle:
     @given(word=st.integers(min_value=0, max_value=(1 << 32) - 1))
     def test_raw_words(self, word):
         assert_decoder_agrees(word)
+
+
+class TestSpecOf:
+    """``spec_of`` names the spec ``try_decode`` decodes a word to, or
+    ``None`` for an illegal word."""
+
+    @settings(max_examples=1500)
+    @given(word=st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_raw_words(self, word):
+        decoded = try_decode(word)
+        assert spec_of(word) is (None if decoded is None else decoded.spec)
+
+    @settings(max_examples=1500)
+    @given(spec=st.sampled_from(SPECS),
+           operand_bits=st.integers(min_value=0, max_value=(1 << 32) - 1))
+    def test_every_spec_under_random_operand_bits(self, spec, operand_bits):
+        word = spec.match | (operand_bits & ~spec.mask & 0xFFFF_FFFF)
+        assert spec_of(word) is spec
+        assert try_decode(word).spec is spec

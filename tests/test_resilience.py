@@ -294,12 +294,28 @@ MALFORMED_STATES = {
     "no-branch-predictor": lambda state: state["core"].pop("branch_predictor"),
     "branch-predictor-key-not-int": lambda state: (
         state["core"]["branch_predictor"].update({"not-a-pc": 1})),
+    "corpus-block-without-entries": lambda state: (
+        state["fuzzer"]["corpus"][0][0].pop("entries")),
+    "iterations-as-word": lambda state: (
+        state["fuzzer"].update(iterations="three")),
 }
 BOOM_ONLY = ("no-branch-predictor", "branch-predictor-key-not-int")
+# Corruptions of one baseline fuzzer's state -> that fuzzer.
+BASELINE_ONLY = {"corpus-block-without-entries": "difuzzrtl",
+                 "iterations-as-word": "cascade"}
 MALFORMED_CASES = ([("rocket", name) for name in MALFORMED_STATES
-                    if name not in BOOM_ONLY]
+                    if name not in BOOM_ONLY and name not in BASELINE_ONLY]
                    + [("boom", "no-core")]
-                   + [("boom", name) for name in BOOM_ONLY])
+                   + [("boom", name) for name in BOOM_ONLY]
+                   + [(fuzzer, name) for name, fuzzer in BASELINE_ONLY.items()])
+
+
+def malformed_case_spec(target):
+    """A TurboFuzz campaign on the core ``target``, or the baseline
+    fuzzer ``target`` on Rocket."""
+    if target in BASELINE_ONLY.values():
+        return CampaignSpec().with_fuzzer(target, instructions_per_iteration=300)
+    return small_spec(seed=4, instructions_per_iteration=300).with_core(target)
 
 
 class TestAtomicCheckpoint:
@@ -309,16 +325,22 @@ class TestAtomicCheckpoint:
         return CampaignCheckpoint.capture(session)
 
     @pytest.mark.parametrize(
-        "core, corruption", MALFORMED_CASES,
-        ids=[f"{core}-{name}" for core, name in MALFORMED_CASES])
-    def test_malformed_state_never_resumes(self, core, corruption):
-        session = build_session(small_spec(
-            seed=4, instructions_per_iteration=300).with_core(core))
+        "target, corruption", MALFORMED_CASES,
+        ids=[f"{target}-{name}" for target, name in MALFORMED_CASES])
+    def test_malformed_state_never_resumes(self, target, corruption):
+        spec = malformed_case_spec(target)
+        session = build_session(spec)
         session.run_iterations(3)
         data = json.loads(CampaignCheckpoint.capture(session).to_json())
         MALFORMED_STATES[corruption](data["state"])
         with pytest.raises(CheckpointError):
             CampaignCheckpoint.from_dict(data).restore()
+        # Nothing of it is applied: a fresh session stays fresh.
+        fresh = build_session(spec)
+        before = fresh.state_dict()
+        with pytest.raises(CheckpointError):
+            fresh.load_state(data["state"])
+        assert fresh.state_dict() == before
 
     def test_full_state_loads_only_into_a_fresh_session(self):
         checkpoint = self.checkpoint()
