@@ -13,18 +13,26 @@ The properties the paper measures against:
 
 It reuses the TurboFuzz block emitters for architectural validity but
 keeps its own program shaping: moderate jump windows, chained register
-dependencies, and a deliberate absence of feedback.
+dependencies, and a deliberate absence of feedback.  Its block loop calls
+the emitters directly, drawing the spec and the operands from one LFSR
+lookahead (:func:`repro.fuzzer.lfsr.lookahead`), as TurboFuzz's
+generation loop does.
 """
 
 from dataclasses import dataclass, field
 
-from repro.fuzzer.blocks import BlockBuilder, Iteration
+from repro.fuzzer.blocks import MAX_EMIT_DRAWS, Iteration
 from repro.fuzzer.config import TurboFuzzConfig
 from repro.fuzzer.context import FuzzContext, MemoryLayout
+from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
-from repro.fuzzer.lfsr import Lfsr
+from repro.fuzzer.lfsr import AHEAD, Lfsr, lookahead
 from repro.isa.encoder import encode
 from repro.isa.instructions import Category, Extension
+
+# The block loop goes on from a fresh lookahead past this position (a
+# block draws its spec, then its emitter's states).
+_REFILL_AT = AHEAD - 1 - MAX_EMIT_DRAWS
 
 
 @dataclass
@@ -55,16 +63,15 @@ class CascadeFuzzer:
         self.lfsr = Lfsr(self.config.seed)
         # Cascade's generation is valid-by-construction: it never emits
         # invalid rounding modes and constrains all memory traffic, which
-        # the TurboFuzz context/builder machinery already provides.
+        # the TurboFuzz context and emitters already provide.
         inner = TurboFuzzConfig(
             jump_window_blocks=self.config.jump_window_blocks,
             invalid_rm_prob=(0, 2),
             seed=self.config.seed,
         )
-        self.context = FuzzContext(self.lfsr, inner, self.layout)
+        self.context = FuzzContext(inner, self.layout)
         self.library = InstructionLibrary(self.config.extensions)
-        self.builder = BlockBuilder(self.context)
-        self._weights = {
+        self.direct = DirectGenerator(self.library, {
             Category.BRANCH: self.config.control_flow_weight,
             Category.JUMP: 1,
             Category.ALU: 2,
@@ -72,7 +79,7 @@ class CascadeFuzzer:
             Category.LOAD: 2,
             Category.STORE: 2,
             Category.SYSTEM: 0,
-        }
+        })
         self.iterations = 0
 
     def _init_stub(self):
@@ -90,20 +97,28 @@ class CascadeFuzzer:
         """One independent valid-by-construction program."""
         budget = instruction_budget or self.config.instructions_per_iteration
         window = self.config.jump_window_blocks
-        # The list sample_weighted() draws from, fetched once per program.
-        specs = self.library.weighted_specs(self._weights)
-        build = self.builder.build
-        choice = self.lfsr.choice
+        emitters = self.direct.emitters()
+        spec_count = len(emitters)
+        odds = self.context.odds()
+        lfsr = self.lfsr
         blocks = []
         total = 0
+        ahead = lookahead(lfsr.state)
+        pos = 0
         while total < budget:
-            block = build(choice(specs), len(blocks), budget, window)
+            if pos > _REFILL_AT:
+                ahead = lookahead(ahead[pos])
+                pos = 0
+            pos += 1
+            pos, block = emitters[ahead[pos] % spec_count](
+                ahead, pos, len(blocks), budget, window, odds)
             blocks.append(block)
-            total += len(block.entries)
+            total += len(block.words)
+        lfsr.state = ahead[pos]
         iteration = Iteration(
             blocks=blocks,
             layout=self.layout,
-            data_seed=self.lfsr.next(),
+            data_seed=lfsr.next(),
             setup_words=self._init_stub(),
         )
         iteration.assemble()
@@ -122,13 +137,12 @@ class CascadeFuzzer:
     def prepare_state(self, state):
         """Decode a :meth:`state_dict` and check all of it; returns the
         function that applies it (decoding changes nothing)."""
-        lfsr = Lfsr()
-        lfsr.load_state(state["lfsr"])
+        apply_lfsr = self.lfsr.prepare_state(state["lfsr"])
         iterations = int(state["iterations"])
         apply_library = self.library.prepare_state(state["library"])
 
         def apply():
-            self.lfsr.state = lfsr.state
+            apply_lfsr()
             self.iterations = iterations
             apply_library()
         return apply

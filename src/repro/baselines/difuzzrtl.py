@@ -15,13 +15,19 @@ Captures the properties the paper measures against:
 
 Instruction generation quality — not the coverage metric — is what
 differentiates it from TurboFuzz; it shares the instruction library and
-runs on the same DUT + instrumentation.
+runs on the same DUT + instrumentation.  Its stimulus is the packed block
+of :mod:`repro.fuzzer.blocks`, one word per block, drawn from a cached
+weighted spec list (:class:`~repro.fuzzer.direct.DirectGenerator`).
+Blocks are never changed once built, so the corpus stores an iteration's
+blocks as they are, and a mutation replaces only the blocks it flips.
 """
 
+import dataclasses
 from dataclasses import dataclass, field
 
-from repro.fuzzer.blocks import InstructionBlock, Iteration, StimulusEntry
+from repro.fuzzer.blocks import JUMP_FLAGS, InstructionBlock, Iteration
 from repro.fuzzer.context import MemoryLayout
+from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
 from repro.fuzzer.lfsr import Lfsr
 from repro.isa.encoder import encode
@@ -60,12 +66,12 @@ class DifuzzRtlFuzzer:
         # DifuzzRTL generator sticks to direct jumps for the same reason.
         self.library = InstructionLibrary(self.config.extensions,
                                           exclude=("jalr",))
-        self._weights = {
+        self.direct = DirectGenerator(self.library, {
             Category.BRANCH: self.config.control_flow_weight,
             Category.JUMP: self.config.control_flow_weight,
             Category.SYSTEM: 0,
-        }
-        self.corpus = []  # FIFO of word lists
+        })
+        self.corpus = []  # FIFO of block lists
         self.iterations = 0
         self._pending = None
 
@@ -98,10 +104,11 @@ class DifuzzRtlFuzzer:
             counter += 1
         return words[:budget]
 
-    def _random_word(self, index, total):
-        """One raw random instruction (DifuzzRTL's generation quality)."""
+    def _random_word(self, specs, index, total):
+        """One raw random instruction (DifuzzRTL's generation quality),
+        its spec drawn from ``specs``."""
         lfsr = self.lfsr
-        spec = self.library.sample_weighted(lfsr, self._weights)
+        spec = lfsr.choice(specs)
         fmt = spec.fmt
         if fmt == "B":
             word = encode(spec.name, rs1=lfsr.below(30), rs2=lfsr.below(30), imm=4)
@@ -146,34 +153,31 @@ class DifuzzRtlFuzzer:
     def _generate_words(self):
         blocks = []
         total = self.config.instructions_per_iteration
+        specs = self.direct.specs()
         for index in range(total):
-            word, cf_kind, target = self._random_word(index, total)
-            entry = StimulusEntry(
-                word,
-                needs_target_patch=cf_kind != "" and target is not None,
-                patch_kind=cf_kind if cf_kind else "",
-            )
-            blocks.append(
-                InstructionBlock(
-                    prime_name="addi" if not cf_kind else
-                    ("jal" if cf_kind == "jal" else "beq"),
-                    entries=[entry],
-                    cf_kind=cf_kind,
-                    target_block=target,
-                )
-            )
+            word, cf_kind, target = self._random_word(specs, index, total)
+            if cf_kind:
+                blocks.append(InstructionBlock(
+                    "jal" if cf_kind == "jal" else "beq", (word,),
+                    JUMP_FLAGS[cf_kind, target is not None], cf_kind,
+                    target))
+            else:
+                blocks.append(InstructionBlock("addi", (word,)))
         return blocks
 
     def _mutate_blocks(self, parent_blocks):
-        """AFL-style bit flips over the stored stimulus."""
+        """AFL-style bit flips over the stored stimulus: each flip
+        replaces its block with one whose first word is flipped."""
         lfsr = self.lfsr
-        blocks = [block.clone() for block in parent_blocks]
+        blocks = list(parent_blocks)
         for _ in range(self.config.flip_bits):
-            victim = blocks[lfsr.below(len(blocks))]
-            entry = victim.entries[0]
-            if entry.needs_target_patch:
+            index = lfsr.below(len(blocks))
+            victim = blocks[index]
+            if victim.patched(0):
                 continue
-            entry.word ^= 1 << (7 + lfsr.below(25))
+            words = victim.words
+            blocks[index] = dataclasses.replace(victim, words=(
+                words[0] ^ (1 << (7 + lfsr.below(25))),) + words[1:])
         return blocks
 
     def generate_iteration(self, instruction_budget=None):
@@ -198,7 +202,7 @@ class DifuzzRtlFuzzer:
         """Coverage-guided, FIFO-evicted corpus insertion."""
         self._pending = None
         if coverage_increment > 0:
-            self.corpus.append([block.clone() for block in iteration.blocks])
+            self.corpus.append(list(iteration.blocks))
             if len(self.corpus) > self.config.corpus_capacity:
                 self.corpus.pop(0)  # FIFO: oldest seed goes first
 
@@ -221,8 +225,7 @@ class DifuzzRtlFuzzer:
     def prepare_state(self, state):
         """Decode a :meth:`state_dict` and check all of it; returns the
         function that applies it (decoding changes nothing)."""
-        lfsr = Lfsr()
-        lfsr.load_state(state["lfsr"])
+        apply_lfsr = self.lfsr.prepare_state(state["lfsr"])
         corpus = [
             [InstructionBlock.from_state(block) for block in blocks]
             for blocks in state["corpus"]
@@ -231,7 +234,7 @@ class DifuzzRtlFuzzer:
         apply_library = self.library.prepare_state(state["library"])
 
         def apply():
-            self.lfsr.state = lfsr.state
+            apply_lfsr()
             self.corpus = corpus
             self.iterations = iterations
             apply_library()

@@ -123,12 +123,8 @@ def register_timing(timing, name=None, replace=False):
 # ---------------------------------------------------------------------------
 # Built-in registrations
 # ---------------------------------------------------------------------------
-def _turbofuzz_allow_ebreak(fuzzer):
+def _allow_ebreak(fuzzer):
     fuzzer.direct.category_weights[Category.SYSTEM] = 1
-
-
-def _baseline_allow_ebreak(fuzzer):
-    fuzzer._weights[Category.SYSTEM] = 1
 
 
 for _timing in TIMING_PRESETS.values():
@@ -136,18 +132,18 @@ for _timing in TIMING_PRESETS.values():
 
 register_fuzzer(
     "turbofuzz", config_class=TurboFuzzConfig, timing="turbofuzz",
-    tweaks={"allow_ebreak": _turbofuzz_allow_ebreak},
+    tweaks={"allow_ebreak": _allow_ebreak},
     factory=TurboFuzzer,
 )
 register_fuzzer(
     "difuzzrtl", config_class=DifuzzRtlConfig, timing="difuzzrtl-fpga",
     stop_on_trap=True,
-    tweaks={"allow_ebreak": _baseline_allow_ebreak},
+    tweaks={"allow_ebreak": _allow_ebreak},
     factory=DifuzzRtlFuzzer,
 )
 register_fuzzer(
     "cascade", config_class=CascadeConfig, timing="cascade",
-    tweaks={"allow_ebreak": _baseline_allow_ebreak},
+    tweaks={"allow_ebreak": _allow_ebreak},
     factory=CascadeFuzzer,
 )
 

@@ -458,6 +458,10 @@ class CampaignSession:
             for key, kind in DELTA_VERBATIM.items():
                 if not isinstance(state[key], kind):
                     raise TypeError(f"{key} must be {kind.__name__}")
+            apply_weights = self.weights.prepare_state(state["weights"])
+            apply_clock = self.clock.prepare_state(state["clock"])
+            apply_detection = self.detection_lfsr.prepare_state(
+                state["detection_lfsr"])
             apply_core = self.core.prepare_core_state(state["core"])
             triggered = getattr(self.core.hooks, "triggered", None)
             if triggered is not None and not isinstance(
@@ -466,9 +470,9 @@ class CampaignSession:
         except (KeyError, IndexError, TypeError, ValueError) as exc:
             raise CheckpointError(
                 f"malformed checkpoint state: {exc!r}") from exc
-        self.weights.load_state(state["weights"])
-        self.clock.load_state(state["clock"])
-        self.detection_lfsr.load_state(state["detection_lfsr"])
+        apply_weights()
+        apply_clock()
+        apply_detection()
         apply_core()
         apply_fuzzer()
         apply_coverage()

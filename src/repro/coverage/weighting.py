@@ -40,9 +40,19 @@ class FeedbackWeights:
         """JSON-round-trippable snapshot of the shift table."""
         return {"shifts": dict(self._shifts)}
 
-    def load_state(self, state):
-        self._shifts = {str(name): int(shift)
-                        for name, shift in state["shifts"].items()}
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict`; returns the function that applies
+        it in place (checking changes nothing)."""
+        shifts = state["shifts"]
+        if not isinstance(shifts, dict):
+            raise TypeError("weight shifts must be an object")
+        if not all(type(shift) is int for shift in shifts.values()):
+            raise TypeError(f"weight shifts must be integers: {shifts!r}")
+        shifts = dict(shifts)
+
+        def apply():
+            self._shifts = shifts
+        return apply
 
     @classmethod
     def attenuate_arithmetic(cls, muldiv_shift=-2, fpu_shift=-1):

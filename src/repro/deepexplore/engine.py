@@ -142,7 +142,7 @@ class DeepExplore:
                 if patch is None:
                     continue
                 iteration = Iteration(
-                    blocks=[block.clone() for block in seed.blocks],
+                    blocks=list(seed.blocks),
                     layout=fuzzer.layout,
                     data_seed=fuzzer.lfsr.next(),
                     data_patches=list(fuzzer.persistent_data_patches),

@@ -7,7 +7,7 @@ context area of the data segment (a data patch) and the init block loads
 them; the interval's code span follows verbatim.
 """
 
-from repro.fuzzer.blocks import InstructionBlock, StimulusEntry
+from repro.fuzzer.blocks import InstructionBlock
 from repro.fuzzer.context import (
     REG_DATA_BASE,
     REG_HANDLER_T0,
@@ -80,23 +80,11 @@ def build_interval_seed(interval, code_words, code_base, layout,
     """
     init_words, patch = build_init_words(interval.start_snapshot, layout,
                                          context_offset)
-    blocks = [
-        InstructionBlock(
-            prime_name="addi",
-            entries=[StimulusEntry(word) for word in init_words],
-            generated=False,
-        )
-    ]
+    blocks = [InstructionBlock("addi", tuple(init_words), generated=False)]
     first = max(0, (interval.min_pc - code_base) // 4)
     last = min(len(code_words), (interval.max_pc - code_base) // 4 + 1)
     if last - first > max_span_words:
         last = first + max_span_words
     for word in code_words[first:last]:
-        blocks.append(
-            InstructionBlock(
-                prime_name="addi",
-                entries=[StimulusEntry(word)],
-                generated=False,
-            )
-        )
+        blocks.append(InstructionBlock("addi", (word,), generated=False))
     return blocks, patch

@@ -19,7 +19,7 @@ This package implements Section IV of the paper:
 from repro.fuzzer.config import TurboFuzzConfig
 from repro.fuzzer.lfsr import Lfsr
 from repro.fuzzer.instrlib import InstructionLibrary
-from repro.fuzzer.blocks import InstructionBlock, Iteration, StimulusEntry
+from repro.fuzzer.blocks import InstructionBlock, Iteration
 from repro.fuzzer.context import FuzzContext, MemoryLayout
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.direct import DirectGenerator
@@ -33,7 +33,6 @@ __all__ = [
     "InstructionLibrary",
     "InstructionBlock",
     "Iteration",
-    "StimulusEntry",
     "FuzzContext",
     "MemoryLayout",
     "Corpus",

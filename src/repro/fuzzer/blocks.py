@@ -6,17 +6,27 @@ prerequisites (base-address materialization for jalr, aligned-address setup
 for AMOs).  An *iteration* is the fuzzer's output unit: tens to thousands
 of instruction blocks assembled into an executable program image.
 
+A block is one packed object, as the paper's seed stimulus entry
+("instruction, position, control-flow status, branch target position") is
+a word plus a few bits in hardware: a tuple of instruction words and one
+int of per-entry flags (affiliated, needs a target patch, patch kind),
+beside the prime's name, the control-flow kind, the target block and
+whether it was generated.  Blocks are never changed once built: retention,
+operand rebinding and the baselines' bit flips build new blocks, so a seed
+and an iteration share them freely.  :meth:`InstructionBlock.state_dict`
+spells the flags out as one JSON object per entry.
+
 Each spec's block is made by its *emitter* (the paper's random generation
 and operand assignment modules), bound once at import and chosen from the
 spec's format, as the decoder binds one field extractor per spec.  An
-emitter takes the LFSR state as an int and steps it inline for each
-operand.  It ORs into ``spec.match`` each register, CSR and rounding mode
+emitter draws from an LFSR lookahead (:func:`repro.fuzzer.lfsr.lookahead`):
+it reads each state as ``ahead[pos]`` and returns the new ``pos`` with the
+block.  It ORs into ``spec.match`` each register, CSR and rounding mode
 from a pre-shifted constant pool (range-checked once, when the emitter is
 bound; the values come from :mod:`repro.fuzzer.context`) and each
-immediate from the draw's low bits, and returns the new state with the
-block: no format dispatch, operand method or encoder call per block.  Its
-draws and words are those ``encode()`` gives for the same operands, which
-the tests check for every spec.
+immediate from the draw's low bits: no format dispatch, operand method or
+encoder call per block.  Its draws and words are those ``encode()`` gives
+for the same operands, which the tests check for every spec.
 
 Control-flow targets always land on block base addresses (the paper's
 validity guarantee); assembly is two-pass — blocks are laid out, then
@@ -38,40 +48,69 @@ from repro.fuzzer.context import (
     WRITABLE_CSRS,
 )
 from repro.isa.encoder import encode
-from repro.isa.encoding import MASK64
 from repro.isa.instructions import SPECS, SPECS_BY_NAME, Category
 
+# -- block flags ------------------------------------------------------------------
+# Bit 0 of InstructionBlock.flags is set when some entry needs a target
+# patch (assembly copies the other blocks' words as they are).  Entry i's
+# field sits at bit 1 + _ENTRY_BITS * i: _AFFILIATED (not the prime),
+# _PATCH (its displacement is patched at assembly), and the index of its
+# patch kind in PATCH_KINDS from bit _KIND_SHIFT.
+_NEEDS_PATCH = 1
+_AFFILIATED = 1
+_PATCH = 2
+_KIND_SHIFT = 2
+_ENTRY_BITS = 5
+PATCH_KINDS = ("", "branch", "jal", "lui", "addi")
 
-@dataclass(slots=True)
-class StimulusEntry:
-    """One instruction inside a block, with its mutation metadata
-    (the paper's seed stimulus entry: instruction, position, control-flow
-    status, branch target position)."""
 
-    word: int
-    is_prime: bool = True
-    needs_target_patch: bool = False  # branch/jal imm patched at assembly
-    patch_kind: str = ""  # "branch" | "jal" | "lui" | "addi"
+def pack_flags(entries):
+    """The flags of entries given as ``(is_prime, needs_target_patch,
+    patch_kind)``; a patch kind outside :data:`PATCH_KINDS` raises
+    ``ValueError``."""
+    flags = 0
+    shift = 1
+    for is_prime, needs_patch, kind in entries:
+        entry = PATCH_KINDS.index(kind) << _KIND_SHIFT
+        if not is_prime:
+            entry |= _AFFILIATED
+        if needs_patch:
+            entry |= _PATCH
+            flags |= _NEEDS_PATCH
+        flags |= entry << shift
+        shift += _ENTRY_BITS
+    return flags
 
-    def state_dict(self):
-        """JSON-round-trippable form (corpus checkpointing)."""
-        return {"word": self.word, "is_prime": self.is_prime,
-                "needs_target_patch": self.needs_target_patch,
-                "patch_kind": self.patch_kind}
 
-    @classmethod
-    def from_state(cls, state):
-        return cls(int(state["word"]), bool(state["is_prime"]),
-                   bool(state["needs_target_patch"]),
-                   str(state["patch_kind"]))
+# (is_prime, needs_target_patch, patch_kind) of each entry field value.
+_ENTRY_FLAGS = [(not entry & _AFFILIATED, bool(entry & _PATCH),
+                 PATCH_KINDS[entry >> _KIND_SHIFT])
+                for entry in range(len(PATCH_KINDS) << _KIND_SHIFT)]
+_ENTRY_MASK = (1 << _ENTRY_BITS) - 1
+
+
+def _entry_states(words, flags):
+    """The JSON objects of a block's entries, which
+    :meth:`InstructionBlock.from_state` reads back."""
+    states = []
+    flags >>= 1
+    for word in words:
+        is_prime, needs_patch, kind = _ENTRY_FLAGS[flags & _ENTRY_MASK]
+        states.append({"word": word, "is_prime": is_prime,
+                       "needs_target_patch": needs_patch, "patch_kind": kind})
+        flags >>= _ENTRY_BITS
+    return states
 
 
 @dataclass(slots=True)
 class InstructionBlock:
-    """Prime instruction + affiliated instructions + control-flow metadata."""
+    """Prime instruction + affiliated instructions + control-flow metadata,
+    packed: ``words`` is a tuple, ``flags`` holds each entry's bits (see
+    :func:`pack_flags`; 0 when every entry is a prime needing no patch)."""
 
     prime_name: str
-    entries: list
+    words: tuple
+    flags: int = 0
     cf_kind: str = ""  # "" | "branch" | "jal" | "jalr"
     target_block: int = None  # iteration-relative block index
     generated: bool = True  # False when retained from a seed
@@ -83,17 +122,22 @@ class InstructionBlock:
     @property
     def size(self):
         """Instruction count of the block."""
-        return len(self.entries)
+        return len(self.words)
 
     @property
     def is_control_flow(self):
         return bool(self.cf_kind)
 
+    def patched(self, position):
+        """Whether the word of entry ``position`` is patched at assembly."""
+        return bool((self.flags >> (1 + _ENTRY_BITS * position)) & _PATCH)
+
     def state_dict(self):
-        """JSON-round-trippable form (corpus checkpointing)."""
+        """JSON-round-trippable form (corpus checkpointing): one object
+        per entry, with its word and flags spelled out."""
         return {
             "prime_name": self.prime_name,
-            "entries": [entry.state_dict() for entry in self.entries],
+            "entries": _entry_states(self.words, self.flags),
             "cf_kind": self.cf_kind,
             "target_block": self.target_block,
             "generated": self.generated,
@@ -102,29 +146,16 @@ class InstructionBlock:
     @classmethod
     def from_state(cls, state):
         target = state["target_block"]
+        entries = state["entries"]
         return cls(
-            prime_name=str(state["prime_name"]),
-            entries=[StimulusEntry.from_state(entry)
-                     for entry in state["entries"]],
-            cf_kind=str(state["cf_kind"]),
-            target_block=None if target is None else int(target),
-            generated=bool(state["generated"]),
-        )
-
-    def clone(self, generated=None):
-        """Deep copy (mutation retains blocks by copying them)."""
-        return InstructionBlock(
-            prime_name=self.prime_name,
-            entries=[
-                StimulusEntry(
-                    entry.word, entry.is_prime,
-                    entry.needs_target_patch, entry.patch_kind,
-                )
-                for entry in self.entries
-            ],
-            cf_kind=self.cf_kind,
-            target_block=self.target_block,
-            generated=self.generated if generated is None else generated,
+            str(state["prime_name"]),
+            tuple([int(entry["word"]) for entry in entries]),
+            pack_flags([(bool(entry["is_prime"]),
+                         bool(entry["needs_target_patch"]),
+                         str(entry["patch_kind"])) for entry in entries]),
+            str(state["cf_kind"]),
+            None if target is None else int(target),
+            bool(state["generated"]),
         )
 
 
@@ -166,10 +197,11 @@ class Iteration:
     def assemble(self):
         """Two-pass assembly into ``words`` with control flow patched.
 
-        Pass 1 lays out block base addresses; pass 2 patches branch/jal
-        displacements and jalr's lui/addi absolute target pairs.  A final
-        ``ecall`` terminates the iteration (the trap handler routes it to
-        the done loop).
+        Pass 1 lays out block base addresses; pass 2 copies the words of
+        blocks that need no patch and patches branch/jal displacements and
+        jalr's lui/addi absolute target pairs.  A final ``ecall``
+        terminates the iteration (the trap handler routes it to the done
+        loop).
         """
         blocks = self.blocks
         count = len(blocks)
@@ -178,13 +210,22 @@ class Iteration:
         cursor = base
         for block in blocks:
             bases.append(cursor)
-            cursor += 4 * len(block.entries)
+            cursor += 4 * len(block.words)
         self.block_bases = bases
 
         words = list(self.setup_words)
         append = words.append
+        extend = words.extend
         for index, block in enumerate(blocks):
-            target_address = None
+            flags = block.flags
+            if not flags & _NEEDS_PATCH:
+                extend(block.words)
+                continue
+            address = bases[index]
+            # Fallback for dangling control flow (e.g. a retained jalr
+            # whose target fell off the end): continue at the next
+            # sequential block.
+            target_address = address + 4 * len(block.words)
             if block.cf_kind and block.target_block is not None:
                 # Clamp to a strictly-forward block: a target at or before
                 # the block itself (possible after retention re-indexing)
@@ -194,50 +235,42 @@ class Iteration:
                     target_index = index + 1
                 if target_index < count:
                     target_address = bases[target_index]
-            address = bases[index]
-            for entry in block.entries:
-                if entry.needs_target_patch:
-                    # Fallback for dangling control flow (e.g. a retained
-                    # jalr whose target fell off the end): continue at the
-                    # next sequential block.
-                    effective_target = (
-                        target_address
-                        if target_address is not None
-                        else bases[index] + 4 * len(block.entries)
-                    )
-                    append(self._patch(entry, entry.word, address,
-                                       effective_target))
-                else:
-                    append(entry.word)
+            flags >>= 1
+            for word in block.words:
+                if flags & _PATCH:
+                    word = self._patch(PATCH_KINDS[(flags >> _KIND_SHIFT) & 7],
+                                       word, address, target_address)
+                append(word)
                 address += 4
+                flags >>= _ENTRY_BITS
         append(_ECALL)
         self.words = words
         self._total_cache = ((cursor - base) >> 2) + len(self.setup_words)
         return words
 
     @staticmethod
-    def _patch(entry, word, address, target):
+    def _patch(kind, word, address, target):
         """Patch one control-flow word with its final displacement."""
-        if entry.patch_kind == "branch":
+        if kind == "branch":
             offset = target - address
             # B-format reach is +/-4 KiB; clamp to the next instruction
             # when out of range, and never allow a non-forward edge.
             if offset <= 0 or offset > 4094:
                 offset = 4
             return _set_b_imm(word, offset)
-        if entry.patch_kind == "jal":
+        if kind == "jal":
             offset = target - address
             if offset <= 0 or offset > (1 << 20) - 2:
                 offset = 4
             return _set_j_imm(word, offset)
-        if entry.patch_kind == "lui":
+        if kind == "lui":
             upper = (target + 0x800) & 0xFFFFF000
             return encode("lui", rd=REG_JALR_TEMP, imm=upper)
-        if entry.patch_kind == "addi":
+        if kind == "addi":
             upper = (target + 0x800) & 0xFFFFF000
             return encode("addi", rd=REG_JALR_TEMP, rs1=REG_JALR_TEMP,
                           imm=target - upper)
-        raise ValueError(f"unknown patch kind {entry.patch_kind!r}")
+        raise ValueError(f"unknown patch kind {kind!r}")
 
 
 _ECALL = encode("ecall")
@@ -259,39 +292,24 @@ def _set_j_imm(word, imm):
     return word
 
 
-class BlockBuilder:
-    """Builds single instruction blocks from specs through their emitters,
-    stepping the context's LFSR object (the generation loops keep the
-    state on a local and call the emitters directly)."""
-
-    def __init__(self, context):
-        self.context = context
-
-    def build(self, spec, block_index, total_blocks, jump_window):
-        """Generate one block for a prime instruction spec.
-
-        ``jump_window`` limits forward control-flow distance in blocks
-        (``None`` = unbounded, the prior-work behaviour).
-        """
-        context = self.context
-        lfsr = context.lfsr
-        lfsr.state, block = EMITTERS[spec.name](
-            lfsr.state, block_index, total_blocks, jump_window,
-            context.odds())
-        return block
-
-
 # -- emitters -------------------------------------------------------------------
-# Signature: emit(state, block_index, total_blocks, jump_window, odds)
-# -> (state, block): ``state`` is the LFSR state, ``odds`` is
-# FuzzContext.odds(), and the block position, the iteration's block bound
-# and the jump window place a control-flow target.  Each ``state ^= ...``
-# triple is one Lfsr.next() step.  A register, CSR, rounding mode or shift
-# amount is ``pool[state % len(pool)]`` from a pool of its field bits
-# (Lfsr.choice over the context's values; Lfsr.below over a range); an
-# immediate is the draw's low bits (Lfsr.bits) moved into its field.  A
-# Bernoulli draw compares masked bits, as Lfsr.chance does.  Operands are
-# drawn in the order the docstrings list them.
+# Signature: emit(ahead, pos, block_index, total_blocks, jump_window, odds)
+# -> (pos, block): ``ahead[pos]`` is the current LFSR state of a lookahead
+# (repro.fuzzer.lfsr.lookahead), the caller leaves at least
+# MAX_EMIT_DRAWS states after it, and each draw reads the next state (one
+# Lfsr.next() step).  ``odds`` is FuzzContext.odds(), and the block
+# position, the iteration's block bound and the jump window place a
+# control-flow target.  A register, CSR, rounding mode or shift amount is
+# ``pool[state % len(pool)]`` from a pool of its field bits (Lfsr.choice
+# over the context's values; Lfsr.below over a range); an immediate is the
+# draw's low bits (Lfsr.bits) moved into its field.  A Bernoulli draw
+# compares masked bits, as Lfsr.chance does.  Operands are drawn in the
+# order the docstrings list them.
+
+#: The most LFSR states one emitter draws (a four-register FP op with its
+#: rounding-mode pair).
+MAX_EMIT_DRAWS = 6
+
 
 def _placed(values, width, shift):
     """``values`` as the bits of a ``width``-bit field at bit ``shift``,
@@ -327,23 +345,30 @@ _ACCESS_SIZES = {
 # into its segment), as 12-bit two's-complement field bits.
 _MEM_OFFSET_BIAS = 1 << 10
 
+# The flags of the emitted shapes: an affiliated setup before the prime;
+# a branch or jal, with a target to patch or dangling; jalr's patched
+# lui/addi pair before the prime.
+_SETUP_FLAGS = pack_flags([(False, False, ""), (True, False, "")])
+JUMP_FLAGS = {(kind, patched): pack_flags([(True, patched, kind)])
+              for kind in ("branch", "jal") for patched in (False, True)}
+_JALR_FLAGS = pack_flags([(False, True, "lui"), (False, True, "addi"),
+                          (True, False, "")])
 
-def _jump_target(state, index, total, window):
-    """``(state, target)``: a forward target block index within ``window``
+
+def _jump_target(ahead, pos, index, total, window):
+    """``(pos, target)``: a forward target block index within ``window``
     blocks (``None``: unbounded, the prior fuzzers' behaviour, whose
     expected jump distance E_j = 1 + (L - p)/2 wastes most of the
     iteration, paper eq. 1), or ``None`` without a draw when no block
     follows."""
     first = index + 1
     if first >= total:
-        return state, None
+        return pos, None
     last = total - 1 if window is None else min(total - 1, index + window)
     if last < first:
         raise ValueError("bound must be positive")
-    state ^= (state << 13) & MASK64
-    state ^= state >> 7
-    state ^= (state << 17) & MASK64
-    return state, first + state % (last - first + 1)
+    pos += 1
+    return pos, first + ahead[pos] % (last - first + 1)
 
 
 def _emit_plain(spec, pools, fixed=0):
@@ -352,14 +377,12 @@ def _emit_plain(spec, pools, fixed=0):
     match, name = spec.match | fixed, spec.name
     fields = tuple((pool, len(pool)) for pool in pools)
 
-    def emit(state, index, total, window, odds):
+    def emit(ahead, pos, index, total, window, odds):
         word = match
         for pool, count in fields:
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            word |= pool[state % count]
-        return state, InstructionBlock(name, [StimulusEntry(word)])
+            pos += 1
+            word |= pool[ahead[pos] % count]
+        return pos, InstructionBlock(name, (word,))
     return emit
 
 
@@ -372,25 +395,16 @@ def _emit_rounded(spec, pools):
     valid, invalid = _NO_RMS if spec.mask & 0x7000 else _RMS
     valid_count, invalid_count = len(valid), len(invalid)
 
-    def emit(state, index, total, window, odds):
+    def emit(ahead, pos, index, total, window, odds):
         word = match
         for pool, count in fields:
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            word |= pool[state % count]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        invalid_rm = (state & odds[1]) < odds[0]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        if invalid_rm:
-            word |= invalid[state % invalid_count]
+            pos += 1
+            word |= pool[ahead[pos] % count]
+        if (ahead[pos + 1] & odds[1]) < odds[0]:
+            word |= invalid[ahead[pos + 2] % invalid_count]
         else:
-            word |= valid[state % valid_count]
-        return state, InstructionBlock(name, [StimulusEntry(word)])
+            word |= valid[ahead[pos + 2] % valid_count]
+        return pos + 2, InstructionBlock(name, (word,))
     return emit
 
 
@@ -399,21 +413,12 @@ def _emit_i(spec):
     match, name = spec.match, spec.name
     rd_count, rs1_count = len(_RD), len(_RS1)
 
-    def emit(state, index, total, window, odds):
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word = match | _RD[state % rd_count]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word |= _RS1[state % rs1_count]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
+    def emit(ahead, pos, index, total, window, odds):
         # The field bits of (bits(12) - 2048): the draw, sign bit flipped.
-        word |= ((state & 0xFFF) ^ 0x800) << 20
-        return state, InstructionBlock(name, [StimulusEntry(word)])
+        word = (match | _RD[ahead[pos + 1] % rd_count]
+                | _RS1[ahead[pos + 2] % rs1_count]
+                | ((ahead[pos + 3] & 0xFFF) ^ 0x800) << 20)
+        return pos + 3, InstructionBlock(name, (word,))
     return emit
 
 
@@ -425,20 +430,11 @@ def _emit_load(spec, rd_pool):
     align = 0xFFF & ~(_ACCESS_SIZES[name] - 1)
     data_base, instr_base = REG_DATA_BASE << 15, REG_INSTR_BASE << 15
 
-    def emit(state, index, total, window, odds):
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word = match | rd_pool[state % rd_count]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word |= data_base if (state & odds[3]) < odds[2] else instr_base
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word |= (((state & 0x7FF) - _MEM_OFFSET_BIAS) & align) << 20
-        return state, InstructionBlock(name, [StimulusEntry(word)])
+    def emit(ahead, pos, index, total, window, odds):
+        word = match | rd_pool[ahead[pos + 1] % rd_count]
+        word |= data_base if (ahead[pos + 2] & odds[3]) < odds[2] else instr_base
+        word |= (((ahead[pos + 3] & 0x7FF) - _MEM_OFFSET_BIAS) & align) << 20
+        return pos + 3, InstructionBlock(name, (word,))
     return emit
 
 
@@ -449,17 +445,11 @@ def _emit_store(spec, rs2_pool):
     rs2_count = len(rs2_pool)
     align = 0xFFF & ~(_ACCESS_SIZES[name] - 1)
 
-    def emit(state, index, total, window, odds):
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        word = match | rs2_pool[state % rs2_count]
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        offset = ((state & 0x7FF) - _MEM_OFFSET_BIAS) & align
-        word |= ((offset >> 5) << 25) | ((offset & 0x1F) << 7)
-        return state, InstructionBlock(name, [StimulusEntry(word)])
+    def emit(ahead, pos, index, total, window, odds):
+        offset = ((ahead[pos + 2] & 0x7FF) - _MEM_OFFSET_BIAS) & align
+        word = (match | rs2_pool[ahead[pos + 1] % rs2_count]
+                | ((offset >> 5) << 25) | ((offset & 0x1F) << 7))
+        return pos + 2, InstructionBlock(name, (word,))
     return emit
 
 
@@ -473,19 +463,14 @@ def _emit_amo(spec, pools):
                   | (REG_DATA_BASE << 15))
     fields = tuple((pool, len(pool)) for pool in pools)
 
-    def emit(state, index, total, window, odds):
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        setup = StimulusEntry(
-            setup_base | ((((state & 0x3FF) * size) & 0x7FF) << 20), False)
+    def emit(ahead, pos, index, total, window, odds):
+        pos += 1
+        setup = setup_base | ((((ahead[pos] & 0x3FF) * size) & 0x7FF) << 20)
         word = match
         for pool, count in fields:
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            word |= pool[state % count]
-        return state, InstructionBlock(name, [setup, StimulusEntry(word)])
+            pos += 1
+            word |= pool[ahead[pos] % count]
+        return pos, InstructionBlock(name, (setup, word), _SETUP_FLAGS)
     return emit
 
 
@@ -495,17 +480,16 @@ def _emit_jump(spec, pools, kind, placeholder):
     target; the displacement is patched at assembly."""
     name = spec.name
     fields = tuple((pool, len(pool)) for pool in pools)
+    dangling, patched = JUMP_FLAGS[kind, False], JUMP_FLAGS[kind, True]
 
-    def emit(state, index, total, window, odds):
+    def emit(ahead, pos, index, total, window, odds):
         word = placeholder
         for pool, count in fields:
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            word |= pool[state % count]
-        state, target = _jump_target(state, index, total, window)
-        entry = StimulusEntry(word, True, target is not None, kind)
-        return state, InstructionBlock(name, [entry], kind, target)
+            pos += 1
+            word |= pool[ahead[pos] % count]
+        pos, target = _jump_target(ahead, pos, index, total, window)
+        flags = dangling if target is None else patched
+        return pos, InstructionBlock(name, (word,), flags, kind, target)
     return emit
 
 
@@ -518,22 +502,14 @@ def _emit_jalr(spec):
     addi = SPECS_BY_NAME["addi"].match
     rd_count = len(_RD)
 
-    def emit(state, index, total, window, odds):
-        state, target = _jump_target(state, index, total, window)
-        state ^= (state << 13) & MASK64
-        state ^= state >> 7
-        state ^= (state << 17) & MASK64
-        rd = _RD[state % rd_count]
+    def emit(ahead, pos, index, total, window, odds):
+        pos, target = _jump_target(ahead, pos, index, total, window)
+        rd = _RD[ahead[pos + 1] % rd_count]
         if target is None:
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            word = addi | rd | (((state & 0xFFF) ^ 0x800) << 20)
-            return state, InstructionBlock("addi", [StimulusEntry(word)])
-        entries = [StimulusEntry(0, False, True, "lui"),
-                   StimulusEntry(0, False, True, "addi"),
-                   StimulusEntry(match | rd)]
-        return state, InstructionBlock("jalr", entries, "jalr", target)
+            word = addi | rd | (((ahead[pos + 2] & 0xFFF) ^ 0x800) << 20)
+            return pos + 2, InstructionBlock("addi", (word,))
+        return pos + 1, InstructionBlock("jalr", (0, 0, match | rd),
+                                         _JALR_FLAGS, "jalr", target)
     return emit
 
 

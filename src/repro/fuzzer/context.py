@@ -8,7 +8,7 @@ assignment stage.  Registers, CSRs and rounding modes are drawn from the
 constant pools below: the per-spec block emitters
 (:mod:`repro.fuzzer.blocks`) place each pool's values into their
 instruction field once, when they are bound, and assign such an operand
-with one LFSR step and one tuple index.
+with one LFSR draw and one tuple index.
 """
 
 from dataclasses import dataclass
@@ -88,10 +88,10 @@ def _odds(probability):
 
 
 class FuzzContext:
-    """The LFSR, configuration and memory layout one generator draws with."""
+    """The configuration and memory layout one generator draws with (it
+    draws from its own LFSR's lookahead)."""
 
-    def __init__(self, lfsr, config, layout=None):
-        self.lfsr = lfsr
+    def __init__(self, config, layout=None):
         self.config = config
         self.layout = layout or MemoryLayout()
 

@@ -30,7 +30,8 @@ DEFAULT_CATEGORY_WEIGHTS = {
 
 
 class DirectGenerator:
-    """Draws prime instructions: the weighted spec list, as emitters."""
+    """Draws prime instructions: the weighted spec list, and its emitters.
+    The baselines draw their specs through one too."""
 
     def __init__(self, library, category_weights=None):
         self.library = library
@@ -39,27 +40,33 @@ class DirectGenerator:
             if category_weights is not None
             else dict(DEFAULT_CATEGORY_WEIGHTS)
         )
-        # Cached expanded weighted emitter list: rebuilding (or even
-        # re-keying) it per iteration would cost more than its draws, so it
-        # is revalidated with two cheap compares — the library's
-        # active-set version and a snapshot of the weights dict (callers may
-        # mutate ``category_weights`` in place between iterations).
-        self._expanded = None
-        self._expanded_version = None
-        self._expanded_weights = None
+        # Cached expanded weighted lists: rebuilding (or even re-keying)
+        # them per iteration would cost more than their draws, so they are
+        # revalidated with two cheap compares — the library's active-set
+        # version and a snapshot of the weights dict (callers may mutate
+        # ``category_weights`` in place between iterations).
+        self._specs = None
+        self._emitters = None
+        self._version = None
+        self._weights = None
+
+    def specs(self):
+        """The library's expanded weighted spec list
+        (:meth:`InstructionLibrary.weighted_specs`): ``lfsr.choice``
+        over it draws a spec with the category weights."""
+        version = self.library.version
+        if (self._specs is None
+                or self._version != version
+                or self._weights != self.category_weights):
+            self._specs = self.library.weighted_specs(self.category_weights)
+            self._emitters = [EMITTERS[spec.name] for spec in self._specs]
+            self._version = version
+            self._weights = dict(self.category_weights)
+        return self._specs
 
     def emitters(self):
-        """The emitter of every entry of the library's expanded weighted
-        spec list, in its order: ``emitters()[state % len]`` is the block
-        emitter of ``lfsr.choice(library.weighted_specs(weights))``."""
-        version = self.library.version
-        if (self._expanded is None
-                or self._expanded_version != version
-                or self._expanded_weights != self.category_weights):
-            self._expanded = [
-                EMITTERS[spec.name]
-                for spec in self.library.weighted_specs(self.category_weights)
-            ]
-            self._expanded_version = version
-            self._expanded_weights = dict(self.category_weights)
-        return self._expanded
+        """The emitter of every entry of :meth:`specs`, in its order:
+        ``emitters()[state % len]`` is the block emitter of
+        ``lfsr.choice(specs())``."""
+        self.specs()
+        return self._emitters

@@ -9,15 +9,19 @@ updates in mutation mode — paper Section IV-D).
 
 from dataclasses import dataclass, field
 
-from repro.fuzzer.blocks import Iteration
+from repro.fuzzer.blocks import MAX_EMIT_DRAWS, Iteration
 from repro.fuzzer.config import TurboFuzzConfig
 from repro.fuzzer.context import FuzzContext, MemoryLayout
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
-from repro.fuzzer.lfsr import Lfsr
+from repro.fuzzer.lfsr import AHEAD, Lfsr, lookahead
 from repro.fuzzer.mutation import MutationEngine
-from repro.isa.encoding import MASK64
+
+# The generation loop goes on from a fresh lookahead past this position:
+# one block position draws the mode, the block operation and the spec,
+# then its emitter's states (a retain run checks its own).
+_REFILL_AT = AHEAD - 3 - MAX_EMIT_DRAWS
 
 
 @dataclass(slots=True)
@@ -45,15 +49,26 @@ class FuzzerStats:
             "mode_counts": dict(self.mode_counts),
         }
 
-    def load_state(self, state):
-        self.iterations = int(state["iterations"])
-        self.instructions_generated = int(state["instructions_generated"])
-        self.blocks_generated = int(state["blocks_generated"])
-        self.blocks_retained = int(state["blocks_retained"])
-        self.blocks_deleted = int(state["blocks_deleted"])
-        self.seeds_added = int(state["seeds_added"])
-        self.mode_counts = {key: int(value)
-                            for key, value in state["mode_counts"].items()}
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict`; returns the function that applies
+        it (checking changes nothing)."""
+        counters = (state["iterations"], state["instructions_generated"],
+                    state["blocks_generated"], state["blocks_retained"],
+                    state["blocks_deleted"], state["seeds_added"])
+        modes = state["mode_counts"]
+        if not isinstance(modes, dict):
+            raise TypeError("fuzzer mode_counts must be an object")
+        modes = dict(modes)
+        if not all(type(value) is int
+                   for value in counters + tuple(modes.values())):
+            raise TypeError("fuzzer stats must be integers")
+
+        def apply():
+            (self.iterations, self.instructions_generated,
+             self.blocks_generated, self.blocks_retained,
+             self.blocks_deleted, self.seeds_added) = counters
+            self.mode_counts = modes
+        return apply
 
 
 class TurboFuzzer:
@@ -63,10 +78,10 @@ class TurboFuzzer:
         self.config = config or TurboFuzzConfig()
         self.layout = layout or MemoryLayout()
         self.lfsr = Lfsr(self.config.seed)
-        self.context = FuzzContext(self.lfsr, self.config, self.layout)
+        self.context = FuzzContext(self.config, self.layout)
         self.library = InstructionLibrary(self.config.extensions)
         self.direct = DirectGenerator(self.library)
-        self.mutation = MutationEngine(self.config, self.context, self.direct)
+        self.mutation = MutationEngine(self.config)
         self.corpus = Corpus(
             capacity=self.config.corpus_capacity,
             policy=self.config.corpus_policy,
@@ -87,11 +102,12 @@ class TurboFuzzer:
         mutation-mode operation on the next seed block (7/16).  With an
         empty corpus the iteration is pure direct mode.
 
-        One loop does it all with the LFSR state on a local: it draws the
-        mode, the block operation and the spec inline, calls the spec's
-        emitter, and writes the LFSR state back only around retained runs
-        (the mutation engine steps the LFSR object) and the counters back
-        once, at the end.  The draw order is that of one Lfsr call per
+        One loop does it all, drawing from an LFSR lookahead
+        (:func:`~repro.fuzzer.lfsr.lookahead`) on locals: it draws the
+        mode, the block operation and the spec, calls the spec's emitter
+        or the retain path with the lookahead, and writes the LFSR state
+        back once, before the data seed is drawn, and the counters once,
+        at the end.  The draw order is that of one Lfsr call per
         decision, so the stream is a pure function of the seed.
         """
         config = self.config
@@ -119,31 +135,30 @@ class TurboFuzzer:
         total = 0
         seed_cursor = 0
         direct = mutation = retained = deleted = 0
-        state = lfsr.state
+        ahead = lookahead(lfsr.state)
+        pos = 0
         while total < budget:
+            if pos > _REFILL_AT:
+                ahead = lookahead(ahead[pos])
+                pos = 0
             if seed_cursor < seed_count:
-                state ^= (state << 13) & MASK64
-                state ^= state >> 7
-                state ^= (state << 17) & MASK64
-                if (state & mode_mask) < mode_numerator:
-                    state ^= (state << 13) & MASK64
-                    state ^= state >> 7
-                    state ^= (state << 17) & MASK64
-                    roll = state & 15
+                pos += 1
+                if (ahead[pos] & mode_mask) < mode_numerator:
+                    pos += 1
+                    roll = ahead[pos] & 15
                     if roll >= delete_cut:
                         # Retain: stream a contiguous run of seed blocks
                         # (burst read from corpus storage) so the retained
                         # sequence keeps its micro-architectural context.
-                        lfsr.state = state
                         stop = min(seed_count, seed_cursor + run_length)
                         while seed_cursor < stop and total < budget:
-                            block = retain(seed_blocks[seed_cursor],
-                                           seed_cursor, len(blocks))
+                            ahead, pos, block = retain(
+                                ahead, pos, seed_blocks[seed_cursor],
+                                seed_cursor, len(blocks))
                             seed_cursor += 1
                             retained += 1
                             append(block)
-                            total += len(block.entries)
-                        state = lfsr.state
+                            total += len(block.words)
                         continue
                     if roll >= generate_cut:
                         seed_cursor += 1
@@ -155,14 +170,12 @@ class TurboFuzzer:
                     direct += 1
             else:
                 direct += 1
-            state ^= (state << 13) & MASK64
-            state ^= state >> 7
-            state ^= (state << 17) & MASK64
-            state, block = emitters[state % spec_count](
-                state, len(blocks), budget, window, odds)
+            pos += 1
+            pos, block = emitters[ahead[pos] % spec_count](
+                ahead, pos, len(blocks), budget, window, odds)
             append(block)
-            total += len(block.entries)
-        lfsr.state = state
+            total += len(block.words)
+        lfsr.state = ahead[pos]
         stats = self.stats
         stats.blocks_generated += direct + mutation
         stats.blocks_retained += retained
@@ -192,10 +205,8 @@ class TurboFuzzer:
             # Mutation mode: refresh the parent seed's recorded increment.
             self.corpus.update_increment(parent, coverage_increment)
         if coverage_increment > 0:
-            # Blocks are never mutated in place once assembled (retention
-            # builds new block objects, operand rebinding works on fresh
-            # clones), so the seed can reference them directly instead of
-            # deep-copying ~hundreds of entry lists per new seed.
+            # Blocks are never changed once built (retention and operand
+            # rebinding build new blocks), so the seed references them.
             stored = self.corpus.add(
                 Seed(
                     list(iteration.blocks),
@@ -248,11 +259,13 @@ class TurboFuzzer:
         lfsr, stats = state["lfsr"], state["stats"]
         if not all(isinstance(part, dict) for part in (lfsr, stats)):
             raise TypeError("fuzzer lfsr and stats must be objects")
+        apply_lfsr = self.lfsr.prepare_state(lfsr)
+        apply_stats = self.stats.prepare_state(stats)
         apply_library = self.library.prepare_state(state["library"])
 
         def apply():
-            self.lfsr.load_state(lfsr)
-            self.stats.load_state(stats)
+            apply_lfsr()
+            apply_stats()
             apply_library()
             self.persistent_data_patches = patches
             self._pending = None

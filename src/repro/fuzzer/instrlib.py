@@ -22,7 +22,7 @@ class InstructionLibrary:
     """Runtime-toggleable repository of generatable instruction specs."""
 
     # Everything below is a pure function of (_enabled, _excluded_names):
-    # _rebuild() reconstructs it after load_state, and version is a
+    # _rebuild() reconstructs it after prepare_state, and version is a
     # process-local cache key that must not travel (a restored process's
     # samplers must re-expand their caches regardless).
     _checkpoint_transient = frozenset({
@@ -92,25 +92,19 @@ class InstructionLibrary:
             raise ValueError(f"no active instructions in category {category}")
         return lfsr.choice(specs)
 
-    def sample_weighted(self, lfsr, weights):
-        """Sample with per-category integer weights (default weight 1).
+    def weighted_specs(self, weights):
+        """The expanded spec list for per-category integer weights
+        (default weight 1): each spec ``weight`` times, so that
+        ``lfsr.choice`` over it samples with the weights.
 
         ``weights`` maps :class:`Category` to a non-negative integer; this
         is how the DifuzzRTL-style baseline biases toward control flow and
         how TurboFuzz keeps the paper's roughly 1:5 control-flow ratio.
-
-        The expanded weighted list is invariant per (active set, weights)
-        and is drawn from once per generated block, so it is cached; the
-        cache is dropped whenever the active set changes (:meth:`_rebuild`)
-        and keyed on the effective per-category weights so callers can
-        mutate their weight dicts freely.
+        The list is invariant per (active set, weights), so it is cached;
+        the cache is dropped whenever the active set changes
+        (:meth:`_rebuild`) and keyed on the effective per-category weights
+        so callers can mutate their weight dicts freely.
         """
-        expanded = self.weighted_specs(weights)
-        return lfsr.choice(expanded)
-
-    def weighted_specs(self, weights):
-        """The expanded weighted spec list :meth:`sample_weighted` draws
-        from (cached per effective weight vector; see above)."""
         key = tuple(weights.get(category, 1) for category in self._by_category)
         expanded = self._weighted_cache.get(key)
         if expanded is None:

@@ -11,11 +11,26 @@ separate tap networks.
 
 All stochastic choices in the fuzzer draw from this, so a TurboFuzzer run
 is a pure function of its seed.
+
+The step is GF(2)-linear, so a whole run of states is the XOR of the
+per-seed-bit basis runs, which are computed once per process.  The
+generation loops therefore do not step at all: :func:`lookahead` gives
+them the next 2,048 states at once, and a draw is one list index
+(``pos += 1; state = ahead[pos]``).  They write the state back into the
+:class:`Lfsr` object only around the draws that remain method calls
+(corpus selection, the data seed).  This module is the only place the
+xorshift is stepped; the stream is the same whichever way it is drawn.
 """
+
+import sys
+from array import array
 
 from repro.analyze.markers import hot_path
 
 _MASK64 = (1 << 64) - 1
+
+#: The states a :func:`lookahead` holds after the current one.
+AHEAD = 2048
 
 
 class Lfsr:
@@ -101,9 +116,16 @@ class Lfsr:
         """JSON-round-trippable snapshot of the generator state."""
         return {"state": self.state}
 
-    def load_state(self, state):
-        """Restore a :meth:`state_dict` snapshot (bit-identical stream)."""
-        self.state = int(state["state"]) & _MASK64 or 1
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict` snapshot; returns the function that
+        restores it (bit-identical stream)."""
+        value = state["state"]
+        if type(value) is not int or not 0 <= value <= _MASK64:
+            raise ValueError(f"LFSR state {value!r} is not a 64-bit integer")
+
+        def apply():
+            self.state = value or 1
+        return apply
 
     def fill_words(self, count):
         """Batch-draw ``count`` 64-bit states (one advance per word).
@@ -128,13 +150,12 @@ class Lfsr:
 
         Bit-identical to the little-endian concatenation of successive
         :meth:`next` words.  Small requests run the plain batched loop;
-        large ones (the 16 KiB data segment, drawn once per iteration)
-        exploit that xorshift is GF(2)-linear: the whole word stream for a
-        seed is the XOR of precomputed per-seed-bit basis streams, packed
-        as big ints — ~64 wide XORs and one ``to_bytes`` replace tens of
-        thousands of Python-level shift steps.  The final LFSR state is
-        reconstructed the same way, so the draw stream continues exactly
-        as if every word had been stepped individually.
+        large ones (the 64 KiB data segment, drawn once per iteration)
+        take the whole run at once, as :func:`lookahead` does: ~32 wide
+        XORs and one ``to_bytes`` replace thousands of Python-level shift
+        steps.  The run ends in the last word drawn, which becomes the
+        state, so the draw stream continues exactly as if every word had
+        been stepped individually.
         """
         if count <= 0:
             return b""
@@ -144,43 +165,72 @@ class Lfsr:
                 word.to_bytes(8, "little") for word in self.fill_words(words)
             )
             return blob[:count] if count & 7 else blob
-        streams, finals = _fill_basis(words)
-        state = self.state
-        blob_int = 0
-        final = 0
-        bit = 0
-        while state:
-            if state & 1:
-                blob_int ^= streams[bit]
-                final ^= finals[bit]
-            state >>= 1
-            bit += 1
-        self.state = final
-        blob = blob_int.to_bytes(words * 8, "little")
+        run = _xor_runs(_basis(words + 1), self.state)
+        self.state = run >> (64 * words)  # the last word drawn
+        blob = (run >> 64).to_bytes(words * 8, "little")
         return blob[:count] if count & 7 else blob
 
 
-# Basis-stream cache for the large-fill fast path: for each requested word
-# count, per-seed-bit (stream, final state) pairs.  Built lazily on first
-# use of a given size and shared process-wide (the data-segment size is a
-# layout constant, so real campaigns populate exactly one entry).
+def lookahead(state):
+    """``[state, s1, ..., s2048]``: ``state`` and the :data:`AHEAD` states
+    after it, ``s_k`` being the state :meth:`Lfsr.next` returns on its
+    ``k``-th call from ``state``.
+
+    A generation loop keeps ``(ahead, pos)`` on locals, with
+    ``ahead[pos]`` the current state: a draw is ``pos += 1; state =
+    ahead[pos]``, and once ``pos`` nears :data:`AHEAD` the loop goes on
+    from ``lookahead(ahead[pos])``.  The list is the XOR of the basis runs
+    of ``state``'s set bits: about 32 wide XORs and one conversion instead
+    of 2,048 Python-level steps.
+    """
+    run = _xor_runs(_basis(AHEAD + 1), state)
+    states = array("Q", run.to_bytes(8 * (AHEAD + 1), "little"))
+    if sys.byteorder == "big":
+        states.byteswap()
+    return states.tolist()
+
+
+def _xor_runs(runs, state):
+    """The run from ``state``: the XOR of the basis runs of its set bits."""
+    run = 0
+    bit = 0
+    while state:
+        if state & 1:
+            run ^= runs[bit]
+        state >>= 1
+        bit += 1
+    return run
+
+
+# Basis runs: for a run length, per seed bit, the run [1 << bit, s1, ...]
+# of that one-bit seed as a little-endian big int (word 0 lowest).  Built
+# on first use of a length and shared process-wide: the lookahead's, and
+# the data segment's (its size is a layout constant).
+_BASIS = {}
+
+
+def _basis(length):
+    """The per-seed-bit runs of ``length`` states.
+
+    Built by doubling, by linearity: the run of ``2L`` states from ``e``
+    is its run of ``L`` followed by the run of ``L`` from the state
+    ``L`` steps on, which is the XOR of the basis runs of that state's
+    bits.  The last round appends only what ``length`` still needs."""
+    runs = _BASIS.get(length)
+    if runs is None:
+        runs = [1 << bit for bit in range(64)]
+        ends = [Lfsr(seed).next() for seed in runs]  # the states `span` on
+        span = 1
+        while span < length:
+            need = min(span, length - span)
+            keep = (1 << (64 * need)) - 1
+            heads = [run & keep for run in runs]
+            runs = [run | (_xor_runs(heads, end) << (64 * span))
+                    for run, end in zip(runs, ends)]
+            ends = [_xor_runs(ends, end) for end in ends]
+            span += need
+        _BASIS[length] = runs
+    return runs
+
+
 _FILL_BASIS_MIN_WORDS = 256
-_FILL_BASIS = {}
-
-
-def _fill_basis(words):
-    basis = _FILL_BASIS.get(words)
-    if basis is None:
-        streams = []
-        finals = []
-        for bit in range(64):
-            lfsr = Lfsr(1 << bit)
-            stream = int.from_bytes(
-                b"".join(word.to_bytes(8, "little")
-                         for word in lfsr.fill_words(words)),
-                "little",
-            )
-            streams.append(stream)
-            finals.append(lfsr.state)
-        _FILL_BASIS[words] = basis = (streams, finals)
-    return basis

@@ -45,9 +45,21 @@ class VirtualClock:
         (shortest-repr round-trip), so a restored clock is bit-identical."""
         return {"frequency_hz": self.frequency_hz, "seconds": self._seconds}
 
-    def load_state(self, state):
-        self.frequency_hz = state["frequency_hz"]
-        self._seconds = state["seconds"]
+    def prepare_state(self, state):
+        """Check a :meth:`state_dict`; returns the function that applies
+        it (checking changes nothing)."""
+        frequency_hz, seconds = state["frequency_hz"], state["seconds"]
+        for name, value in (("frequency_hz", frequency_hz),
+                            ("seconds", seconds)):
+            if type(value) not in (int, float):
+                raise TypeError(f"clock {name} {value!r} is not a number")
+        if not (frequency_hz > 0 and seconds >= 0):
+            raise ValueError(f"clock at {seconds!r} s, {frequency_hz!r} Hz")
+
+        def apply():
+            self.frequency_hz = frequency_hz
+            self._seconds = seconds
+        return apply
 
     def __repr__(self):
         return f"VirtualClock({self._seconds:.6f}s @ {self.frequency_hz/1e6:.0f}MHz)"

@@ -94,8 +94,8 @@ def fig4_executable_proportion(iterations=20):
     @session.bus.on_iteration
     def _tally(session, iteration, result, outcome):
         for block in iteration.blocks:
-            for entry in block.entries:
-                decoded = try_decode(entry.word)
+            for word in block.words:
+                decoded = try_decode(word)
                 if decoded is None:
                     continue
                 key = decoded.spec.category.value

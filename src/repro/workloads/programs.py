@@ -10,7 +10,7 @@ Register conventions match the fuzzing templates (x5 = data base).
 
 from dataclasses import dataclass
 
-from repro.fuzzer.blocks import InstructionBlock, Iteration, StimulusEntry
+from repro.fuzzer.blocks import InstructionBlock, Iteration
 from repro.fuzzer.context import MemoryLayout, REG_DATA_BASE
 from repro.fuzzer.lfsr import Lfsr
 from repro.isa.encoder import encode
@@ -187,10 +187,7 @@ def raw_iteration(words, layout=None, data_seed=1):
     """Wrap raw program words into an Iteration (single-word blocks with
     no control-flow metadata, so assembly preserves them verbatim)."""
     layout = layout or MemoryLayout()
-    blocks = [
-        InstructionBlock(prime_name="addi", entries=[StimulusEntry(word)])
-        for word in words
-    ]
+    blocks = [InstructionBlock("addi", (word,)) for word in words]
     iteration = Iteration(blocks=blocks, layout=layout, data_seed=data_seed)
     iteration.assemble()
     return iteration

@@ -51,7 +51,7 @@ class TestComponentStateDicts:
         for _ in range(10):
             source.next()
         clone = Lfsr(1)
-        clone.load_state(json_round_trip(source.state_dict()))
+        clone.prepare_state(json_round_trip(source.state_dict()))()
         assert [clone.next() for _ in range(20)] == \
             [source.next() for _ in range(20)]
 
@@ -87,7 +87,7 @@ class TestComponentStateDicts:
     def test_weights_round_trip(self):
         weights = FeedbackWeights.attenuate_arithmetic()
         clone = FeedbackWeights({"X": 3})
-        clone.load_state(json_round_trip(weights.state_dict()))
+        clone.prepare_state(json_round_trip(weights.state_dict()))()
         assert clone.weighted("MulDiv", 8) == weights.weighted("MulDiv", 8)
         assert clone.shift_for("X") == 0
 
@@ -96,7 +96,7 @@ class TestComponentStateDicts:
         clock.advance_cycles(12345)
         clock.advance_seconds(0.1)
         clone = VirtualClock(1.0)
-        clone.load_state(json_round_trip(clock.state_dict()))
+        clone.prepare_state(json_round_trip(clock.state_dict()))()
         assert clone.seconds == clock.seconds  # bit-exact, not approx
         assert clone.frequency_hz == 100e6
 

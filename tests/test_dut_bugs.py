@@ -6,7 +6,7 @@ import pytest
 
 from repro.dut import BUGS, BUGS_BY_ID, bugs_for_core, make_core
 from repro.dut.bugs import BuggyHooks, CorrectHooks
-from repro.fuzzer.blocks import InstructionBlock, Iteration, StimulusEntry
+from repro.fuzzer.blocks import InstructionBlock, Iteration
 from repro.fuzzer.context import MemoryLayout
 from repro.harness.runner import IterationRunner
 from repro.isa.encoder import assemble_all, encode
@@ -16,10 +16,7 @@ LAYOUT = MemoryLayout()
 
 
 def _iteration_from_words(words):
-    blocks = [
-        InstructionBlock(prime_name="addi", entries=[StimulusEntry(word)])
-        for word in words
-    ]
+    blocks = [InstructionBlock("addi", (word,)) for word in words]
     iteration = Iteration(blocks=blocks, layout=LAYOUT, data_seed=7)
     iteration.assemble()
     return iteration

@@ -1,8 +1,14 @@
 """Fuzzer components: LFSR, instruction library, blocks, corpus, mutation."""
 
+import gc
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.baselines.cascade import CascadeConfig, CascadeFuzzer
+from repro.baselines.difuzzrtl import DifuzzRtlConfig, DifuzzRtlFuzzer
+from repro.deepexplore.bbv import IntervalRecord
+from repro.deepexplore.intervals import build_init_words, build_interval_seed
 from repro.fuzzer import (
     Corpus,
     InstructionLibrary,
@@ -11,7 +17,12 @@ from repro.fuzzer import (
     TurboFuzzConfig,
     TurboFuzzer,
 )
-from repro.fuzzer.blocks import BlockBuilder, InstructionBlock, StimulusEntry
+from repro.fuzzer.blocks import (
+    EMITTERS,
+    MAX_EMIT_DRAWS,
+    InstructionBlock,
+    pack_flags,
+)
 from repro.fuzzer.context import (
     FREG_POOL,
     GENERATABLE_CSRS,
@@ -26,6 +37,7 @@ from repro.fuzzer.context import (
     FuzzContext,
     MemoryLayout,
 )
+from repro.fuzzer.lfsr import AHEAD, lookahead
 from repro.fuzzer.mutation import MutationEngine
 from repro.isa.decoder import decode, try_decode
 from repro.isa.encoder import encode
@@ -79,6 +91,24 @@ class TestLfsr:
         fork = lfsr.fork()
         assert [lfsr.next() for _ in range(5)] != [fork.next() for _ in range(5)]
 
+    @given(state=st.integers(min_value=1, max_value=(1 << 64) - 1),
+           draws=st.integers(min_value=0, max_value=AHEAD))
+    @settings(max_examples=60, deadline=None)
+    def test_lookahead_is_the_stream(self, state, draws):
+        """The lookahead is the state and the next AHEAD states, and a
+        state written back after ``draws`` of them continues the stream
+        exactly."""
+        ahead = lookahead(state)
+        stepped = Lfsr(1)
+        stepped.state = state
+        assert ahead == [state] + stepped.fill_words(AHEAD)
+        resumed, reference = Lfsr(ahead[draws]), Lfsr(1)
+        reference.state = state
+        for _ in range(draws):
+            reference.next()
+        assert [resumed.next() for _ in range(5)] == [
+            reference.next() for _ in range(5)]
+
 
 class TestInstructionLibrary:
     def test_excludes_environment_instructions(self):
@@ -101,7 +131,7 @@ class TestInstructionLibrary:
         weights = {category: 0 for category in Category}
         weights[Category.ALU] = 1
         for _ in range(50):
-            spec = library.sample_weighted(lfsr, weights)
+            spec = lfsr.choice(library.weighted_specs(weights))
             assert spec.category is Category.ALU
 
     def test_sample_category(self):
@@ -114,65 +144,84 @@ class TestInstructionLibrary:
         assert "fdiv.d" in library
 
 
+class Generator:
+    """An LFSR and the context a generator draws with."""
+
+    def __init__(self, seed, config=None):
+        self.lfsr = Lfsr(seed)
+        self.context = FuzzContext(config or TurboFuzzConfig(), MemoryLayout())
+
+
 @pytest.fixture
-def context():
-    return FuzzContext(Lfsr(7), TurboFuzzConfig(), MemoryLayout())
+def generator():
+    return Generator(7)
+
+
+def build(generator, spec, index, total, window):
+    """One block from ``spec``'s emitter, drawing from a lookahead of the
+    generator's LFSR, which then goes on after the block's draws."""
+    lfsr, context = generator.lfsr, generator.context
+    ahead = lookahead(lfsr.state)
+    pos, block = EMITTERS[spec.name](ahead, 0, index, total, window,
+                                     context.odds())
+    assert pos <= MAX_EMIT_DRAWS, spec.name
+    lfsr.state = ahead[pos]
+    return block
+
+
+def entries(block):
+    """``(word, is_prime, needs_target_patch, patch_kind)`` per entry."""
+    return [(entry["word"], entry["is_prime"], entry["needs_target_patch"],
+             entry["patch_kind"]) for entry in block.state_dict()["entries"]]
 
 
 class TestBlockBuilder:
-    def test_load_block_uses_base_registers(self, context):
-        builder = BlockBuilder(context)
-        block = builder.build(SPECS_BY_NAME["ld"], 0, 100, 4)
-        decoded = decode(block.entries[0].word)
+    def test_load_block_uses_base_registers(self, generator):
+        block = build(generator, SPECS_BY_NAME["ld"], 0, 100, 4)
+        decoded = decode(block.words[0])
         assert decoded.rs1 in (5, 6)
         assert decoded.imm % 8 == 0
 
-    def test_store_block_targets_data_segment(self, context):
-        builder = BlockBuilder(context)
+    def test_store_block_targets_data_segment(self, generator):
         for _ in range(20):
-            block = builder.build(SPECS_BY_NAME["sd"], 0, 100, 4)
-            assert decode(block.entries[0].word).rs1 == REG_DATA_BASE
+            block = build(generator, SPECS_BY_NAME["sd"], 0, 100, 4)
+            assert decode(block.words[0]).rs1 == REG_DATA_BASE
 
-    def test_amo_block_has_affiliated_setup(self, context):
-        builder = BlockBuilder(context)
-        block = builder.build(SPECS_BY_NAME["amoadd.d"], 0, 100, 4)
+    def test_amo_block_has_affiliated_setup(self, generator):
+        block = build(generator, SPECS_BY_NAME["amoadd.d"], 0, 100, 4)
         assert block.size == 2
-        setup = decode(block.entries[0].word)
+        setup = decode(block.words[0])
         assert setup.name == "addi" and setup.imm % 8 == 0
-        assert not block.entries[0].is_prime
+        assert not entries(block)[0][1]
 
-    def test_jalr_block_structure(self, context):
-        builder = BlockBuilder(context)
-        block = builder.build(SPECS_BY_NAME["jalr"], 0, 100, 4)
+    def test_jalr_block_structure(self, generator):
+        block = build(generator, SPECS_BY_NAME["jalr"], 0, 100, 4)
         assert block.cf_kind == "jalr" and block.size == 3
         assert block.target_block is not None
 
-    def test_branch_block_records_target(self, context):
-        builder = BlockBuilder(context)
-        block = builder.build(SPECS_BY_NAME["beq"], 10, 100, 4)
+    def test_branch_block_records_target(self, generator):
+        block = build(generator, SPECS_BY_NAME["beq"], 10, 100, 4)
         assert block.cf_kind == "branch"
         assert 11 <= block.target_block <= 14
 
-    def test_unbounded_window(self, context):
-        builder = BlockBuilder(context)
+    def test_unbounded_window(self, generator):
         targets = set()
         for _ in range(60):
-            block = builder.build(SPECS_BY_NAME["jal"], 0, 1000, None)
+            block = build(generator, SPECS_BY_NAME["jal"], 0, 1000, None)
             targets.add(block.target_block)
         assert max(targets) > 100  # unbounded jumps roam far
 
     @given(seed=st.integers(min_value=1, max_value=1 << 30))
     @settings(max_examples=25, deadline=None)
     def test_every_generated_word_decodes(self, seed):
-        context = FuzzContext(Lfsr(seed), TurboFuzzConfig(), MemoryLayout())
-        builder = BlockBuilder(context)
+        generator = Generator(seed)
         library = InstructionLibrary()
         for _ in range(30):
-            spec = library.sample(context.lfsr)
-            block = builder.build(spec, 0, 100, 4)
-            for entry in block.entries:
-                if not entry.needs_target_patch:
-                    assert try_decode(entry.word) is not None
+            spec = library.sample(generator.lfsr)
+            block = build(generator, spec, 0, 100, 4)
+            for word, _, needs_patch, _ in entries(block):
+                if not needs_patch:
+                    assert try_decode(word) is not None
 
 
 _ACCESS_SIZES = {"b": 1, "h": 2, "w": 4, "d": 8}
@@ -183,10 +232,29 @@ def _access_size(name):
     return _ACCESS_SIZES[name[-1] if name[-1] in _ACCESS_SIZES else name[-2]]
 
 
+def entry_state(word, is_prime=True, needs_target_patch=False,
+                patch_kind=""):
+    """The corpus JSON of one entry, transcribed from the encoder blocks
+    had when each entry was an object (``StimulusEntry``)."""
+    return {"word": word, "is_prime": is_prime,
+            "needs_target_patch": needs_target_patch,
+            "patch_kind": patch_kind}
+
+
+def block_state(prime_name, entry_states, cf_kind="", target_block=None,
+                generated=True):
+    """The corpus JSON of one block, transcribed the same way: the packed
+    block must encode to exactly this."""
+    return {"prime_name": prime_name, "entries": list(entry_states),
+            "cf_kind": cf_kind, "target_block": target_block,
+            "generated": generated}
+
+
 def reference_block(lfsr, config, spec, index, total, window):
     """The block generation rules written out with one ``Lfsr`` call per
-    operand and ``encode()`` per word: the reference the emitters must
-    match word for word and draw for draw."""
+    operand and ``encode()`` per word, as the corpus JSON of the block:
+    the reference the emitters must match word for word and draw for
+    draw."""
     def rd():
         return lfsr.choice(RD_POOL)
 
@@ -219,17 +287,17 @@ def reference_block(lfsr, config, spec, index, total, window):
         word = (encode(name, rd=rd(), imm=4) if kind == "jal"
                 else encode(name, rs1=rs(), rs2=rs(), imm=4))
         jump = target()
-        return InstructionBlock(name, [StimulusEntry(
+        return block_state(name, [entry_state(
             word, True, jump is not None, kind)], kind, jump)
     if name == "jalr":
         jump = target()
         if jump is None:
-            return InstructionBlock("addi", [StimulusEntry(
+            return block_state("addi", [entry_state(
                 encode("addi", rd=rd(), rs1=0, imm=imm12()))])
-        return InstructionBlock("jalr", [
-            StimulusEntry(0, False, True, "lui"),
-            StimulusEntry(0, False, True, "addi"),
-            StimulusEntry(encode("jalr", rd=rd(), rs1=REG_JALR_TEMP))],
+        return block_state("jalr", [
+            entry_state(0, False, True, "lui"),
+            entry_state(0, False, True, "addi"),
+            entry_state(encode("jalr", rd=rd(), rs1=REG_JALR_TEMP))],
             "jalr", jump)
     if fmt in ("AMO", "LR"):
         size = 8 if name.endswith(".d") else 4
@@ -238,9 +306,9 @@ def reference_block(lfsr, config, spec, index, total, window):
         fields = {"rd": rd()}
         if fmt == "AMO":
             fields["rs2"] = rs()
-        return InstructionBlock(name, [
-            StimulusEntry(setup, False),
-            StimulusEntry(encode(name, rs1=REG_JALR_TEMP, **fields))])
+        return block_state(name, [
+            entry_state(setup, False),
+            entry_state(encode(name, rs1=REG_JALR_TEMP, **fields))])
     rm_formats = ("FR", "R4", "FR1", "FCVT_IF", "FCVT_FI")
     operands = {
         "R": lambda: dict(rd=rd(), rs1=rs(), rs2=rs()),
@@ -274,7 +342,7 @@ def reference_block(lfsr, config, spec, index, total, window):
     }[fmt]()
     if fmt in rm_formats:
         operands["rm"] = rm()
-    return InstructionBlock(name, [StimulusEntry(encode(name, **operands))])
+    return block_state(name, [entry_state(encode(name, **operands))])
 
 
 def decoded_fields(word):
@@ -298,42 +366,44 @@ class TestEmitters:
            window=st.sampled_from((1, 2, 4, None)))
     @settings(max_examples=60, deadline=None)
     def test_matches_the_reference_draw_for_draw(self, seed, index, window):
-        emitted = FuzzContext(Lfsr(seed), self.CONFIG, MemoryLayout())
-        builder = BlockBuilder(emitted)
+        """Every default-library spec's emitter encodes, word and flags,
+        to the transcribed JSON of the reference block, and the JSON
+        decodes back to the same packed block."""
+        emitted = Generator(seed, self.CONFIG)
         reference = Lfsr(seed)
         for spec in self.LIBRARY.active_specs:
-            block = builder.build(spec, index, 100, window)
+            block = build(emitted, spec, index, 100, window)
             expected = reference_block(reference, self.CONFIG, spec, index,
                                        100, window)
-            assert block.state_dict() == expected.state_dict(), spec.name
+            assert block.state_dict() == expected, spec.name
+            assert InstructionBlock.from_state(expected) == block, spec.name
             assert emitted.lfsr.state == reference.state, spec.name
 
     @given(seed=st.integers(min_value=1, max_value=(1 << 64) - 1))
     @settings(max_examples=40, deadline=None)
     def test_every_word_encodes_its_decoded_fields(self, seed):
-        builder = BlockBuilder(FuzzContext(Lfsr(seed), self.CONFIG))
+        generator = Generator(seed, self.CONFIG)
         for spec in self.LIBRARY.active_specs:
-            block = builder.build(spec, 3, 100, 4)
-            for entry in block.entries:
-                if entry.needs_target_patch and not entry.is_prime:
-                    assert entry.word == 0  # jalr's lui/addi placeholders
+            block = build(generator, spec, 3, 100, 4)
+            for word, is_prime, needs_patch, _ in entries(block):
+                if needs_patch and not is_prime:
+                    assert word == 0  # jalr's lui/addi placeholders
                     continue
-                decoded = decode(entry.word)
-                if entry.is_prime:
+                decoded = decode(word)
+                if is_prime:
                     assert decoded.spec is spec
-                assert encode(decoded.name,
-                              **decoded_fields(entry.word)) == entry.word
+                assert encode(decoded.name, **decoded_fields(word)) == word
 
     @given(seed=st.integers(min_value=1, max_value=(1 << 64) - 1))
     @settings(max_examples=40, deadline=None)
     def test_every_operand_lies_in_its_pool(self, seed):
-        builder = BlockBuilder(FuzzContext(Lfsr(seed), self.CONFIG))
+        generator = Generator(seed, self.CONFIG)
         int_dest = {"R", "I", "R_SH", "R_SHW", "U", "CSR", "CSRI", "L",
                     "FCMP", "FCVT_IF", "AMO", "LR", "J"}
         rs_sources = {"R", "I", "R_SH", "R_SHW", "CSR", "FCVT_FI"}
         for spec in self.LIBRARY.active_specs:
-            block = builder.build(spec, 3, 100, 4)
-            prime = decode(block.entries[-1].word)
+            block = build(generator, spec, 3, 100, 4)
+            prime = decode(block.words[-1])
             fmt = spec.fmt
             if fmt in int_dest or spec.name == "jalr":
                 assert prime.rd in RD_POOL, spec.name
@@ -353,7 +423,7 @@ class TestEmitters:
             if fmt in ("AMO", "LR") or spec.name == "jalr":
                 assert prime.rs1 == REG_JALR_TEMP
             if fmt in ("AMO", "LR"):
-                setup = decode(block.entries[0].word)
+                setup = decode(block.words[0])
                 size = 8 if spec.name.endswith(".d") else 4
                 assert (setup.name, setup.rd, setup.rs1) == (
                     "addi", REG_JALR_TEMP, REG_DATA_BASE)
@@ -366,30 +436,104 @@ class TestEmitters:
                     fmt in ("FCVT_IF", "FCVT_FI") and not spec.mask & 0x7000):
                 assert prime.rm in VALID_RMS + INVALID_RMS, spec.name
 
-    def test_block_shapes_and_flags(self, context):
-        builder = BlockBuilder(context)
-        amo = builder.build(SPECS_BY_NAME["amoswap.w"], 0, 10, 2)
-        assert [(e.is_prime, e.needs_target_patch) for e in amo.entries] == [
+    def test_block_shapes_and_flags(self, generator):
+        amo = build(generator, SPECS_BY_NAME["amoswap.w"], 0, 10, 2)
+        assert [entry[1:3] for entry in entries(amo)] == [
             (False, False), (True, False)]
         assert (amo.cf_kind, amo.target_block) == ("", None)
-        jalr = builder.build(SPECS_BY_NAME["jalr"], 4, 10, 2)
-        assert [(e.is_prime, e.needs_target_patch, e.patch_kind)
-                for e in jalr.entries] == [(False, True, "lui"),
-                                           (False, True, "addi"),
-                                           (True, False, "")]
+        jalr = build(generator, SPECS_BY_NAME["jalr"], 4, 10, 2)
+        assert [entry[1:] for entry in entries(jalr)] == [
+            (False, True, "lui"), (False, True, "addi"), (True, False, "")]
         assert jalr.cf_kind == "jalr" and jalr.target_block in (5, 6)
-        last = builder.build(SPECS_BY_NAME["jalr"], 9, 10, 2)
+        last = build(generator, SPECS_BY_NAME["jalr"], 9, 10, 2)
         assert last.prime_name == "addi" and last.size == 1
-        assert decode(last.entries[0].word).rs1 == 0
+        assert decode(last.words[0]).rs1 == 0
         for name, kind in (("bltu", "branch"), ("jal", "jal")):
-            block = builder.build(SPECS_BY_NAME[name], 4, 10, 2)
-            (entry,) = block.entries
-            assert (entry.is_prime, entry.needs_target_patch,
-                    entry.patch_kind) == (True, True, kind)
+            block = build(generator, SPECS_BY_NAME[name], 4, 10, 2)
+            ((_, *flags),) = entries(block)
+            assert flags == [True, True, kind]
             assert block.cf_kind == kind and block.target_block in (5, 6)
-            dangling = builder.build(SPECS_BY_NAME[name], 9, 10, 2)
+            dangling = build(generator, SPECS_BY_NAME[name], 9, 10, 2)
             assert dangling.target_block is None
-            assert not dangling.entries[0].needs_target_patch
+            assert entries(dangling)[0][1:] == (True, False, kind)
+
+
+class TestPackedBlocks:
+    """Blocks of every producer encode to the transcribed JSON of the
+    entry-object blocks, decode back to themselves, and cost the garbage
+    collector one object each."""
+
+    @pytest.mark.parametrize("seed", (1, 2, 3))
+    def test_difuzzrtl_blocks(self, seed):
+        fuzzer = DifuzzRtlFuzzer(DifuzzRtlConfig(
+            seed=seed, instructions_per_iteration=200))
+        prime_names = {"": "addi", "jal": "jal", "branch": "beq"}
+        for round_index in range(6):  # stored and mutated seeds too
+            iteration = fuzzer.generate_iteration()
+            for block in iteration.blocks:
+                kind, target = block.cf_kind, block.target_block
+                expected = block_state(prime_names[kind], [entry_state(
+                    block.words[0], True, kind != "" and target is not None,
+                    kind)], kind, target)
+                assert block.state_dict() == expected
+                assert InstructionBlock.from_state(expected) == block
+            fuzzer.feedback(iteration, round_index % 2)
+        assert fuzzer.corpus
+
+    @pytest.mark.parametrize("seed", (1, 2))
+    def test_cascade_blocks_draw_for_draw(self, seed):
+        """Cascade's block loop against the reference: one spec choice,
+        then the reference block, per block; then the data seed."""
+        fuzzer = CascadeFuzzer(CascadeConfig(
+            seed=seed, instructions_per_iteration=300))
+        for _ in range(2):
+            reference = Lfsr(fuzzer.lfsr.state)
+            specs = fuzzer.direct.specs()
+            iteration = fuzzer.generate_iteration()
+            for index, block in enumerate(iteration.blocks):
+                expected = reference_block(
+                    reference, fuzzer.context.config, reference.choice(specs),
+                    index, 300, fuzzer.config.jump_window_blocks)
+                assert block.state_dict() == expected
+                assert InstructionBlock.from_state(expected) == block
+            assert iteration.data_seed == reference.next()
+
+    def test_interval_blocks(self):
+        snapshot = {"xregs": list(range(32)), "fregs": [7] * 32,
+                    "csrs": {}}
+        interval = IntervalRecord(0, {}, snapshot, min_pc=0x1008,
+                                  max_pc=0x1040)
+        code = [encode("addi", rd=7, rs1=7, imm=step) for step in range(40)]
+        blocks, _ = build_interval_seed(interval, code, 0x1000,
+                                        MemoryLayout())
+        init_words, _ = build_init_words(snapshot, MemoryLayout())
+        expected = [block_state("addi", map(entry_state, init_words),
+                                generated=False)] + [
+            block_state("addi", [entry_state(word)], generated=False)
+            for word in code[2:17]]
+        assert [block.state_dict() for block in blocks] == expected
+        assert [InstructionBlock.from_state(state)
+                for state in expected] == blocks
+
+    def test_unknown_patch_kind_is_rejected(self):
+        state = block_state("beq", [entry_state(0x63, True, True, "far")])
+        with pytest.raises(ValueError):
+            InstructionBlock.from_state(state)
+
+    def test_decoded_seed_adds_one_tracked_object_per_block(self):
+        """A decoded seed is the seed, its block list and one object per
+        block: the words tuples hold no references the collector scans."""
+        fuzzer = TurboFuzzer(TurboFuzzConfig(
+            seed=3, instructions_per_iteration=400))
+        fuzzer.feedback(fuzzer.generate_iteration(), 5)
+        state = fuzzer.corpus.seeds[0].state_dict()
+        gc.collect()
+        before = len(gc.get_objects())
+        seed = Seed.from_state(state)
+        gc.collect()
+        added = len(gc.get_objects()) - before
+        assert len(seed.blocks) == len(state["blocks"]) > 300
+        assert added <= len(state["blocks"]) + 2
 
 
 class TestIterationAssembly:
@@ -440,7 +584,7 @@ class TestIterationAssembly:
     def test_setup_words_shift_fuzz_base(self):
         from repro.fuzzer.blocks import Iteration
 
-        block = InstructionBlock("addi", [StimulusEntry(0x13)])
+        block = InstructionBlock("addi", (0x13,))
         iteration = Iteration(blocks=[block], layout=MemoryLayout(),
                               setup_words=[0x13, 0x13])
         iteration.assemble()
@@ -450,7 +594,7 @@ class TestIterationAssembly:
 
 class TestCorpus:
     def _seed(self, increment):
-        return Seed([InstructionBlock("addi", [StimulusEntry(0x13)])],
+        return Seed([InstructionBlock("addi", (0x13,))],
                     coverage_increment=increment)
 
     def test_fifo_evicts_oldest(self):
@@ -506,12 +650,7 @@ class TestCorpus:
 
 class TestMutationEngine:
     def _engine(self, seed=3):
-        config = TurboFuzzConfig(seed=seed)
-        context = FuzzContext(Lfsr(seed), config, MemoryLayout())
-        from repro.fuzzer.direct import DirectGenerator
-
-        generator = DirectGenerator(InstructionLibrary())
-        return MutationEngine(config, context, generator)
+        return MutationEngine(TurboFuzzConfig(seed=seed)), lookahead(seed)
 
     def test_block_op_distribution(self):
         """Mutation-mode block operations split 3/16 generate, 11/16
@@ -536,41 +675,40 @@ class TestMutationEngine:
         assert abs(counts["retain"] / total - 2 / 16) < 0.03
 
     def test_retain_preserves_relative_target(self):
-        engine = self._engine()
-        block = InstructionBlock("jal", [StimulusEntry(
-            0x6F, needs_target_patch=True, patch_kind="jal")],
-            cf_kind="jal", target_block=12)
-        retained = engine.retain_block(block, old_index=10, new_index=50)
+        engine, ahead = self._engine()
+        block = InstructionBlock("jal", (0x6F,), pack_flags(
+            [(True, True, "jal")]), cf_kind="jal", target_block=12)
+        _, _, retained = engine.retain_block(ahead, 0, block, old_index=10,
+                                             new_index=50)
         assert retained.target_block == 52  # delta of 2 preserved
         assert retained.generated is False
 
     def test_mutated_words_still_decode(self):
-        engine = self._engine()
+        engine, ahead = self._engine()
         word = decode(0x00B50533).word  # add a0, a0, a1
+        pos = 0
         for _ in range(50):
-            mutated = engine._mutate_word(word)
+            pos, mutated = engine._mutate_word(ahead, pos, word)
             if mutated is not None:
                 assert try_decode(mutated) is not None
 
     def test_csr_words_never_mutated(self):
-        engine = self._engine()
+        engine, ahead = self._engine()
         from repro.isa.encoder import encode
 
         word = encode("csrrw", rd=1, csr=0x340, rs1=2)
-        assert engine._mutate_word(word) is None
+        assert engine._mutate_word(ahead, 0, word) == (0, None)
 
     def test_control_flow_blocks_not_rebound(self):
-        engine = self._engine()
-        block = InstructionBlock("jalr", [
-            StimulusEntry(0, is_prime=False, needs_target_patch=True,
-                          patch_kind="lui"),
-            StimulusEntry(0, is_prime=False, needs_target_patch=True,
-                          patch_kind="addi"),
-            StimulusEntry(0x000E80E7),  # jalr
-        ], cf_kind="jalr", target_block=5)
-        words_before = [entry.word for entry in block.entries]
-        engine._rebind_operands(block)
-        assert [entry.word for entry in block.entries] == words_before
+        """A control-flow block keeps its words however the rebind
+        chance falls."""
+        block = InstructionBlock("jalr", (0, 0, 0x000E80E7), pack_flags([
+            (False, True, "lui"), (False, True, "addi"), (True, False, ""),
+        ]), cf_kind="jalr", target_block=5)
+        engine = MutationEngine(TurboFuzzConfig(operand_mutation_prob=(2, 2)))
+        _, _, retained = engine.retain_block(lookahead(3), 0, block, 0, 0)
+        assert retained.words == block.words
+        assert retained.flags == block.flags
 
 
 class TestTurboFuzzerTop:
@@ -594,7 +732,7 @@ class TestTurboFuzzerTop:
 
     def test_interval_seed_with_patch(self):
         fuzzer = TurboFuzzer(TurboFuzzConfig(instructions_per_iteration=50))
-        blocks = [InstructionBlock("addi", [StimulusEntry(0x13)])]
+        blocks = [InstructionBlock("addi", (0x13,))]
         fuzzer.add_interval_seed(blocks, 500, data_patch=(0x100, b"\x01\x02"))
         assert fuzzer.corpus.seeds[0].origin == "interval"
         iteration = fuzzer.generate_iteration()
@@ -613,7 +751,7 @@ class TestCorpusPressure:
     seeds surviving by recorded increment."""
 
     def _seed(self, increment, origin="direct"):
-        return Seed([InstructionBlock("addi", [StimulusEntry(0x13)])],
+        return Seed([InstructionBlock("addi", (0x13,))],
                     coverage_increment=increment, origin=origin)
 
     def test_fifo_eviction_order_is_insertion_order(self):
@@ -663,7 +801,7 @@ class TestCorpusPressure:
         eviction floor."""
         fuzzer = TurboFuzzer(TurboFuzzConfig(corpus_capacity=4))
         interval = fuzzer.add_interval_seed(
-            [InstructionBlock("addi", [StimulusEntry(0x13)])],
+            [InstructionBlock("addi", (0x13,))],
             coverage_increment=1000,
         )
         assert interval in fuzzer.corpus.seeds

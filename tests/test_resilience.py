@@ -121,6 +121,19 @@ class PadResultFault:
             BIG_MESSAGE + 1)
 
 
+@register_fault("clock-as-word", replace=True)
+class ClockAsWordFault:
+    """Test-only fault: the result delta's clock ``seconds`` becomes a
+    word, in JSON that still parses (a leaf only the clock can reject)."""
+
+    stage = "result"
+
+    def apply(self, context):
+        data = json.loads(context["checkpoint_json"])
+        data["state"]["clock"]["seconds"] = "abc"
+        context["checkpoint_json"] = json.dumps(data, sort_keys=True)
+
+
 SEND_BYTES = connection.Connection._send_bytes
 
 
@@ -298,6 +311,18 @@ MALFORMED_STATES = {
         state["fuzzer"]["corpus"][0][0].pop("entries")),
     "iterations-as-word": lambda state: (
         state["fuzzer"].update(iterations="three")),
+    # The leaf loaders: each is checked before anything is applied.
+    "clock-without-frequency": lambda state: state["clock"].pop(
+        "frequency_hz"),
+    "weight-shift-as-word": lambda state: (
+        state["weights"]["shifts"].update(MulDiv="x")),
+    "clock-seconds-as-word": lambda state: state["clock"].update(
+        seconds="abc"),
+    "empty-detection-lfsr": lambda state: state.update(detection_lfsr={}),
+    "fuzzer-lfsr-as-word": lambda state: (
+        state["fuzzer"]["lfsr"].update(state="zz")),
+    "fuzzer-stats-without-iterations": lambda state: (
+        state["fuzzer"]["stats"].pop("iterations")),
 }
 BOOM_ONLY = ("no-branch-predictor", "branch-predictor-key-not-int")
 # Corruptions of one baseline fuzzer's state -> that fuzzer.
@@ -540,6 +565,24 @@ class TestSupervisedQueueBackend:
         counters = report["resilience"]["counters"]
         assert counters["worker_losses"] == counters["failures"] == 1
         assert report["shard_health"] == {"a": "ok", "b": "ok"}
+
+    def test_malformed_leaf_in_a_delta_is_redispatched(self):
+        """A delta whose JSON parses but whose clock does not check is a
+        corrupt checkpoint: shard 1's second slice runs again as a full
+        task, and the grid ends as the serial one does."""
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        injector = FaultInjector(schedule=[("clock-as-word", 1, 1)])
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2,
+                policy=FaultPolicy(slice_timeout_s=60.0, backoff_base_s=0.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["corrupt_checkpoints"] == 1
+        assert counters["redispatches"] == 1
 
     @pytest.mark.parametrize("kind, counter, params", (
         ("corrupt-checkpoint", "corrupt_checkpoints", {}),
