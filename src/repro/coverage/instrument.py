@@ -9,8 +9,9 @@ map, but computes no index itself: the DUT cores (:mod:`repro.dut.core`)
 fold the contribution tables into per-register-group tables when coverage
 is attached and produce each module's index where they produce the
 register values, the way the hardware instrumentation computes the index
-combinationally for free.  :meth:`ModuleCoverage.observe_state_reference`
-is the table-independent oracle they are checked against.
+combinationally for free.  The test suite checks those tables against a
+reference observer that computes every index through
+``layout.contribution()``.
 """
 
 from repro.coverage.layout import make_layout
@@ -18,18 +19,11 @@ from repro.coverage.map import CoverageMap
 from repro.coverage.weighting import FeedbackWeights
 from repro.rtl.netlist import control_registers
 
-_MEMO_LIMIT = 1 << 20
-
 
 class ModuleCoverage:
     """Instrumentation + collection state for one module."""
 
-    __slots__ = ("module", "name", "layout", "map", "tables", "value_masks",
-                 "_reference_memo")
-
-    # A pure lookup cache of the reference observer — deliberately absent
-    # from state_dict().
-    _checkpoint_transient = frozenset({"_reference_memo"})
+    __slots__ = ("module", "name", "layout", "map", "tables", "value_masks")
 
     def __init__(self, module, layout):
         self.module = module
@@ -40,36 +34,6 @@ class ModuleCoverage:
         # tables from ``tables[position][value & value_masks[position]]``.
         self.tables = layout.contribution_tables()
         self.value_masks = layout.value_masks()
-        self._reference_memo = {}
-
-    def observe_state_reference(self, values, positions=None):
-        """The pre-overhaul observation path, preserved verbatim.
-
-        ``positions`` maps each element of ``values`` to its register
-        position in the layout; ``None`` means the tuple covers all
-        registers in order.  Registers not covered contribute their reset
-        value of zero (static structural state).
-
-        Value-tuple memo key, per-observation ``layout.contribution()``
-        calls, wholesale ``clear()`` at the bound.  It reads no
-        contribution table, which makes it the oracle the equivalence
-        suite (and ``DutCore.use_reference_observer``) checks the
-        table-driven observers against.
-        """
-        index = self._reference_memo.get(values)
-        if index is None:
-            layout = self.layout
-            if positions is None:
-                index = layout.index(values)
-            else:
-                index = 0
-                contribution = layout.contribution
-                for position, value in zip(positions, values):
-                    index ^= contribution(position, value)
-            if len(self._reference_memo) >= _MEMO_LIMIT:
-                self._reference_memo.clear()
-            self._reference_memo[values] = index
-        return self.map.observe(index)
 
     @property
     def count(self):

@@ -67,14 +67,15 @@ class DeepExplore:
             core, interval_length=self.config.interval_length
         )
         start_cycles = core.cycles
-        executed = 0
-        for _ in range(self.config.profile_cap):
-            record = core.step()
-            executed += 1
-            if record.pc >= iteration.fuzz_base:
+        fuzz_base = iteration.fuzz_base
+
+        def observe(record):
+            if record.pc >= fuzz_base:
                 collector.observe(record)
-            if record.next_pc == image.layout.done:
-                break
+
+        executed = core.execute(self.config.profile_cap,
+                                done_pc=image.layout.done,
+                                on_record=observe)[0]
         session.clock.advance_cycles(core.cycles - start_cycles)
         session.total_executed += executed
         return collector.finish(), iteration, executed

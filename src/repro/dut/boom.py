@@ -9,7 +9,6 @@ experiments: sub-1.0 effective CPI on independent streams, heavy branch
 mispredict penalties, and unpipelined division.
 """
 
-from repro.analyze.markers import hot_path
 from repro.dut.core import (
     BASE_STATE_SLOTS,
     KEY_SPECS,
@@ -22,7 +21,6 @@ from repro.isa.instructions import FP_CATEGORIES, Category
 _LONG_LATENCY = frozenset({Category.DIV, Category.FP_DIV, Category.AMO})
 _LOADS = frozenset({Category.LOAD, Category.FP_LOAD})
 _STORES = frozenset({Category.STORE, Category.FP_STORE})
-_BRANCH = Category.BRANCH
 
 # Positional state slots after the shared ones.
 _ROB = BASE_STATE_SLOTS      # occupancy | flush << 3 | alu << 4 | fp << 5 | 64
@@ -31,42 +29,43 @@ _LSQ = BASE_STATE_SLOTS + 1  # ldq_level | stq_level << 3 | map_hash << 6
 
 def _queue_transitions():
     """How an instruction moves the ROB and the load/store queues, per
-    spec key, as lookup tables for the hot path:
+    spec key, as the loop's transition tables
+    (:attr:`~repro.dut.core.DutCore.TRANSITIONS`):
 
     * ``rob_next[key << 3 | occupancy]``: the next ROB key.  Occupancy
       rises with long-latency ops and loads in flight and drains by one
       otherwise; the key also records the instruction's ALU/FP class.
-    * ``rob_flush[key]``: the ROB key after the instruction trapped (the
-      flush empties the ROB).
-    * ``lsq_next[lsq_class[key] << 6 | ldq | stq << 3]``: the next queue
-      levels; a load fills the load queue, a store the store queue, and
-      each queue it does not fill drains by one.
+    * ``rob_trapped[key << 3 | occupancy]``: the ROB key after the
+      instruction trapped (the flush empties the ROB).
+    * ``lsq_next[key << 6 | ldq | stq << 3]``: the next queue levels; a
+      load fills the load queue, a store the store queue, and each queue
+      it does not fill drains by one.
+    * ``map_hash[rd << 5 | rs1]``: the rename map hash, in place.
     """
-    rob_next, rob_flush, lsq_class = [], [], []
+    lsq_by_class = []
+    for fills in ((0, 0), (1, 0), (0, 1)):  # neither, a load, a store
+        row = []
+        for levels in range(64):
+            loads, stores = levels & 7, levels >> 3
+            loads = min(7, loads + 1) if fills[0] else max(0, loads - 1)
+            stores = min(7, stores + 1) if fills[1] else max(0, stores - 1)
+            row.append(loads | (stores << 3))
+        lsq_by_class.append(row)
+    rob_next, rob_trapped, lsq_next = [], [], []
     for spec in KEY_SPECS:
         category = spec.category if spec is not None else None
         kinds = 64 | ((category is Category.ALU) << 4) | ((category in FP_CATEGORIES) << 5)
-        for occupancy in range(8):
-            if category in _LONG_LATENCY:
-                occupancy = min(7, occupancy + 2)
-            elif category in _LOADS:
-                occupancy = min(7, occupancy + 1)
-            else:
-                occupancy = max(0, occupancy - 1)
-            rob_next.append(kinds | occupancy)
-        rob_flush.append(kinds | 8)
-        lsq_class.append(1 if category in _LOADS else 2 if category in _STORES else 0)
-    lsq_next = []
-    for lsq_kind in range(3):
-        for levels in range(64):
-            loads, stores = levels & 7, levels >> 3
-            loads = min(7, loads + 1) if lsq_kind == 1 else max(0, loads - 1)
-            stores = min(7, stores + 1) if lsq_kind == 2 else max(0, stores - 1)
-            lsq_next.append(loads | (stores << 3))
-    return tuple(rob_next), tuple(rob_flush), tuple(lsq_class), tuple(lsq_next)
-
-
-_ROB_NEXT, _ROB_FLUSH, _LSQ_CLASS, _LSQ_NEXT = _queue_transitions()
+        if category in _LONG_LATENCY:
+            rob_next.extend(kinds | min(7, occupancy + 2) for occupancy in range(8))
+        elif category in _LOADS:
+            rob_next.extend(kinds | min(7, occupancy + 1) for occupancy in range(8))
+        else:
+            rob_next.extend(kinds | max(0, occupancy - 1) for occupancy in range(8))
+        rob_trapped.extend([kinds | 8] * 8)
+        lsq_next.extend(lsq_by_class[1 if category in _LOADS
+                                     else 2 if category in _STORES else 0])
+    map_hash = [((rd * 3 + rs1) & 0xF) << 6 for rd in range(32) for rs1 in range(32)]
+    return tuple(rob_next), tuple(rob_trapped), tuple(lsq_next), tuple(map_hash)
 
 
 def _rob_values(key):
@@ -150,6 +149,7 @@ class BoomCore(DutCore):
         top.memory("fp_prf", depth=64, width=64)
 
     STATE_SLOTS = BASE_STATE_SLOTS + 2
+    TRANSITIONS = _queue_transitions()
 
     def __init__(self, *args, **kwargs):
         self._mispredicts = 0
@@ -189,21 +189,17 @@ class BoomCore(DutCore):
             self._mispredicts = mispredicts
         return apply
 
-    @hot_path
-    def _latency(self, record, decoded):
-        # The base method is called directly: cheaper than super() per
-        # instruction.
-        cycles = DutCore._latency(self, record, decoded)
-        if decoded is not None and decoded.spec.category is _BRANCH:
-            taken = record.next_pc != record.pc + 4
-            counter = self._branch_predictor.get(record.pc, 1)
-            predicted_taken = counter >= 2
-            if predicted_taken != taken:
-                cycles += self.timing.extra["mispredict"]
-                self._mispredicts += 1
-            counter = min(3, counter + 1) if taken else max(0, counter - 1)
-            self._branch_predictor[record.pc] = counter
-        return cycles
+    def predict_branch(self, pc, taken):
+        """The branch predictor's 2-bit counter for ``pc``: returns the
+        mispredict penalty (0.0 when the prediction was right) and trains
+        the counter."""
+        counter = self._branch_predictor.get(pc, 1)
+        extra = 0.0
+        if (counter >= 2) != taken:
+            extra = self.timing.extra["mispredict"]
+            self._mispredicts += 1
+        self._branch_predictor[pc] = min(3, counter + 1) if taken else max(0, counter - 1)
+        return extra
 
     def _groups(self):
         groups = super()._groups()
@@ -215,16 +211,3 @@ class BoomCore(DutCore):
             ("ldq_level", "stq_level", "map_hash"), 1024,
             lambda k: (k & 7, (k >> 3) & 7, k >> 6), _LSQ)
         return groups
-
-    @hot_path
-    def _update_microarch(self, record, decoded):
-        if decoded is not None:
-            st = self._state
-            key = decoded.spec.dut_key
-            if record.trap is None:
-                st[_ROB] = _ROB_NEXT[(key << 3) | (st[_ROB] & 7)]
-            else:
-                st[_ROB] = _ROB_FLUSH[key]
-            st[_LSQ] = (_LSQ_NEXT[(_LSQ_CLASS[key] << 6) | (st[_LSQ] & 63)]
-                        | (((decoded.rd * 3 + decoded.rs1) & 0xF) << 6))
-        DutCore._update_microarch(self, record, decoded)

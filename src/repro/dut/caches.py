@@ -8,7 +8,7 @@ class DirectMappedCache:
     def __init__(self, sets=256, line_shift=6):
         self.sets = sets
         self.line_shift = line_shift
-        self._tags = [None] * sets
+        self.tags = [None] * sets
         self.hits = 0
         self.misses = 0
 
@@ -16,26 +16,26 @@ class DirectMappedCache:
         """Look up (and on miss, install) the line; True on hit."""
         line = address >> self.line_shift
         index = line % self.sets
-        if self._tags[index] == line:
+        if self.tags[index] == line:
             self.hits += 1
             return True
-        self._tags[index] = line
+        self.tags[index] = line
         self.misses += 1
         return False
 
     def flush(self):
         """Invalidate everything (fence.i / reset)."""
-        self._tags = [None] * self.sets
+        self.tags = [None] * self.sets
 
     def snapshot(self):
         """Tags and hit/miss counters, for :meth:`restore`."""
-        return (list(self._tags), self.hits, self.misses)
+        return (list(self.tags), self.hits, self.misses)
 
     def restore(self, snapshot):
         tags, hits, misses = snapshot
         if len(tags) != self.sets:
             raise ValueError(f"cache snapshot of {len(tags)} sets, not {self.sets}")
-        self._tags = list(tags)
+        self.tags = list(tags)
         self.hits = hits
         self.misses = misses
 

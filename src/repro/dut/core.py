@@ -12,17 +12,28 @@ A :class:`DutCore` couples three things:
 Runtime coverage sampling is performance-critical: it runs for every
 instruction of every fuzzing iteration.  The hardware instrumentation
 computes each module's coverage index combinationally, for free, as the
-register values change; :meth:`DutCore._update_microarch` does the
-software equivalent and produces every index where it produces the
-values.
+register values change; :meth:`DutCore.execute` does the software
+equivalent and produces every index where it produces the values.
 
+* :meth:`DutCore.execute` is the one execution loop.  It runs an
+  iteration's instructions in one frame: the executor step, the latency,
+  the micro-architectural keys, the coverage observation, the runner's
+  counters and stop rules and, when a REF is given, its step and check.
+  The keys, the group tables, the timing constants and the I/D-cache tags
+  live in local variables, and the loop writes the state, ``cycles``,
+  ``retired`` and the cache counters back when it returns.
+  :meth:`DutCore.step`, :meth:`DutCore.run`, the iteration runner and
+  deepExplore's profiler all run it.
 * The micro-architectural state is positional: a short list of small
   integer *keys*, each standing for a group of control registers whose
   values it determines (:class:`RegisterGroup`) — the instruction's spec (with a
   CSR instruction's CSR class), its register fields ``(rd, rs1, rs2) & 7``,
   its immediate sign and shift amount, pc bits 2-9, the counters, the
   result, the branch state, the operands, and each conditional module's
-  inputs.
+  inputs.  A core with groups of its own (BOOM's ROB and load/store
+  queues, CVA6's scoreboard) gives their transitions as tables
+  (:attr:`DutCore.TRANSITIONS`), and BOOM's branch predictor is a hook the
+  loop calls on branches (:attr:`DutCore.predict_branch`).
 * :meth:`DutCore.attach_coverage` turns the layout's per-register
   contribution tables into one table per group: entry *k* is the XOR of
   the group's register contributions while its key is *k*.  No table is
@@ -37,19 +48,15 @@ values.
   to idle); a multi-cycle operation also records a few sampled
   busy-counter states.
 * :attr:`DutCore.vals` materializes the register name -> value mapping
-  from the keys on read.  :class:`~repro.harness.HardwareSnapshot`, the
-  tests and the reference observer read it; ``use_reference_observer()``
-  routes observation through
-  :meth:`~repro.coverage.ModuleCoverage.observe_state_reference`, which
-  reads no contribution table and is the oracle
-  ``tests/test_hotpath_equiv.py`` checks the tables against.
+  from the keys on read; :class:`~repro.harness.HardwareSnapshot` and the
+  tests read it.  The test suite's reference observer computes each
+  module's index from it and the layout's ``contribution()``, reading no
+  group table, and checks the tables against it.
 
 Subclasses build the netlist (:meth:`DutCore._build_netlist`), set their
 timing table, and may add always-observed register groups
-(:meth:`DutCore._groups`) whose keys their :meth:`_update_microarch`
-override sets before calling the base (e.g. BOOM's ROB occupancy).
+(:meth:`DutCore._groups`) with their transition tables.
 """
-
 from dataclasses import dataclass, field
 from operator import xor
 from types import MappingProxyType
@@ -58,8 +65,6 @@ from repro.analyze.markers import hot_path
 from repro.dut.bugs import BuggyHooks, CorrectHooks
 from repro.dut.caches import DirectMappedCache
 from repro.isa import csr as CSR
-from repro.isa.decoder import _CACHE as _DECODE_CACHE
-from repro.isa.decoder import try_decode
 from repro.isa.instructions import (
     SPECS as _SPECS,
     Category,
@@ -98,6 +103,10 @@ _JUMP_KIND = 64
 _DIV_KIND = 128
 _FDIV_KIND = 256
 _CSR_KIND = 512
+_LOAD_KIND = 1024
+_STORE_KIND = 2048
+# Kinds whose latency depends on the execution (direction, D-cache).
+_TIMED_KINDS = _BRANCH_KIND | _LOAD_KIND | _STORE_KIND
 
 _CONDITIONAL_BITS = {"MulDiv": _MULDIV, "FPU": _FPU, "LSU": _LSU,
                      "CSRFile": _CSRFILE, "PTW": _PTW}
@@ -148,6 +157,10 @@ def _spec_kind(spec):
             kind |= _FDIV_KIND
     if category in _MEMORY_CATEGORIES:
         kind |= _LSU
+    if category is Category.LOAD or category is Category.FP_LOAD:
+        kind |= _LOAD_KIND
+    elif category is Category.STORE or category is Category.FP_STORE:
+        kind |= _STORE_KIND
     if category is Category.CSR:
         kind |= _CSRFILE | _CSR_KIND
     elif category is Category.SYSTEM:
@@ -310,6 +323,10 @@ def _csr_trap_key(state):
     return (state[_CSR_TRAP] << 1) | (state[_CNT] >> 7)
 
 
+# The table of a core-own group slot the core does not have (key 0 only).
+_NO_GROUP = (0,)
+
+
 def _busy_samples(total):
     """The busy-counter values a multi-cycle operation of ``total``
     cycles exposes to coverage (a few samples, not one per cycle)."""
@@ -348,16 +365,27 @@ class DutCore:
     # Positional state slots; subclasses with their own groups extend it.
     STATE_SLOTS = BASE_STATE_SLOTS
 
+    # The transitions of the core's own always-observed groups (the slots
+    # after BASE_STATE_SLOTS), which the loop applies to every instruction
+    # that decoded, as ``(first, first_trapped, second, map_hash)`` tables
+    # over the spec key:
+    #   first slot  <- first[key << 3 | slot & 7]  (first_trapped when it trapped)
+    #   second slot <- second[key << 6 | slot & 63] | map_hash[rd << 5 | rs1]
+    # ``second`` is None for a core with one group of its own;
+    # TRANSITIONS is None for a core with none.
+    TRANSITIONS = None
+    # Called on every branch as predict_branch(pc, taken); returns the
+    # extra cycles.  None: the core adds nothing to a branch.
+    predict_branch = None
+
     # Cross-iteration checkpoints carry only what core_state_dict()
     # returns: architectural/memory state travels through the session's
     # own snapshot machinery, per-iteration state is rebuilt by reset(),
     # and everything here is observation plumbing (re-derived by
-    # attach_coverage / use_reference_observer on the restored design)
-    # or netlist structure identical in any same-spec process.
+    # attach_coverage on the restored design) or netlist structure
+    # identical in any same-spec process.
     _checkpoint_transient = frozenset({
-        "coverage", "regs", "_homes", "_always", "_extra", "_decomp", "_split",
-        "_muldiv", "_fpu", "_lsu", "_csrfile", "_ptw",
-        "_ref_bindings", "_reference_observer",
+        "coverage", "regs", "_homes", "_observers",
     })
 
     def __init__(self, bugs=(), rv32a_only=False, reset_pc=0x8000_0000):
@@ -375,20 +403,19 @@ class DutCore:
         self.icache = DirectMappedCache(sets=256)
         self.dcache = DirectMappedCache(sets=256)
         self.coverage = None
-        self._reference_observer = False
-        self._split = None  # _decomp while observing by table, else None
         self.cycles = 0.0
         self.retired = 0
         self.top = Module(self.top_name)
         self.regs = {}
         self._homes = {}  # dynamic register name -> owning module name
-        self._fixed_latency = self._build_fixed_latency()
+        self._timing_data = self._build_timing_data()
         self._build_netlist()
         groups = _GROUPS.get(type(self))
         if groups is None:
             groups = _GROUPS[type(self)] = self._groups()
         self._register_groups = groups
         self._state = self._reset_state(0)
+        self._observers = self._build_observers(None)
 
     # -- to be provided by subclasses ------------------------------------------
     top_name = "Core"
@@ -566,7 +593,8 @@ class DutCore:
         The ``muldiv_*``, ``fpu_*``, ``lsu_*``, ``csrfile_*`` and ``ptw``
         groups belong to the conditional module their prefix names; every
         other group feeds the always-observed modules.  Subclasses add
-        their own always-observed groups and ``_update_microarch`` keys.
+        their own always-observed groups, keyed by the slots after
+        ``BASE_STATE_SLOTS``, and give their :attr:`TRANSITIONS`.
         """
         mul_counter = int(self.timing.mul) & 31
 
@@ -704,14 +732,23 @@ class DutCore:
         zero and contribute nothing to the index.  The group tables the
         per-instruction path reads are built here, once.
         """
+        self._observers = self._build_observers(design_coverage)
+        self.coverage = design_coverage
+        self._state[_ACTIVE] = 0
+
+    def _build_observers(self, design_coverage):
+        """What :meth:`execute` reads to observe coverage: the
+        always-observed groups' tables (pre-shifted into the combined
+        index), the tables of the core's own groups, the split of the
+        combined index into the modules' seen-sets, and each conditional
+        module's tables and seen-set.  Without a design (``None``) every
+        table is zero and the seen-sets are throwaway."""
+        modules = () if design_coverage is None else design_coverage.modules
         placements = {}  # register name -> (contribution table, mask, shift)
-        decomp = []
-        ref_bindings = []
+        split = []
         offset = 0
-        for module_cov in design_coverage.modules:
-            names = []
-            positions = []
-            conditional = _CONDITIONAL_BITS.get(module_cov.name, 0)
+        for module_cov in modules:
+            conditional = module_cov.name in _CONDITIONAL_BITS
             shift = 0 if conditional else offset
             for position, register in enumerate(module_cov.layout.registers):
                 home = self._homes.get(register.name)
@@ -722,35 +759,26 @@ class DutCore:
                         f"register {register.name!r} of {home} is instrumented "
                         f"in {module_cov.name}; {self.name} observes each "
                         "register in its own module")
-                names.append(register.name)
-                positions.append(position)
                 placements[register.name] = (module_cov.tables[position],
                                              module_cov.value_masks[position],
                                              shift)
-            ref_bindings.append((module_cov, tuple(names), tuple(positions),
-                                 conditional))
             if not conditional:
                 field_bits = module_cov.layout.max_state_size
-                decomp.append((offset, (1 << field_bits) - 1, module_cov.map._seen))
+                split.append((offset, (1 << field_bits) - 1, module_cov.map._seen))
                 offset += field_bits
 
         tables = {name: self._group_table(group, placements)
                   for name, group in self._register_groups.items()}
-        self.coverage = design_coverage
-        self._always = tuple(tables[name] for name in self._ALWAYS_GROUPS)
         base_groups = set(self._ALWAYS_GROUPS).union(*self._CONDITIONAL_GROUPS.values())
-        self._extra = tuple((tables[name], group.slot)
-                            for name, group in self._register_groups.items()
-                            if name not in base_groups)
-        self._decomp = tuple(decomp)
-        self._ref_bindings = tuple(ref_bindings)
+        own = {group.slot: tables[name]
+               for name, group in self._register_groups.items()
+               if name not in base_groups}
         # A conditional module the design leaves out gets all-zero tables
         # and a throwaway seen-set (it only ever holds index 0).
-        by_name = {module_cov.name: module_cov
-                   for module_cov in design_coverage.modules}
+        by_name = {module_cov.name: module_cov for module_cov in modules}
         busy = {"MulDiv": ("md_counter", self.timing.div),
                 "FPU": ("fdiv_cnt", self.timing.fp_div)}
-        conditional = {}
+        conditional = []
         for module_name, group_names in self._CONDITIONAL_GROUPS.items():
             module_tables = tuple(tables[name] for name in group_names)
             if module_name in busy:
@@ -758,15 +786,12 @@ class DutCore:
                 module_tables += (
                     self._sample_deltas(counter, int(total), placements),)
             module_cov = by_name.get(module_name)
-            conditional[module_name] = module_tables + (
-                set() if module_cov is None else module_cov.map._seen,)
-        self._muldiv = conditional["MulDiv"]
-        self._fpu = conditional["FPU"]
-        self._lsu = conditional["LSU"]
-        self._csrfile = conditional["CSRFile"]
-        self._ptw = conditional["PTW"]
-        self._state[_ACTIVE] = 0
-        self.use_reference_observer(self._reference_observer)
+            conditional.append(module_tables + (
+                set() if module_cov is None else module_cov.map._seen,))
+        return (tuple(tables[name] for name in self._ALWAYS_GROUPS),
+                own.get(BASE_STATE_SLOTS, _NO_GROUP),
+                own.get(BASE_STATE_SLOTS + 1, _NO_GROUP),
+                tuple(split), *conditional)
 
     @staticmethod
     def _group_table(group, placements):
@@ -793,39 +818,6 @@ class DutCore:
         return tuple(contributions[0] ^ contributions[sample & mask]
                      for sample in _busy_samples(total))
 
-    def use_reference_observer(self, enabled=True):
-        """Route observation through the table-independent oracle
-        (:meth:`ModuleCoverage.observe_state_reference` over :attr:`vals`).
-        The equivalence suite runs both paths and asserts bit-identical
-        coverage."""
-        self._reference_observer = enabled
-        self._split = (None if enabled or self.coverage is None
-                       else self._decomp)
-
-    def _observe_reference(self, observed, kind):
-        """Observe this instruction through the oracle: every
-        always-observed module plus the ``observed`` conditional ones, and
-        the busy-counter samples of a multi-cycle operation."""
-        values = dict(self.vals)
-        for module_cov, names, positions, bit in self._ref_bindings:
-            if bit and not observed & bit:
-                continue
-            module_cov.observe_state_reference(
-                tuple([values[name] for name in names]), positions)
-        for busy, module_name, counter, total in (
-                (_DIV_KIND, "MulDiv", "md_counter", self.timing.div),
-                (_FDIV_KIND, "FPU", "fdiv_cnt", self.timing.fp_div)):
-            if not kind & busy:
-                continue
-            for module_cov, names, positions, _ in self._ref_bindings:
-                if module_cov.name != module_name:
-                    continue
-                for sample in _busy_samples(int(total)):
-                    values[counter] = sample
-                    module_cov.observe_state_reference(
-                        tuple([values[name] for name in names]), positions)
-                values[counter] = 0
-
     # -- program control ----------------------------------------------------------------
     def reset(self, keep_memory=False):
         """Reset architectural and micro-architectural state.
@@ -849,40 +841,31 @@ class DutCore:
         self.memory.write_program(address, words)
 
     # -- execution ------------------------------------------------------------------------
-    @hot_path
     def step(self):
         """Execute one instruction; update microarch state and cycles."""
-        record = self.executor.step()
-        # Inline decode-cache hit (the overwhelmingly common case); the
-        # try_decode call is only paid on a cache miss.
-        word = record.word
-        decoded = _DECODE_CACHE.get(word) if word else None
-        if decoded is None and word:
-            decoded = try_decode(word)
-        self.cycles += self._latency(record, decoded)
-        self.retired += 1
-        self._update_microarch(record, decoded)
-        return record
+        return self.execute(1)[5]
 
     def run(self, max_instructions, stop_on=None):
         """Step up to ``max_instructions``; ``stop_on(record)`` can halt."""
         records = []
-        for _ in range(max_instructions):
-            record = self.step()
-            records.append(record)
-            if stop_on is not None and stop_on(record):
-                break
+        if stop_on is None:
+            keep = records.append
+        else:
+            def keep(record):
+                records.append(record)
+                return stop_on(record)
+        self.execute(max_instructions, on_record=keep)
         return records
 
-    # -- latency model -----------------------------------------------------------------------
-    def _build_fixed_latency(self):
-        """Per-category constant extra cycles, resolved once per core.
+    def _build_timing_data(self):
+        """The loop's latency constants: the base cycles without and with
+        an I-cache miss, the trap, taken-branch, store-hit, load-hit and
+        D-cache-miss cycles, and each spec key's fixed extra cycles.
 
-        Every category whose latency does not depend on the individual
-        instruction (i.e. everything except branches and memory ops, which
-        consult direction / the D-cache) collapses to one dict lookup on
-        the hot path; categories with no extra cost map to 0.0 so the
-        lookup also covers plain ALU traffic.
+        Branches, loads and stores have no fixed extra (the loop works
+        theirs out from the direction and the D-cache); neither do the
+        integer ALU specs, the only ones with no kind bits, and the loop
+        adds nothing for those.
         """
         timing = self.timing
         extras = {
@@ -898,213 +881,310 @@ class DutCore:
             Category.FP_MOVE: timing.fp_arith,
             Category.CSR: timing.csr,
         }
-        dynamic = {Category.BRANCH, Category.LOAD, Category.FP_LOAD,
-                   Category.STORE, Category.FP_STORE}
-        return {category: extras.get(category, 0.0)
-                for category in Category if category not in dynamic}
+        fixed = tuple(0.0 if spec is None else extras.get(spec.category, 0.0)
+                      for spec in KEY_SPECS)
+        return (timing.base, timing.base + timing.icache_miss, timing.trap,
+                timing.branch_taken, timing.store_hit, timing.load_hit,
+                timing.cache_miss, fixed)
 
     @hot_path
-    def _latency(self, record, decoded):
-        timing = self.timing
-        cycles = timing.base
-        if not self.icache.access(record.pc):
-            cycles += timing.icache_miss
-        if record.trap is not None:
-            return cycles + timing.trap
-        if decoded is None:
-            return cycles
-        category = decoded.spec.category
-        extra = self._fixed_latency.get(category)
-        if extra is not None:
-            return cycles + extra
-        if category is _BRANCH:
-            if record.next_pc != record.pc + 4:
-                cycles += timing.branch_taken
-            return cycles
-        if category is Category.STORE or category is Category.FP_STORE:
-            if record.mem_addr is not None:
-                hit = self.dcache.access(record.mem_addr)
-                cycles += timing.store_hit if hit else timing.cache_miss
-            return cycles
-        # LOAD / FP_LOAD
-        address = record.pc if record.mem_addr is None else record.mem_addr
-        hit = self.dcache.access(address)
-        cycles += timing.load_hit if hit else timing.cache_miss
-        return cycles
+    def execute(self, cap, done_pc=None, fuzz_base=0, watchdog=None,
+                stop_on_trap=False, ref=None, checker=None, on_record=None):
+        """Run up to ``cap`` instructions in one frame.
 
-    # -- microarch state update and observation ----------------------------------------------
-    @hot_path
-    def _update_microarch(self, record, decoded):
-        """Drive the control-register state from this instruction and
-        observe the coverage indices it produces."""
-        st = self._state
-        kpc = (record.pc >> 2) & 255
-        st[_PC] = kpc
-        cnt = st[_CNT]
-        trap = record.trap
-        if trap is None and decoded is not None:
-            # fq_count and dec_buf_cnt advance; the trap bits clear.
-            cnt = ((cnt + 1) & 7) | ((cnt + 8) & 24)
-            spec = decoded.spec
-            kind = spec.dut_kind
-            key = spec.dut_key
-            if kind & _CSR_KIND:
-                key += _CSR_CLASS.get(decoded.csr, 5)
-            rs1 = decoded.rs1
-            rs2 = decoded.rs2
-            kops = ((decoded.rd & 7) << 6) | ((rs1 & 7) << 3) | (rs2 & 7)
-            kimm = ((decoded.imm < 0) << 4) | (decoded.shamt & 15)
-            prev_rd = st[_PREV_RD]
-            raw = 1 if prev_rd and (prev_rd == rs1 or prev_rd == rs2) else 0
-            rd = record.rd
-            if rd is not None:
-                st[_PREV_RD] = rd
-                value = record.rd_value
-                kwb = raw | 2
-                kres = (value == 0) | ((value >> 63) << 1) | ((value & 63) << 2)
-                st[_RES] = kres
-            else:
-                st[_PREV_RD] = 0
-                kwb = raw | 4 if record.frd is not None else raw
-                kres = st[_RES]
-            xregs = self.state.xregs
-            rs1_value = xregs[rs1]
-            rs2_value = xregs[rs2]
-            kopnd = (rs1_value & 15) | ((rs2_value & 15) << 4)
-            ctl = st[_CTL] & 126  # br_taken clears
-            active = kind & _MODULE_BITS
-            if kind:
-                if kind & _BRANCH_KIND:
-                    hist = (ctl >> 1) & 3
-                    pred = (ctl >> 3) & 3
-                    if record.next_pc != record.pc + 4:
-                        ctl = (1 | ((((hist << 1) | 1) & 3) << 1)
-                               | (((pred + 1) & 3) << 3) | (ctl & 96))
-                    else:
-                        ctl = (((hist << 1) & 3) << 1) | (((pred - 1) & 3) << 3) | (ctl & 96)
-                elif kind & _JUMP_KIND:
-                    ctl = (ctl & 31) | ((ctl + 32) & 96)
-                if kind & _MULDIV:
-                    st[_MD_SPEC] = key
-                    st[_MD_SZ] = (((rs1_value >> 63) << 1) | (rs2_value >> 63)
-                                  | ((rs2_value == 0) << 2))
-                    value = record.rd_value
-                    if value is not None:
-                        st[_MD_QR] = value & 255
-                if kind & _FPU:
-                    st[_FPU_SPEC] = key
-                    flags = record.fflags_set & 31
-                    # fp_nv_sticky (bit 8) keeps any NV flag (bit 4 of flags).
-                    st[_FPU_OPS] = (_RM_VALUE[decoded.rm] | (flags << 3)
-                                    | ((st[_FPU_OPS] | (flags << 4)) & 256))
-                    value = record.frd_value
-                    if value is not None:
-                        st[_FPU_SE] = (((value >> 63) << 1) | ((value >> 31) & 1)
-                                       | (((value >> 52) & 31) << 2))
-                        st[_FPU_MAN] = value & 63
-                if kind & _LSU:
-                    address = record.mem_addr
-                    if address is not None:
-                        st[_LSU_ADDR] = address & 1023
-                        stored = record.mem_value
-                        if stored is not None:
-                            misc = 8 | ((stored & 31) << 4)
-                        else:
-                            misc = st[_LSU_MISC] & _LSU_KEPT
-                        st[_LSU_MISC] = (misc | ((record.mem_size or 1).bit_length() - 1)
-                                         | (4 if self.dcache.hits else 0))
-                if kind & _CSR_KIND:
-                    value = record.csr_value
-                    if value is not None:
-                        st[_CSR_OP] = (decoded.csr & 15) | ((value & 31) << 4)
-                    else:
-                        st[_CSR_OP] = (decoded.csr & 15) | (st[_CSR_OP] & _CSR_KEPT)
-                if kind & _PTW:
-                    ptw = st[_PTW_KEY]
-                    ptw_state = ((ptw & 3) + 1) & 3
-                    st[_PTW_KEY] = (ptw_state or 1) | ((((ptw >> 2) + 1) % 3) << 2)
-            st[_SPEC] = key
-            st[_OPS] = kops
-            st[_IMM] = kimm
-            st[_WB] = kwb
-            st[_CTL] = ctl
-            st[_OPND] = kopnd
-            # mstatus/privilege change detection: the fs/mie/priv key is
-            # recomputed only when either moved since the last look.
-            arch = self.state
-            status = arch.csrs[_MSTATUS]
-            privilege = arch.privilege
-            if status != st[_LAST_MSTATUS] or privilege != st[_LAST_PRIV]:
-                kstat = (((status >> _FS_SHIFT) & 3) | (((status >> 3) & 1) << 2)
-                         | (privilege << 3))
-                if kstat != st[_CSR_STAT]:
-                    active |= _CSRFILE
-                    st[_CSR_STAT] = kstat
-                st[_LAST_MSTATUS] = status
-                st[_LAST_PRIV] = privilege
+        Per instruction: the executor step, the latency, the
+        micro-architectural keys and the coverage observation, then the
+        runner's counters and stop rules.  The run stops after the
+        instruction whose ``next_pc`` is ``done_pc`` (completed); after a
+        trap at a pc at or above ``fuzz_base`` when ``stop_on_trap``; when
+        more than ``watchdog`` traps followed the last untrapped
+        instruction at or above ``fuzz_base`` (a destroyed trap vector
+        spinning in fault loops; ``None``: no watchdog); when the REF
+        executor ``ref``, stepped alongside, disagrees by ``checker``; or
+        when ``on_record(record)`` returns true.
+
+        Returns ``(executed, fuzzing, traps, completed, mismatch,
+        record)``: instructions executed, those at or above
+        ``fuzz_base``, traps, whether the done pc was reached, the
+        checker's mismatch (or None), and the last commit record.
+        """
+        if watchdog is None:
+            watchdog = cap
+        step = self.executor.step
+        ref_step = None if ref is None else ref.step
+        check = None if checker is None else checker.check
+        arch = self.state
+        xregs = arch.xregs
+        csrs = arch.csrs
+        (base_lat, miss_lat, trap_lat, branch_lat, store_lat, load_lat,
+         dmiss_lat, fixed) = self._timing_data
+        predict = self.predict_branch
+        transitions = self.TRANSITIONS
+        if transitions is None:
+            first_next = first_trapped = second_next = map_hash = None
         else:
-            if trap is not None:
-                cause = trap.cause
-                cnt = (((cnt + 1) & 7) | (cnt & 24) | ((cause == 2) << 5)
-                       | ((cause <= 1) << 6) | 128)
-                st[_CSR_TRAP] = cause if cause < 11 else 11
-                st[_PREV_RD] = 0
-                active = _CSRFILE
-            else:
-                cnt = ((cnt + 1) & 7) | (cnt & 24)
-                active = 0
-            kind = 0
-            key = st[_SPEC]
-            kops = st[_OPS]
-            kimm = st[_IMM]
-            kwb = st[_WB]
-            kres = st[_RES]
-            ctl = st[_CTL]
-            kopnd = st[_OPND]
-        st[_CNT] = cnt
-        observed = active | st[_ACTIVE]
-        st[_ACTIVE] = active
+            first_next, first_trapped, second_next, map_hash = transitions
+        icache = self.icache
+        itags = icache.tags
+        ishift = icache.line_shift
+        isets = icache.sets
+        ihits = icache.hits
+        imisses = icache.misses
+        dcache = self.dcache
+        dtags = dcache.tags
+        dshift = dcache.line_shift
+        dsets = dcache.sets
+        dhits = dcache.hits
+        dmisses = dcache.misses
+        ((t_pc, t_cnt, t_spec, t_ops, t_imm, t_wb, t_res, t_ctl, t_opnd),
+         t_first, t_second, split,
+         (md_mode, md_spec_t, md_sign_t, md_result_t, md_samples, md_seen),
+         (fp_mode, fp_spec_t, fp_ops_t, fp_se_t, fp_man_t, fp_samples, fp_seen),
+         (ls_mode, ls_address_t, ls_access_t, ls_seen),
+         (cs_class_t, cs_trap_t, cs_access_t, cs_status_t, cs_seen),
+         (ptw_t, ptw_seen)) = self._observers
+        st = self._state
+        (kpc, cnt, key, kops, kimm, kwb, kres, ctl, kopnd, prev_rd, last_active,
+         last_mstatus, last_priv, md_spec, md_sz, md_qr, fpu_spec, fpu_ops,
+         fpu_se, fpu_man, lsu_addr, lsu_misc, csr_trap, csr_op, csr_stat,
+         ptw_key) = st[:BASE_STATE_SLOTS]
+        own_slots = len(st) - BASE_STATE_SLOTS
+        first_key = st[BASE_STATE_SLOTS] if own_slots else 0
+        second_key = st[BASE_STATE_SLOTS + 1] if own_slots > 1 else 0
+        own = t_first[first_key] ^ t_second[second_key]
+        cycles = self.cycles
+        executed = fuzzing = traps = since_fuzz = 0
+        completed = False
+        mismatch = record = None
+        # analyze: ignore[HOT005] try/finally: the finally writes the locals back once per run
+        try:
+            for executed in range(1, cap + 1):
+                record = step()
+                pc = record.pc
+                line = pc >> ishift
+                index = line % isets
+                if itags[index] == line:
+                    ihits += 1
+                    lat = base_lat
+                else:
+                    itags[index] = line
+                    imisses += 1
+                    lat = miss_lat
+                kpc = (pc >> 2) & 255
+                trap = record.trap
+                if trap is None:
+                    decoded = record.decoded
+                    # fq_count and dec_buf_cnt advance; the trap bits clear.
+                    cnt = ((cnt + 1) & 7) | ((cnt + 8) & 24)
+                    spec = decoded.spec
+                    kind = spec.dut_kind
+                    key = spec.dut_key
+                    rs1 = decoded.rs1
+                    rs2 = decoded.rs2
+                    kops = ((decoded.rd & 7) << 6) | ((rs1 & 7) << 3) | (rs2 & 7)
+                    kimm = ((decoded.imm < 0) << 4) | (decoded.shamt & 15)
+                    raw = 1 if prev_rd and (prev_rd == rs1 or prev_rd == rs2) else 0
+                    rd = record.rd
+                    if rd is not None:
+                        prev_rd = rd
+                        value = record.rd_value
+                        kwb = raw | 2
+                        kres = (value == 0) | ((value >> 63) << 1) | ((value & 63) << 2)
+                    else:
+                        prev_rd = 0
+                        kwb = raw | 4 if record.frd is not None else raw
+                    rs1_value = xregs[rs1]
+                    rs2_value = xregs[rs2]
+                    kopnd = (rs1_value & 15) | ((rs2_value & 15) << 4)
+                    ctl &= 126  # br_taken clears
+                    active = kind & _MODULE_BITS
+                    if kind:
+                        if kind & _TIMED_KINDS:
+                            if kind & _BRANCH_KIND:
+                                hist = (ctl >> 1) & 3
+                                pred = (ctl >> 3) & 3
+                                if record.next_pc != pc + 4:
+                                    lat += branch_lat
+                                    ctl = (1 | ((((hist << 1) | 1) & 3) << 1)
+                                           | (((pred + 1) & 3) << 3) | (ctl & 96))
+                                    if predict is not None:
+                                        lat += predict(pc, True)
+                                else:
+                                    ctl = ((((hist << 1) & 3) << 1)
+                                           | (((pred - 1) & 3) << 3) | (ctl & 96))
+                                    if predict is not None:
+                                        lat += predict(pc, False)
+                            else:
+                                # A store accesses the D-cache at its address;
+                                # a load (which records none) at its pc.
+                                address = (pc if kind & _LOAD_KIND
+                                           else record.mem_addr)
+                                line = address >> dshift
+                                index = line % dsets
+                                if dtags[index] == line:
+                                    dhits += 1
+                                    lat += load_lat if kind & _LOAD_KIND else store_lat
+                                else:
+                                    dtags[index] = line
+                                    dmisses += 1
+                                    lat += dmiss_lat
+                        else:
+                            lat += fixed[key]
+                            if kind & _JUMP_KIND:
+                                ctl = (ctl & 31) | ((ctl + 32) & 96)
+                        if kind & _MULDIV:
+                            md_spec = key
+                            md_sz = (((rs1_value >> 63) << 1) | (rs2_value >> 63)
+                                     | ((rs2_value == 0) << 2))
+                            value = record.rd_value
+                            if value is not None:
+                                md_qr = value & 255
+                        if kind & _FPU:
+                            fpu_spec = key
+                            flags = record.fflags_set & 31
+                            # fp_nv_sticky (bit 8) keeps any NV flag (bit 4 of flags).
+                            fpu_ops = (_RM_VALUE[decoded.rm] | (flags << 3)
+                                       | ((fpu_ops | (flags << 4)) & 256))
+                            value = record.frd_value
+                            if value is not None:
+                                fpu_se = (((value >> 63) << 1) | ((value >> 31) & 1)
+                                          | (((value >> 52) & 31) << 2))
+                                fpu_man = value & 63
+                        if kind & _LSU:
+                            address = record.mem_addr
+                            if address is not None:
+                                lsu_addr = address & 1023
+                                stored = record.mem_value
+                                if stored is not None:
+                                    misc = 8 | ((stored & 31) << 4)
+                                else:
+                                    misc = lsu_misc & _LSU_KEPT
+                                # dcache_hit reads the D-cache's lifetime hit count.
+                                lsu_misc = (misc | ((record.mem_size or 1).bit_length() - 1)
+                                            | (4 if dhits else 0))
+                        if kind & _CSR_KIND:
+                            key += _CSR_CLASS.get(decoded.csr, 5)
+                            value = record.csr_value
+                            if value is not None:
+                                csr_op = (decoded.csr & 15) | ((value & 31) << 4)
+                            else:
+                                csr_op = (decoded.csr & 15) | (csr_op & _CSR_KEPT)
+                        if kind & _PTW:
+                            ptw_state = ((ptw_key & 3) + 1) & 3
+                            ptw_key = (ptw_state or 1) | ((((ptw_key >> 2) + 1) % 3) << 2)
+                    if first_next is not None:
+                        first_key = first_next[(key << 3) | (first_key & 7)]
+                        if second_next is not None:
+                            second_key = (second_next[(key << 6) | (second_key & 63)]
+                                          | map_hash[(decoded.rd << 5) | rs1])
+                        own = t_first[first_key] ^ t_second[second_key]
+                    # mstatus/privilege change detection: the fs/mie/priv key
+                    # is recomputed only when either moved since the last look.
+                    status = csrs[_MSTATUS]
+                    privilege = arch.privilege
+                    if status != last_mstatus or privilege != last_priv:
+                        kstat = (((status >> _FS_SHIFT) & 3) | (((status >> 3) & 1) << 2)
+                                 | (privilege << 3))
+                        if kstat != csr_stat:
+                            active |= _CSRFILE
+                            csr_stat = kstat
+                        last_mstatus = status
+                        last_priv = privilege
+                else:
+                    lat += trap_lat
+                    cause = trap.cause
+                    cnt = (((cnt + 1) & 7) | (cnt & 24) | ((cause == 2) << 5)
+                           | ((cause <= 1) << 6) | 128)
+                    csr_trap = cause if cause < 11 else 11
+                    prev_rd = 0
+                    active = _CSRFILE
+                    kind = 0
+                    decoded = record.decoded
+                    if decoded is not None:
+                        if first_next is not None:
+                            spec_key = decoded.spec.dut_key
+                            first_key = first_trapped[(spec_key << 3) | (first_key & 7)]
+                            if second_next is not None:
+                                second_key = (
+                                    second_next[(spec_key << 6) | (second_key & 63)]
+                                    | map_hash[(decoded.rd << 5) | decoded.rs1])
+                            own = t_first[first_key] ^ t_second[second_key]
+                        if predict is not None and decoded.spec.dut_kind & _BRANCH_KIND:
+                            lat += predict(pc, record.next_pc != pc + 4)
+                cycles += lat
+                observed = active | last_active
+                last_active = active
 
-        split = self._split
-        if split is None:
-            if self._reference_observer:
-                self._observe_reference(observed, kind)
-            return
-        t_pc, t_cnt, t_spec, t_ops, t_imm, t_wb, t_res, t_ctl, t_opnd = self._always
-        combined = (t_pc[kpc] ^ t_cnt[cnt] ^ t_spec[key] ^ t_ops[kops] ^ t_imm[kimm]
-                    ^ t_wb[kwb] ^ t_res[kres] ^ t_ctl[ctl] ^ t_opnd[kopnd])
-        for table, slot in self._extra:
-            combined ^= table[st[slot]]
-        for offset, mask, module_seen in split:
-            module_seen.add((combined >> offset) & mask)
-        if not observed:
-            return
-        if observed & _MULDIV:
-            t_mode, t_spec, t_sign, t_result, samples, seen = self._muldiv
-            index = (t_mode[key] ^ t_spec[st[_MD_SPEC]] ^ t_sign[st[_MD_SZ]]
-                     ^ t_result[st[_MD_QR]])
-            seen.add(index)
-            if kind & _DIV_KIND:
-                for delta in samples:
-                    seen.add(index ^ delta)
-        if observed & _FPU:
-            t_mode, t_spec, t_ops, t_sign_exp, t_mantissa, samples, seen = self._fpu
-            index = (t_mode[key] ^ t_spec[st[_FPU_SPEC]] ^ t_ops[st[_FPU_OPS]]
-                     ^ t_sign_exp[st[_FPU_SE]] ^ t_mantissa[st[_FPU_MAN]])
-            seen.add(index)
-            if kind & _FDIV_KIND:
-                for delta in samples:
-                    seen.add(index ^ delta)
-        if observed & _LSU:
-            t_mode, t_address, t_access, seen = self._lsu
-            seen.add(t_mode[key] ^ t_address[st[_LSU_ADDR]] ^ t_access[st[_LSU_MISC]])
-        if observed & _CSRFILE:
-            t_class, t_trap, t_access, t_status, seen = self._csrfile
-            seen.add(t_class[key] ^ t_trap[(st[_CSR_TRAP] << 1) | (cnt >> 7)]
-                     ^ t_access[st[_CSR_OP]] ^ t_status[st[_CSR_STAT]])
-        if observed & _PTW:
-            t_ptw, seen = self._ptw
-            seen.add(t_ptw[st[_PTW_KEY]])
+                combined = (t_pc[kpc] ^ t_cnt[cnt] ^ t_spec[key] ^ t_ops[kops]
+                            ^ t_imm[kimm] ^ t_wb[kwb] ^ t_res[kres] ^ t_ctl[ctl]
+                            ^ t_opnd[kopnd] ^ own)
+                for offset, mask, module_seen in split:
+                    module_seen.add((combined >> offset) & mask)
+                if observed:
+                    if observed & _MULDIV:
+                        index = (md_mode[key] ^ md_spec_t[md_spec] ^ md_sign_t[md_sz]
+                                 ^ md_result_t[md_qr])
+                        md_seen.add(index)
+                        if kind & _DIV_KIND:
+                            for delta in md_samples:
+                                md_seen.add(index ^ delta)
+                    if observed & _FPU:
+                        index = (fp_mode[key] ^ fp_spec_t[fpu_spec] ^ fp_ops_t[fpu_ops]
+                                 ^ fp_se_t[fpu_se] ^ fp_man_t[fpu_man])
+                        fp_seen.add(index)
+                        if kind & _FDIV_KIND:
+                            for delta in fp_samples:
+                                fp_seen.add(index ^ delta)
+                    if observed & _LSU:
+                        ls_seen.add(ls_mode[key] ^ ls_address_t[lsu_addr]
+                                    ^ ls_access_t[lsu_misc])
+                    if observed & _CSRFILE:
+                        cs_seen.add(cs_class_t[key] ^ cs_trap_t[(csr_trap << 1) | (cnt >> 7)]
+                                    ^ cs_access_t[csr_op] ^ cs_status_t[csr_stat])
+                    if observed & _PTW:
+                        ptw_seen.add(ptw_t[ptw_key])
+
+                if trap is None:
+                    if pc >= fuzz_base:
+                        fuzzing += 1
+                        since_fuzz = 0
+                else:
+                    traps += 1
+                    if pc >= fuzz_base:
+                        fuzzing += 1
+                        if stop_on_trap:
+                            break
+                    since_fuzz += 1
+                    if since_fuzz > watchdog:
+                        break
+                if ref_step is not None:
+                    mismatch = check(record, ref_step())
+                    if mismatch is not None:
+                        break
+                if on_record is not None and on_record(record):
+                    break
+                if record.next_pc == done_pc:
+                    completed = True
+                    break
+        finally:
+            # analyze: ignore[HOT002] the once-per-run write-back of the loop's locals
+            st[:BASE_STATE_SLOTS] = (
+                kpc, cnt, key, kops, kimm, kwb, kres, ctl, kopnd, prev_rd, last_active,
+                last_mstatus, last_priv, md_spec, md_sz, md_qr, fpu_spec, fpu_ops,
+                fpu_se, fpu_man, lsu_addr, lsu_misc, csr_trap, csr_op, csr_stat,
+                ptw_key)
+            if own_slots:
+                st[BASE_STATE_SLOTS] = first_key
+                if own_slots > 1:
+                    st[BASE_STATE_SLOTS + 1] = second_key
+            self.cycles = cycles
+            self.retired += executed
+            icache.hits = ihits
+            icache.misses = imisses
+            dcache.hits = dhits
+            dcache.misses = dmisses
+        # analyze: ignore[HOT002] the once-per-run result
+        return executed, fuzzing, traps, completed, mismatch, record
 
     # -- checkpoint protocol ---------------------------------------------------
     def core_state_dict(self):

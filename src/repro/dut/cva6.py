@@ -4,16 +4,34 @@ Carries the CVA6-specific scoreboard module in addition to the shared
 micro-architectural modules; all ten CVA6 bugs (C1-C10) inject here.
 """
 
-from repro.analyze.markers import hot_path
-from repro.dut.core import BASE_STATE_SLOTS, CoreTiming, DutCore, RegisterGroup
+from repro.dut.core import (
+    BASE_STATE_SLOTS,
+    KEY_SPECS,
+    CoreTiming,
+    DutCore,
+    RegisterGroup,
+)
 from repro.isa.instructions import Category
 
-# Hoisted so the hot _update_microarch override allocates nothing per call.
 _DIVIDES = frozenset({Category.DIV, Category.FP_DIV})
 
 # Positional state slot after the shared ones: issue pointer | divide << 3
 # | 16 (bit 4 marks a key written since reset; all registers read 0 before).
 _SCOREBOARD = BASE_STATE_SLOTS
+
+
+def _scoreboard_next():
+    """``next[key << 3 | issue]``: the scoreboard key after an instruction
+    (trapped or not).  The issue pointer advances; a long-latency divide
+    leaves the scoreboard partially full."""
+    table = []
+    for spec in KEY_SPECS:
+        divide = 8 if spec is not None and spec.category in _DIVIDES else 0
+        table.extend(16 | ((issue + 1) & 7) | divide for issue in range(8))
+    return tuple(table)
+
+
+_SCOREBOARD_NEXT = _scoreboard_next()
 
 
 def _scoreboard_values(key):
@@ -30,6 +48,7 @@ class Cva6Core(DutCore):
     name = "cva6"
     top_name = "CVA6"
     STATE_SLOTS = BASE_STATE_SLOTS + 1
+    TRANSITIONS = (_SCOREBOARD_NEXT, _SCOREBOARD_NEXT, None, None)
     timing = CoreTiming(
         base=1.0,
         branch_taken=5.0,   # deeper frontend than Rocket
@@ -76,14 +95,3 @@ class Cva6Core(DutCore):
             ("sb_issue_ptr", "sb_commit_ptr", "sb_full"), 32,
             _scoreboard_values, _SCOREBOARD)
         return groups
-
-    @hot_path
-    def _update_microarch(self, record, decoded):
-        if decoded is not None:
-            # Scoreboard pointers advance with issue/commit; long-latency
-            # ops leave the scoreboard partially full.
-            st = self._state
-            issue = ((st[_SCOREBOARD] & 7) + 1) & 7
-            divide = 8 if decoded.spec.category in _DIVIDES else 0
-            st[_SCOREBOARD] = 16 | issue | divide
-        DutCore._update_microarch(self, record, decoded)

@@ -81,17 +81,6 @@ class InstructionLibrary:
     def specs_in_category(self, category):
         return list(self._by_category.get(category, ()))
 
-    def sample(self, lfsr):
-        """Uniformly sample a prime instruction spec."""
-        return lfsr.choice(self._active)
-
-    def sample_category(self, lfsr, category):
-        """Sample a prime instruction from one category."""
-        specs = self._by_category.get(category)
-        if not specs:
-            raise ValueError(f"no active instructions in category {category}")
-        return lfsr.choice(specs)
-
     def weighted_specs(self, weights):
         """The expanded spec list for per-category integer weights
         (default weight 1): each spec ``weight`` times, so that

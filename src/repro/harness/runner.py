@@ -80,8 +80,6 @@ class IterationRunner:
         ref = self._make_ref(image) if self.with_ref else None
         checker = DifferentialChecker() if self.with_ref else None
 
-        layout = iteration.layout
-        blocks_base = iteration.fuzz_base
         cap = instruction_cap or (
             self.max_instruction_factor * max(1, iteration.total_instructions)
             + image.total_template_instructions * 8
@@ -89,49 +87,24 @@ class IterationRunner:
         result = RunResult()
         start_points = core.coverage.total_points if core.coverage else 0
         start_cycles = core.cycles
-        traps_since_fuzz = 0
 
-        # Per-instruction bookkeeping runs on locals; the result object is
-        # filled in once after the loop.
-        core_step = core.step
-        stop_on_trap = self.stop_on_trap
-        done_pc = layout.done
-        executed = fuzzing = template = traps = 0
-        for _ in range(cap):
-            record = core_step()
-            executed += 1
-            if record.pc >= blocks_base:
-                fuzzing += 1
-                if record.trap is None:
-                    traps_since_fuzz = 0
-            else:
-                template += 1
-            if record.trap is not None:
-                traps += 1
-                if stop_on_trap and record.pc >= blocks_base:
-                    break
-                # Iteration watchdog: a destroyed trap vector spins in
-                # fault loops; hardware moves to the next iteration.
-                traps_since_fuzz += 1
-                if traps_since_fuzz > 64:
-                    break
-            if ref is not None:
-                ref_record = ref.step()
-                mismatch = checker.check(record, ref_record)
-                if mismatch is not None:
-                    result.mismatch = mismatch
-                    if self.capture_snapshots:
-                        result.snapshot = HardwareSnapshot.capture(
-                            core, annotation=mismatch.describe()
-                        )
-                    break
-            if record.next_pc == done_pc:
-                result.completed = True
-                break
-
+        # Iteration watchdog: more than 64 traps since the last untrapped
+        # fuzzing instruction means a destroyed trap vector spinning in
+        # fault loops; hardware moves to the next iteration.
+        executed, fuzzing, traps, completed, mismatch, _ = core.execute(
+            cap, done_pc=iteration.layout.done, fuzz_base=iteration.fuzz_base,
+            watchdog=64, stop_on_trap=self.stop_on_trap, ref=ref,
+            checker=checker)
+        if mismatch is not None:
+            result.mismatch = mismatch
+            if self.capture_snapshots:
+                result.snapshot = HardwareSnapshot.capture(
+                    core, annotation=mismatch.describe()
+                )
+        result.completed = completed
         result.executed_instructions = executed
         result.executed_fuzzing = fuzzing
-        result.executed_template = template
+        result.executed_template = executed - fuzzing
         result.traps = traps
         result.cycles = core.cycles - start_cycles
         if core.coverage:

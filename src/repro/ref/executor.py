@@ -8,6 +8,16 @@ NaN unboxing, CSR reads, AMO legality, minstret retirement).
 Every :meth:`Executor.step` returns a :class:`CommitRecord`; the ENCORE-style
 checker (:mod:`repro.harness.checker`) compares DUT and REF records
 instruction by instruction, which is the paper's fine-grained self-checking.
+
+The step is the inner loop of both sides, so it avoids call chains: it
+fetches with one check against the memory's fetch window and one page
+read (the fault path and its trap are the memory's own), dispatches
+through the handler attached to the spec at import, and hands its
+:class:`~repro.isa.decoder.DecodedInstr` to the DUT on the record.  The
+FP and AMO handlers are made per spec at import by their family's
+factory and do the family's work inline: the FS check, the rounding
+mode, the register reads and writes, FS dirty and the fflags accrual.
+They still call every :class:`ExecHooks` method, in the same order.
 """
 
 from dataclasses import dataclass, field
@@ -18,7 +28,7 @@ from repro.isa.decoder import _CACHE as _DECODE_CACHE
 from repro.isa.decoder import IllegalInstruction, decode
 from repro.isa.encoding import MASK32, MASK64, sext, to_signed, to_unsigned
 from repro.isa.instructions import Extension
-from repro.ref.memory import MemoryAccessError
+from repro.ref.memory import PAGE_MASK, PAGE_SHIFT, UNPACK_WORD, MemoryAccessError
 from repro.ref.state import PRV_M
 from repro.softfloat import (
     F32,
@@ -38,9 +48,19 @@ from repro.softfloat import (
     fp_to_fp,
     fp_to_int,
     int_to_fp,
-    nan_box,
 )
 from repro.softfloat import formats as fp_formats
+
+_ILLEGAL = CSR.CAUSE_ILLEGAL_INSTRUCTION
+_MSTATUS = CSR.MSTATUS
+_FCSR = CSR.FCSR
+_FS_MASK = CSR.MSTATUS_FS_MASK  # FS off is 0
+_FS_DIRTY = CSR.MSTATUS_FS_DIRTY
+_FRM_SHIFT = CSR.FRM_SHIFT
+_FRM_MASK = CSR.FRM_MASK
+_FFLAGS_MASK = CSR.FFLAGS_MASK
+_BOX = MASK64 ^ MASK32  # NaN-box of a binary32 value; sign extension of a word
+_SIGN32 = 1 << 31
 
 
 @dataclass(slots=True)
@@ -71,6 +91,9 @@ class CommitRecord:
     word: int
     name: str
     next_pc: int
+    # The instruction the word decoded to (None when it did not decode),
+    # handed to the DUT model; not an architectural effect.
+    decoded: object = field(default=None, compare=False, repr=False)
     trap: Trap = None
     rd: int = None
     rd_value: int = None
@@ -168,14 +191,12 @@ class Executor:
         self.memory = memory
         self.config = config or ExecConfig()
         self.hooks = hooks or DEFAULT_HOOKS
-        self.instret = 0  # total step() calls, for harness bookkeeping
         # Hot-path aliases resolved once (config and hooks are static per
         # hart; a fresh Executor is built on every DUT reset).
         self._extensions = self.config.extensions
         self._minstret_always = (
             type(self.hooks).counts_minstret is ExecHooks.counts_minstret
         )
-        self._load_word = memory.load_word
 
     # ------------------------------------------------------------------ fetch
     @hot_path
@@ -189,37 +210,44 @@ class Executor:
         try:
             if pc & 3:
                 raise _TrapSignal(CSR.CAUSE_MISALIGNED_FETCH, pc)
-            try:  # analyze: ignore[HOT005] fetch fault is the cold branch
-                word = self._load_word(pc)
-            except MemoryAccessError:
-                raise _TrapSignal(CSR.CAUSE_FETCH_ACCESS, pc) from None
+            # Fetch: one check against the last legal window a fetch hit
+            # and one page read; anything else takes the memory's path.
+            memory = self.memory
+            base, end = memory.fetch_window
+            if base <= pc and pc + 4 <= end:
+                page = memory.pages.get(pc >> PAGE_SHIFT)
+                if page is not None:
+                    word = UNPACK_WORD(page, pc & PAGE_MASK)[0]
+            else:
+                try:  # analyze: ignore[HOT005] fetch fault is the cold branch
+                    word = memory.load_word(pc)
+                except MemoryAccessError:
+                    raise _TrapSignal(CSR.CAUSE_FETCH_ACCESS, pc) from None
             decoded = _DECODE_CACHE.get(word)
             if decoded is None:
                 try:  # analyze: ignore[HOT005] decode-cache miss is the cold branch
                     decoded = decode(word)
                 except IllegalInstruction:
-                    raise _TrapSignal(
-                        CSR.CAUSE_ILLEGAL_INSTRUCTION, word
-                    ) from None
+                    raise _TrapSignal(_ILLEGAL, word) from None
             spec = decoded.spec
             if spec.extension not in self._extensions:
-                raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, word)
-            record = CommitRecord(pc, word, spec.name, pc + 4)
+                raise _TrapSignal(_ILLEGAL, word)
+            record = CommitRecord(pc, word, spec.name, pc + 4, decoded)
             # Handlers are pre-attached to the spec objects at import (see
             # _attach_handlers); one attribute load replaces the
             # name-keyed dict dispatch.
             spec.exec_handler(self, decoded, record)
         except _TrapSignal as signal:
             name = decoded.spec.name if decoded is not None else "?"
-            record = CommitRecord(pc, word, name, 0)
+            record = CommitRecord(pc, word, name, 0, decoded)
             record.trap = signal.trap
             record.next_pc = self._take_trap(signal.trap, pc)
         state.pc = record.next_pc
-        self.instret += 1
-        trapped = record.trap is not None
-        if self._minstret_always or self.hooks.counts_minstret(decoded, trapped):
-            state.csrs[CSR.MINSTRET] = (state.csrs[CSR.MINSTRET] + 1) & MASK64
-        state.csrs[CSR.MCYCLE] = (state.csrs[CSR.MCYCLE] + 1) & MASK64
+        csrs = state.csrs
+        if self._minstret_always or self.hooks.counts_minstret(
+                decoded, record.trap is not None):
+            csrs[CSR.MINSTRET] = (csrs[CSR.MINSTRET] + 1) & MASK64
+        csrs[CSR.MCYCLE] = (csrs[CSR.MCYCLE] + 1) & MASK64
         return record
 
     def _take_trap(self, trap, pc):
@@ -249,15 +277,6 @@ class Executor:
         else:
             record.rd = 0
             record.rd_value = 0
-
-    @hot_path
-    def _wf(self, record, index, value):
-        value &= MASK64
-        state = self.state
-        state.fregs[index] = value
-        state.set_fs_dirty()
-        record.frd = index
-        record.frd_value = value
 
     def _load(self, address, size):
         try:
@@ -547,205 +566,82 @@ class Executor:
         value = a if b == 0 else a % b
         self._wx(record, d.rd, sext(value, 32))
 
-    # --- A extension -----------------------------------------------------------
-    def _amo_addr(self, d, size):
-        address = self.state.xregs[d.rs1]
-        if address % size:
-            raise _TrapSignal(CSR.CAUSE_MISALIGNED_STORE, address)
-        return address
-
-    def _amo_check_legal(self, d):
-        if not self.hooks.amo_legal(d.spec):
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
-
-    def _op_lr(self, d, record, size):
-        self._amo_check_legal(d)
-        address = self._amo_addr(d, size)
-        value = self._load(address, size)
-        self.state.reservation = address
-        self._wx(record, d.rd, sext(value, size * 8))
-
-    def _op_sc(self, d, record, size):
-        self._amo_check_legal(d)
-        address = self._amo_addr(d, size)
-        if self.state.reservation == address:
-            self._store(record, address, size, self.state.xregs[d.rs2])
-            self._wx(record, d.rd, 0)
-        else:
-            self._wx(record, d.rd, 1)
-        self.state.reservation = None
-
-    def _amo(self, d, record, size, combine):
-        self._amo_check_legal(d)
-        address = self._amo_addr(d, size)
-        old = sext(self._load(address, size), size * 8)
-        rs2 = sext(self.state.xregs[d.rs2] & ((1 << (size * 8)) - 1), size * 8)
-        new = combine(old, rs2) & ((1 << (size * 8)) - 1)
-        self._store(record, address, size, new)
-        self._wx(record, d.rd, sext(old & ((1 << (size * 8)) - 1), size * 8))
-
-    # --- FP helpers -------------------------------------------------------------
-    def _fp_check_enabled(self, d):
-        if self.state.fs_off:
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
-
-    def _fp_rm(self, d):
-        rm = self.hooks.resolve_rm(d.rm, self.state.frm)
-        if rm is None:
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
-        return rm
-
-    def _fp_read(self, index, fmt):
-        raw = self.state.fregs[index]
-        if fmt is F32:
-            return self.hooks.nan_unbox(raw)
-        return raw
-
-    def _fp_write(self, record, index, value, fmt):
-        if fmt is F32:
-            value = nan_box(value)
-        self._wf(record, index, value)
-
-    def _fp_finish(self, record, flags):
-        flags &= CSR.FFLAGS_MASK
-        record.fflags_set = flags
-        self.state.accrue_fflags(flags)
-
-    def _fp_binary(self, d, record, fmt, op, name):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        a = self._fp_read(d.rs1, fmt)
-        b = self._fp_read(d.rs2, fmt)
-        result, flags = op(a, b, fmt, rm)
-        result, flags = self.hooks.fp_post(name, fmt, (a, b), result, flags, rm)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, flags)
-
-    def _fp_fma_op(self, d, record, fmt, negate_product, negate_c, name):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        a = self._fp_read(d.rs1, fmt)
-        b = self._fp_read(d.rs2, fmt)
-        c = self._fp_read(d.rs3, fmt)
-        result, flags = fp_fma(a, b, c, fmt, rm, negate_product, negate_c)
-        result, flags = self.hooks.fp_post(name, fmt, (a, b, c), result, flags, rm)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, flags)
-
-    def _fp_sign_inject(self, d, record, fmt, mode):
-        self._fp_check_enabled(d)
-        a = self._fp_read(d.rs1, fmt)
-        b = self._fp_read(d.rs2, fmt)
-        sign_bit = fmt.sign_bit
-        if mode == "j":
-            result = (a & ~sign_bit) | (b & sign_bit)
-        elif mode == "jn":
-            result = (a & ~sign_bit) | ((b & sign_bit) ^ sign_bit)
-        else:  # jx
-            result = a ^ (b & sign_bit)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, 0)
-
-    def _fp_minmax(self, d, record, fmt, op, name):
-        self._fp_check_enabled(d)
-        a = self._fp_read(d.rs1, fmt)
-        b = self._fp_read(d.rs2, fmt)
-        result, flags = op(a, b, fmt)
-        result, flags = self.hooks.fp_post(name, fmt, (a, b), result, flags, None)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, flags)
-
-    def _fp_compare(self, d, record, fmt, op):
-        self._fp_check_enabled(d)
-        a = self._fp_read(d.rs1, fmt)
-        b = self._fp_read(d.rs2, fmt)
-        result, flags = op(a, b, fmt)
-        self._wx(record, d.rd, result)
-        self._fp_finish(record, flags)
-
-    def _fp_sqrt_op(self, d, record, fmt, name):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        a = self._fp_read(d.rs1, fmt)
-        result, flags = fp_sqrt(a, fmt, rm)
-        result, flags = self.hooks.fp_post(name, fmt, (a,), result, flags, rm)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, flags)
-
-    def _fp_cvt_to_int(self, d, record, fmt, width, signed):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        a = self._fp_read(d.rs1, fmt)
-        value, flags = fp_to_int(a, fmt, rm, width, signed)
-        self._wx(record, d.rd, sext(value, width) if width == 32 else value)
-        self._fp_finish(record, flags)
-
-    def _fp_cvt_from_int(self, d, record, fmt, width, signed):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        raw = self.state.xregs[d.rs1] & ((1 << width) - 1)
-        result, flags = int_to_fp(raw, width, signed, fmt, rm)
-        self._fp_write(record, d.rd, result, fmt)
-        self._fp_finish(record, flags)
-
-    def _op_fclass(self, d, record, fmt):
-        self._fp_check_enabled(d)
-        a = self._fp_read(d.rs1, fmt)
-        self._wx(record, d.rd, fp_classify(a, fmt))
-        self._fp_finish(record, 0)
-
-    # --- FP loads/stores ---------------------------------------------------
+    # --- FP loads/stores and moves ------------------------------------------
+    # The FP handlers check mstatus.FS, read and write the FP registers,
+    # mark FS dirty and accrue fflags inline; the hooks they call are the
+    # bug injection points and change no architectural state.
     def _op_flw(self, d, record):
-        self._fp_check_enabled(d)
-        value = self._load(self.state.xregs[d.rs1] + d.imm & MASK64, 4)
-        self._wf(record, d.rd, nan_box(value))
+        csrs = self.state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        value = _BOX | self._load(self.state.xregs[d.rs1] + d.imm & MASK64, 4)
+        self.state.fregs[d.rd] = value
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = value
 
     def _op_fld(self, d, record):
-        self._fp_check_enabled(d)
+        csrs = self.state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
         value = self._load(self.state.xregs[d.rs1] + d.imm & MASK64, 8)
-        self._wf(record, d.rd, value)
+        self.state.fregs[d.rd] = value
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = value
 
     def _op_fsw(self, d, record):
-        self._fp_check_enabled(d)
-        address = self.state.xregs[d.rs1] + d.imm & MASK64
-        self._store(record, address, 4, self.state.fregs[d.rs2] & MASK32)
+        state = self.state
+        if not state.csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        address = state.xregs[d.rs1] + d.imm & MASK64
+        self._store(record, address, 4, state.fregs[d.rs2] & MASK32)
 
     def _op_fsd(self, d, record):
-        self._fp_check_enabled(d)
-        address = self.state.xregs[d.rs1] + d.imm & MASK64
-        self._store(record, address, 8, self.state.fregs[d.rs2])
+        state = self.state
+        if not state.csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        address = state.xregs[d.rs1] + d.imm & MASK64
+        self._store(record, address, 8, state.fregs[d.rs2])
 
-    # --- FP moves / format conversions --------------------------------------
     def _op_fmv_x_w(self, d, record):
-        self._fp_check_enabled(d)
-        self._wx(record, d.rd, sext(self.state.fregs[d.rs1] & MASK32, 32))
+        state = self.state
+        if not state.csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        value = state.fregs[d.rs1] & MASK32
+        self._wx(record, d.rd, value | _BOX if value & _SIGN32 else value)
 
     def _op_fmv_w_x(self, d, record):
-        self._fp_check_enabled(d)
-        self._wf(record, d.rd, nan_box(self.state.xregs[d.rs1] & MASK32))
+        state = self.state
+        csrs = state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        value = _BOX | (state.xregs[d.rs1] & MASK32)
+        state.fregs[d.rd] = value
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = value
 
     def _op_fmv_x_d(self, d, record):
-        self._fp_check_enabled(d)
-        self._wx(record, d.rd, self.state.fregs[d.rs1])
+        state = self.state
+        if not state.csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        self._wx(record, d.rd, state.fregs[d.rs1])
 
     def _op_fmv_d_x(self, d, record):
-        self._fp_check_enabled(d)
-        self._wf(record, d.rd, self.state.xregs[d.rs1])
-
-    def _op_fcvt_s_d(self, d, record):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        result, flags = fp_to_fp(self.state.fregs[d.rs1], F64, F32, rm)
-        self._fp_write(record, d.rd, result, F32)
-        self._fp_finish(record, flags)
-
-    def _op_fcvt_d_s(self, d, record):
-        self._fp_check_enabled(d)
-        rm = self._fp_rm(d)
-        a = self.hooks.nan_unbox(self.state.fregs[d.rs1])
-        result, flags = fp_to_fp(a, F32, F64, rm)
-        self._wf(record, d.rd, result)
-        self._fp_finish(record, flags)
+        state = self.state
+        csrs = state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        value = state.xregs[d.rs1]
+        state.fregs[d.rd] = value
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = value
 
     # --- CSR / system -------------------------------------------------------
     def _csr_read(self, d, address):
@@ -763,13 +659,13 @@ class Executor:
         elif address in CSR.KNOWN_CSRS:
             value = state.csrs.get(address, 0)
         else:
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
+            raise _TrapSignal(_ILLEGAL, d.word)
         return self.hooks.csr_read(address, value) & MASK64
 
     def _csr_write(self, d, address, value):
         state = self.state
         if address in CSR.READ_ONLY_CSRS:
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
+            raise _TrapSignal(_ILLEGAL, d.word)
         value &= MASK64
         if address == CSR.FFLAGS:
             state.fflags = value
@@ -785,7 +681,7 @@ class Executor:
         elif address in CSR.KNOWN_CSRS:
             state.csrs[address] = value
         else:
-            raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
+            raise _TrapSignal(_ILLEGAL, d.word)
 
     def _csr_op(self, d, record, source, write_kind):
         address = d.csr
@@ -845,11 +741,266 @@ class Executor:
         pass
 
 
+# --- A extension and FP handler families -----------------------------------
+# One handler per spec, made once at import from its family's factory: the
+# factory's arguments (size, format, operation, hook name) are the
+# handler's closure, and the body does the family's work inline.  Every
+# ExecHooks method a Table II bug is injected through is still called, in
+# the same order.
+
+def _make_lr(size):
+    sign = 1 << (size * 8 - 1)
+    extend = MASK64 ^ ((sign << 1) - 1)
+
+    def handler(executor, d, record):
+        if not executor.hooks.amo_legal(d.spec):
+            raise _TrapSignal(_ILLEGAL, d.word)
+        state = executor.state
+        address = state.xregs[d.rs1]
+        if address % size:
+            raise _TrapSignal(CSR.CAUSE_MISALIGNED_STORE, address)
+        value = executor._load(address, size)
+        state.reservation = address
+        executor._wx(record, d.rd, value | extend if value & sign else value)
+    return handler
+
+
+def _make_sc(size):
+    def handler(executor, d, record):
+        if not executor.hooks.amo_legal(d.spec):
+            raise _TrapSignal(_ILLEGAL, d.word)
+        state = executor.state
+        address = state.xregs[d.rs1]
+        if address % size:
+            raise _TrapSignal(CSR.CAUSE_MISALIGNED_STORE, address)
+        if state.reservation == address:
+            executor._store(record, address, size, state.xregs[d.rs2])
+            executor._wx(record, d.rd, 0)
+        else:
+            executor._wx(record, d.rd, 1)
+        state.reservation = None
+    return handler
+
+
+def _make_amo(size, combine):
+    bits = size * 8
+    mask = (1 << bits) - 1
+    sign = 1 << (bits - 1)
+    extend = MASK64 ^ mask
+
+    def handler(executor, d, record):
+        if not executor.hooks.amo_legal(d.spec):
+            raise _TrapSignal(_ILLEGAL, d.word)
+        state = executor.state
+        address = state.xregs[d.rs1]
+        if address % size:
+            raise _TrapSignal(CSR.CAUSE_MISALIGNED_STORE, address)
+        loaded = executor._load(address, size)
+        old = loaded - (1 << bits) if loaded & sign else loaded
+        operand = state.xregs[d.rs2] & mask
+        if operand & sign:
+            operand -= 1 << bits
+        executor._store(record, address, size, combine(old, operand) & mask)
+        executor._wx(record, d.rd, loaded | extend if loaded & sign else loaded)
+    return handler
+
+
+_AMO_COMBINES = {
+    "amoswap": lambda old, new: new,
+    "amoadd": lambda old, new: old + new,
+    "amoxor": lambda old, new: old ^ new,
+    "amoand": lambda old, new: old & new,
+    "amoor": lambda old, new: old | new,
+    "amomin": lambda old, new: min(old, new),
+    "amomax": lambda old, new: max(old, new),
+    "amominu": lambda old, new: old if (old & MASK64) < (new & MASK64) else new,
+    "amomaxu": lambda old, new: old if (old & MASK64) > (new & MASK64) else new,
+}
+
+
+def _make_fp_op(fmt, name, op, sources, rounded=True):
+    """An FP result through ``hooks.fp_post``: fadd/fsub/fmul/fdiv (two
+    sources) and fmin/fmax (two, not rounded), fsqrt (one) and the fused
+    multiply-adds (three; ``op`` is then ``(negate_product, negate_c)``)."""
+    single = fmt is F32
+    negate_product, negate_c = op if sources == 3 else (False, False)
+
+    def handler(executor, d, record):
+        state = executor.state
+        csrs = state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        hooks = executor.hooks
+        rm = None
+        if rounded:
+            rm = hooks.resolve_rm(d.rm, (csrs[_FCSR] >> _FRM_SHIFT) & _FRM_MASK)
+            if rm is None:
+                raise _TrapSignal(_ILLEGAL, d.word)
+        fregs = state.fregs
+        a = fregs[d.rs1]
+        if single:
+            a = hooks.nan_unbox(a)
+        if sources == 1:
+            operands = (a,)
+            result, flags = fp_sqrt(a, fmt, rm)
+        else:
+            b = fregs[d.rs2]
+            if single:
+                b = hooks.nan_unbox(b)
+            if sources == 3:
+                c = fregs[d.rs3]
+                if single:
+                    c = hooks.nan_unbox(c)
+                operands = (a, b, c)
+                result, flags = fp_fma(a, b, c, fmt, rm, negate_product, negate_c)
+            else:
+                operands = (a, b)
+                result, flags = op(a, b, fmt, rm) if rounded else op(a, b, fmt)
+        result, flags = hooks.fp_post(name, fmt, operands, result, flags, rm)
+        result = (_BOX | (result & MASK32)) if single else result & MASK64
+        fregs[d.rd] = result
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = result
+        flags &= _FFLAGS_MASK
+        record.fflags_set = flags
+        if flags:
+            csrs[_FCSR] |= flags
+    return handler
+
+
+def _make_fp_sign_inject(fmt, mode):
+    single = fmt is F32
+    sign_bit = fmt.sign_bit
+
+    def handler(executor, d, record):
+        state = executor.state
+        csrs = state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        fregs = state.fregs
+        a = fregs[d.rs1]
+        b = fregs[d.rs2]
+        if single:
+            unbox = executor.hooks.nan_unbox
+            a = unbox(a)
+            b = unbox(b)
+        if mode == "j":
+            result = (a & ~sign_bit) | (b & sign_bit)
+        elif mode == "jn":
+            result = (a & ~sign_bit) | ((b & sign_bit) ^ sign_bit)
+        else:  # jx
+            result = a ^ (b & sign_bit)
+        result = (_BOX | (result & MASK32)) if single else result & MASK64
+        fregs[d.rd] = result
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = result
+    return handler
+
+
+def _make_fp_to_x(fmt, op):
+    """feq/flt/fle (``op`` a comparison) and fclass (``op`` is None):
+    FP sources, an integer destination."""
+    single = fmt is F32
+
+    def handler(executor, d, record):
+        state = executor.state
+        csrs = state.csrs
+        if not csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        fregs = state.fregs
+        a = fregs[d.rs1]
+        if single:
+            a = executor.hooks.nan_unbox(a)
+        if op is None:
+            executor._wx(record, d.rd, fp_classify(a, fmt))
+            return
+        b = fregs[d.rs2]
+        if single:
+            b = executor.hooks.nan_unbox(b)
+        result, flags = op(a, b, fmt)
+        executor._wx(record, d.rd, result)
+        flags &= _FFLAGS_MASK
+        record.fflags_set = flags
+        if flags:
+            csrs[_FCSR] |= flags
+    return handler
+
+
+def _make_fp_cvt_to_int(fmt, width, signed):
+    single = fmt is F32
+    narrow = width == 32
+
+    def handler(executor, d, record):
+        state = executor.state
+        csrs = state.csrs
+        if not csrs[_MSTATUS] & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        hooks = executor.hooks
+        rm = hooks.resolve_rm(d.rm, (csrs[_FCSR] >> _FRM_SHIFT) & _FRM_MASK)
+        if rm is None:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        a = state.fregs[d.rs1]
+        if single:
+            a = hooks.nan_unbox(a)
+        value, flags = fp_to_int(a, fmt, rm, width, signed)
+        if narrow:
+            value &= MASK32
+            if value & _SIGN32:
+                value |= _BOX
+        executor._wx(record, d.rd, value)
+        flags &= _FFLAGS_MASK
+        record.fflags_set = flags
+        if flags:
+            csrs[_FCSR] |= flags
+    return handler
+
+
+def _make_fp_convert(source, target, width, signed):
+    """fcvt into an FP register: from an integer register of ``width``
+    bits (``source`` is None) or from the other FP format."""
+    single = target is F32
+    unboxed = source is F32
+    mask = (1 << width) - 1 if source is None else 0
+
+    def handler(executor, d, record):
+        state = executor.state
+        csrs = state.csrs
+        status = csrs[_MSTATUS]
+        if not status & _FS_MASK:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        hooks = executor.hooks
+        rm = hooks.resolve_rm(d.rm, (csrs[_FCSR] >> _FRM_SHIFT) & _FRM_MASK)
+        if rm is None:
+            raise _TrapSignal(_ILLEGAL, d.word)
+        fregs = state.fregs
+        if source is None:
+            result, flags = int_to_fp(state.xregs[d.rs1] & mask, width, signed,
+                                      target, rm)
+        elif unboxed:
+            result, flags = fp_to_fp(hooks.nan_unbox(fregs[d.rs1]), source,
+                                     target, rm)
+        else:
+            result, flags = fp_to_fp(fregs[d.rs1], source, target, rm)
+        result = (_BOX | (result & MASK32)) if single else result & MASK64
+        fregs[d.rd] = result
+        csrs[_MSTATUS] = (status & ~_FS_MASK) | _FS_DIRTY
+        record.frd = d.rd
+        record.frd_value = result
+        flags &= _FFLAGS_MASK
+        record.fflags_set = flags
+        if flags:
+            csrs[_FCSR] |= flags
+    return handler
+
+
 def _build_dispatch():
     """Build the mnemonic -> handler table once at import time."""
-    table = {}
     E = Executor
-    direct = {
+    table = {
         "lui": E._op_lui, "auipc": E._op_auipc,
         "jal": E._op_jal, "jalr": E._op_jalr,
         "beq": E._op_beq, "bne": E._op_bne, "blt": E._op_blt,
@@ -879,57 +1030,36 @@ def _build_dispatch():
         "flw": E._op_flw, "fld": E._op_fld, "fsw": E._op_fsw, "fsd": E._op_fsd,
         "fmv.x.w": E._op_fmv_x_w, "fmv.w.x": E._op_fmv_w_x,
         "fmv.x.d": E._op_fmv_x_d, "fmv.d.x": E._op_fmv_d_x,
-        "fcvt.s.d": E._op_fcvt_s_d, "fcvt.d.s": E._op_fcvt_d_s,
-    }
-    table.update(direct)
-
-    def _bind(func, *args, **kwargs):
-        def handler(self, d, record):
-            return func(self, d, record, *args, **kwargs)
-
-        return handler
-
-    amo_combines = {
-        "amoswap": lambda old, new: new,
-        "amoadd": lambda old, new: old + new,
-        "amoxor": lambda old, new: old ^ new,
-        "amoand": lambda old, new: old & new,
-        "amoor": lambda old, new: old | new,
-        "amomin": lambda old, new: min(old, new),
-        "amomax": lambda old, new: max(old, new),
-        "amominu": lambda old, new: old if (old & MASK64) < (new & MASK64) else new,
-        "amomaxu": lambda old, new: old if (old & MASK64) > (new & MASK64) else new,
+        "fcvt.s.d": _make_fp_convert(F64, F32, 0, False),
+        "fcvt.d.s": _make_fp_convert(F32, F64, 0, False),
     }
     for suffix, size in ((".w", 4), (".d", 8)):
-        table["lr" + suffix] = _bind(E._op_lr, size)
-        table["sc" + suffix] = _bind(E._op_sc, size)
-        for base, combine in amo_combines.items():
-            table[base + suffix] = _bind(E._amo, size, combine)
+        table["lr" + suffix] = _make_lr(size)
+        table["sc" + suffix] = _make_sc(size)
+        for base, combine in _AMO_COMBINES.items():
+            table[base + suffix] = _make_amo(size, combine)
 
     for prec, fmt in (("s", F32), ("d", F64)):
-        table[f"fadd.{prec}"] = _bind(E._fp_binary, fmt, fp_add, "fadd")
-        table[f"fsub.{prec}"] = _bind(E._fp_binary, fmt, fp_sub, "fsub")
-        table[f"fmul.{prec}"] = _bind(E._fp_binary, fmt, fp_mul, "fmul")
-        table[f"fdiv.{prec}"] = _bind(E._fp_binary, fmt, fp_div, "fdiv")
-        table[f"fsqrt.{prec}"] = _bind(E._fp_sqrt_op, fmt, "fsqrt")
-        table[f"fsgnj.{prec}"] = _bind(E._fp_sign_inject, fmt, "j")
-        table[f"fsgnjn.{prec}"] = _bind(E._fp_sign_inject, fmt, "jn")
-        table[f"fsgnjx.{prec}"] = _bind(E._fp_sign_inject, fmt, "jx")
-        table[f"fmin.{prec}"] = _bind(E._fp_minmax, fmt, fp_min, "fmin")
-        table[f"fmax.{prec}"] = _bind(E._fp_minmax, fmt, fp_max, "fmax")
-        table[f"feq.{prec}"] = _bind(E._fp_compare, fmt, fp_eq)
-        table[f"flt.{prec}"] = _bind(E._fp_compare, fmt, fp_lt)
-        table[f"fle.{prec}"] = _bind(E._fp_compare, fmt, fp_le)
-        table[f"fclass.{prec}"] = _bind(E._op_fclass, fmt)
-        table[f"fmadd.{prec}"] = _bind(E._fp_fma_op, fmt, False, False, "fmadd")
-        table[f"fmsub.{prec}"] = _bind(E._fp_fma_op, fmt, False, True, "fmsub")
-        table[f"fnmsub.{prec}"] = _bind(E._fp_fma_op, fmt, True, False, "fnmsub")
-        table[f"fnmadd.{prec}"] = _bind(E._fp_fma_op, fmt, True, True, "fnmadd")
+        for name, op in (("fadd", fp_add), ("fsub", fp_sub), ("fmul", fp_mul),
+                         ("fdiv", fp_div)):
+            table[f"{name}.{prec}"] = _make_fp_op(fmt, name, op, 2)
+        table[f"fsqrt.{prec}"] = _make_fp_op(fmt, "fsqrt", None, 1)
+        for name, negate in (("fmadd", (False, False)), ("fmsub", (False, True)),
+                             ("fnmsub", (True, False)), ("fnmadd", (True, True))):
+            table[f"{name}.{prec}"] = _make_fp_op(fmt, name, negate, 3)
+        table[f"fmin.{prec}"] = _make_fp_op(fmt, "fmin", fp_min, 2, rounded=False)
+        table[f"fmax.{prec}"] = _make_fp_op(fmt, "fmax", fp_max, 2, rounded=False)
+        for mode in ("j", "jn", "jx"):
+            table[f"fsgnj{mode[1:]}.{prec}"] = _make_fp_sign_inject(fmt, mode)
+        table[f"feq.{prec}"] = _make_fp_to_x(fmt, fp_eq)
+        table[f"flt.{prec}"] = _make_fp_to_x(fmt, fp_lt)
+        table[f"fle.{prec}"] = _make_fp_to_x(fmt, fp_le)
+        table[f"fclass.{prec}"] = _make_fp_to_x(fmt, None)
         for iname, width, signed in (
             ("w", 32, True), ("wu", 32, False), ("l", 64, True), ("lu", 64, False),
         ):
-            table[f"fcvt.{iname}.{prec}"] = _bind(E._fp_cvt_to_int, fmt, width, signed)
-            table[f"fcvt.{prec}.{iname}"] = _bind(E._fp_cvt_from_int, fmt, width, signed)
+            table[f"fcvt.{iname}.{prec}"] = _make_fp_cvt_to_int(fmt, width, signed)
+            table[f"fcvt.{prec}.{iname}"] = _make_fp_convert(None, fmt, width, signed)
     return table
 
 
@@ -937,7 +1067,7 @@ _DISPATCH = _build_dispatch()
 
 
 def _illegal_handler(executor, d, record):
-    raise _TrapSignal(CSR.CAUSE_ILLEGAL_INSTRUCTION, d.word)
+    raise _TrapSignal(_ILLEGAL, d.word)
 
 
 def _attach_handlers():

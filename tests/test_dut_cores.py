@@ -2,10 +2,13 @@
 
 import pytest
 
+from repro.campaign import CampaignSpec, build_session
 from repro.coverage import instrument_design
 from repro.dut import BoomCore, Cva6Core, RocketCore, make_core
 from repro.dut.caches import DirectMappedCache
+from repro.harness.image import build_image
 from repro.isa.encoder import assemble_all
+from repro.isa.instructions import Category
 from repro.rtl import estimate_area
 from repro.rtl.netlist import control_registers
 
@@ -141,6 +144,79 @@ class TestCaches:
         for address in range(0, 1 << 12, 64):
             cache.access(address)
         assert cache.miss_rate > 0
+
+
+def _reference_latency(core, record, icache, dcache, predictor):
+    """One instruction's cycles as the latency model computed them before
+    the DUT loop inlined it, over :class:`DirectMappedCache` models and a
+    copy of BOOM's predictor: the sums are formed in the same order."""
+    timing = core.timing
+    decoded = record.decoded
+    category = decoded.spec.category if decoded is not None else None
+    cycles = timing.base
+    if not icache.access(record.pc):
+        cycles += timing.icache_miss
+    if record.trap is not None:
+        cycles += timing.trap
+    elif category is Category.BRANCH:
+        if record.next_pc != record.pc + 4:
+            cycles += timing.branch_taken
+    elif category in (Category.STORE, Category.FP_STORE):
+        hit = dcache.access(record.mem_addr)
+        cycles += timing.store_hit if hit else timing.cache_miss
+    elif category in (Category.LOAD, Category.FP_LOAD):
+        hit = dcache.access(record.pc)  # a load records no address
+        cycles += timing.load_hit if hit else timing.cache_miss
+    elif category in _FIXED_EXTRA:
+        cycles += getattr(timing, _FIXED_EXTRA[category])
+    if predictor is not None and category is Category.BRANCH:
+        taken = record.next_pc != record.pc + 4
+        counter = predictor.get(record.pc, 1)
+        if (counter >= 2) != taken:
+            cycles += timing.extra["mispredict"]
+        predictor[record.pc] = min(3, counter + 1) if taken else max(0, counter - 1)
+    return cycles
+
+
+# Categories with a fixed extra latency -> its CoreTiming field.
+_FIXED_EXTRA = {
+    Category.JUMP: "jump", Category.MUL: "mul", Category.DIV: "div",
+    Category.AMO: "amo", Category.FP_DIV: "fp_div", Category.FP_FMA: "fp_fma",
+    Category.FP_ARITH: "fp_arith", Category.FP_CVT: "fp_arith",
+    Category.FP_CMP: "fp_arith", Category.FP_MOVE: "fp_arith", Category.CSR: "csr",
+}
+
+
+class TestLatencyModel:
+    @pytest.mark.parametrize("name", [cls.name for cls in CORES])
+    def test_loop_matches_the_reference_latency(self, name):
+        """On a fuzzing iteration, the loop's cycles (BOOM's 0.55 base
+        included), cache counters, cache tags and branch predictor equal
+        the reference latency model's, sum for sum."""
+        session = build_session(CampaignSpec()
+                                .with_fuzzer("turbofuzz", instructions_per_iteration=300)
+                                .with_core(name).with_seed(5))
+        session.run_iterations(2)
+        core = session.core
+        image = build_image(session.fuzzer.generate_iteration())
+        core.reset_pc = image.layout.reset
+        core.reset()
+        image.install(core.memory)
+        icache, dcache = DirectMappedCache(sets=256), DirectMappedCache(sets=256)
+        for model, cache in ((icache, core.icache), (dcache, core.dcache)):
+            model.restore(cache.snapshot())
+        predictor = (dict(core._branch_predictor) if isinstance(core, BoomCore)
+                     else None)
+        start = core.cycles
+        cycles = start
+        for record in core.run(2000, stop_on=lambda r: r.next_pc == image.layout.done):
+            cycles += _reference_latency(core, record, icache, dcache, predictor)
+        assert cycles - start > 300
+        assert core.cycles == cycles
+        assert core.icache.snapshot() == icache.snapshot()
+        assert core.dcache.snapshot() == dcache.snapshot()
+        if predictor is not None:
+            assert core._branch_predictor == predictor
 
 
 class TestBoomSpecifics:

@@ -136,7 +136,7 @@ class TestInstructionLibrary:
 
     def test_sample_category(self):
         library = InstructionLibrary()
-        spec = library.sample_category(Lfsr(1), Category.BRANCH)
+        spec = Lfsr(1).choice(library.specs_in_category(Category.BRANCH))
         assert spec.category is Category.BRANCH
 
     def test_contains(self):
@@ -217,7 +217,7 @@ class TestBlockBuilder:
         generator = Generator(seed)
         library = InstructionLibrary()
         for _ in range(30):
-            spec = library.sample(generator.lfsr)
+            spec = generator.lfsr.choice(library.active_specs)
             block = build(generator, spec, 0, 100, 4)
             for word, _, needs_patch, _ in entries(block):
                 if not needs_patch:

@@ -1,14 +1,15 @@
-"""Bit-identity of the optimized hot path vs the preserved reference path.
+"""Bit-identity of the optimized hot path vs the reference observer.
 
-The PR-5 hot-path overhaul (slot bindings + combined-index observer,
-packed memo keys, GF(2) batch fills, decode/illegal memoization, softfloat
+The hot path (group tables folded from the layouts' contribution tables,
+the one DUT loop, GF(2) batch fills, decode/illegal memoization, softfloat
 memoization) must not change ANY observable campaign behaviour: coverage
 series, corpus contents, LFSR stream, and the full campaign report have to
-match the pre-overhaul semantics exactly.  The pre-overhaul observation
-path is preserved (``use_reference_observer`` /
-``observe_state_reference``) and every test here runs both and compares.
-Campaign digests for every core x layout are also pinned to committed
-golden values (``golden_fingerprints.json``).
+match exactly.  The reference observer (``tests/helpers.py``) steps the
+core one instruction at a time and computes every index from
+``core.vals`` and ``layout.contribution()``; the tests here run both and
+compare.  Campaign digests for every core x layout are also pinned to
+committed golden values (``golden_fingerprints.json``), and the
+executor's opcode count per instruction is held under a ceiling.
 """
 
 import gc
@@ -25,6 +26,7 @@ from repro.campaign.session import CampaignSession
 from repro.campaign.spec import CampaignSpec
 from repro.evict import evict_half
 from repro.fuzzer.lfsr import Lfsr
+from tests.helpers import opcodes_per_instruction, reference_observation
 
 CORES = ("rocket", "cva6", "boom")
 STYLES = ("optimized", "legacy")
@@ -75,8 +77,8 @@ class TestObserverEquivalence:
         fast.run_iterations(6)
 
         reference = CampaignSession(_spec(core, style))
-        reference.core.use_reference_observer(True)
-        reference.run_iterations(6)
+        with reference_observation(reference):
+            reference.run_iterations(6)
 
         assert _fingerprint(fast) == _fingerprint(reference)
 
@@ -84,8 +86,11 @@ class TestObserverEquivalence:
         """Reference and fast paths interleave without divergence."""
         mixed = CampaignSession(_spec("rocket", "optimized"))
         for index in range(8):
-            mixed.core.use_reference_observer(index % 2 == 0)
-            mixed.run_iterations(1)
+            if index % 2 == 0:
+                with reference_observation(mixed):
+                    mixed.run_iterations(1)
+            else:
+                mixed.run_iterations(1)
 
         fast = CampaignSession(_spec("rocket", "optimized"))
         fast.run_iterations(8)
@@ -105,15 +110,15 @@ class TestObserverEquivalence:
 
     def test_resume_into_reference_observer_matches(self):
         """A checkpoint taken on the fast path resumes bit-identically
-        even if the resumed session observes via the reference path."""
+        even if the resumed session observes via the reference observer."""
         straight = CampaignSession(_spec("rocket", "legacy"))
         straight.run_iterations(6)
 
         first_leg = CampaignSession(_spec("rocket", "legacy"))
         first_leg.run_iterations(3)
         resumed = CampaignCheckpoint.capture(first_leg).restore()
-        resumed.core.use_reference_observer(True)
-        resumed.run_iterations(3)
+        with reference_observation(resumed):
+            resumed.run_iterations(3)
         assert _fingerprint(resumed) == _fingerprint(straight)
 
 
@@ -292,20 +297,40 @@ class TestBlockCompile:
         straight.run_iterations(8)
 
         first_leg = CampaignSession(_spec("rocket", "optimized"))
-        first_leg.core.use_reference_observer(True)
-        first_leg.run_iterations(4)
+        with reference_observation(first_leg):
+            first_leg.run_iterations(4)
         # Warm before capture.
         assert first_leg.fuzzer.library._weighted_cache
-        assert any(cov._reference_memo for cov in first_leg.coverage.modules)
         checkpoint = CampaignCheckpoint.capture(first_leg)
         resumed = CampaignCheckpoint.from_json(checkpoint.to_json()).restore()
         assert not resumed.fuzzer.library._weighted_cache
-        assert not any(cov._reference_memo
-                       for cov in resumed.coverage.modules)
-        resumed.core.use_reference_observer(True)
-        resumed.run_iterations(4)
+        with reference_observation(resumed):
+            resumed.run_iterations(4)
         # Rewarmed on its own.
         assert resumed.fuzzer.library._weighted_cache
-        assert any(cov._reference_memo for cov in resumed.coverage.modules)
         assert _fingerprint(resumed) == _fingerprint(straight)
 
+
+
+class TestExecutorCost:
+    """The executor's cost per retired instruction, counted as opcode
+    events (``tests/helpers.py:opcodes_per_instruction``), stays within
+    5% of the count recorded when the one DUT loop landed.  The count is
+    exact and the same in every process, so a change that makes the
+    per-instruction path run more bytecode fails here without a timing
+    run (an empty 1,200-turn loop at the top of ``Executor.step`` reads
+    several thousand)."""
+
+    # Opcode events per retired instruction when the loop landed (its
+    # parent read 1019 / 1527, 1196 / 1704 and 1089 / 1597).
+    RECORDED = {
+        ("rocket", False): 710.2, ("rocket", True): 1105.1,
+        ("boom", False): 817.6, ("boom", True): 1212.5,
+        ("cva6", False): 746.4, ("cva6", True): 1141.3,
+    }
+
+    @pytest.mark.parametrize("with_ref", (False, True), ids=("dut", "lockstep"))
+    @pytest.mark.parametrize("core", CORES)
+    def test_opcodes_per_instruction_within_recorded(self, core, with_ref):
+        count = opcodes_per_instruction(core, with_ref)
+        assert count <= self.RECORDED[core, with_ref] * 1.05, count

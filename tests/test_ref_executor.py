@@ -141,6 +141,59 @@ class TestMemoryOps:
         assert record.trap.cause == CSR.CAUSE_LOAD_ACCESS
 
 
+class TestWindowEdges:
+    """Fetches and stores at a legal window's edges: the fetch's window
+    check and the store's fast path trap with the cause and ``tval`` the
+    range check on every access gave."""
+
+    BASE = 0x8000_0000
+    SIZE = 0x1000
+
+    def _executor(self, pc, words, xregs=None):
+        executor = make_executor(words, base=pc, xregs=xregs)
+        executor.memory.add_range(self.BASE, self.SIZE)
+        executor.state.csrs[CSR.MTVEC] = self.BASE
+        return executor
+
+    def test_fetch_at_the_last_word_then_the_end(self):
+        """The last word executes; the next fetch, at the window's end,
+        faults although a word is stored there."""
+        last = self.BASE + self.SIZE - 4
+        end = self.BASE + self.SIZE
+        executor = self._executor(
+            last, assemble_all(["addi x3, x0, 7", "addi x4, x0, 9"]))
+        first = executor.step()
+        assert first.trap is None
+        assert first.rd_value == 7 and first.next_pc == end
+        record = executor.step()
+        assert record.trap.cause == CSR.CAUSE_FETCH_ACCESS
+        assert record.trap.tval == end
+        assert executor.state.csrs[CSR.MTVAL] == end
+        assert record.next_pc == self.BASE
+        assert executor.state.xregs[4] == 0
+
+    def test_misaligned_fetch(self):
+        pc = self.BASE + 2
+        executor = self._executor(self.BASE, assemble_all(["addi x0, x0, 0"] * 2))
+        executor.state.pc = pc
+        record = executor.step()
+        assert record.trap.cause == CSR.CAUSE_MISALIGNED_FETCH
+        assert record.trap.tval == pc
+
+    def test_store_straddling_the_end_faults(self):
+        """An 8-byte store inside the window, then one straddling its end."""
+        address = self.BASE + self.SIZE - 4
+        executor = self._executor(
+            self.BASE, assemble_all(["sd x1, -8(x2)", "sd x1, 0(x2)"]),
+            xregs={1: MASK64, 2: address})
+        assert executor.step().trap is None
+        record = executor.step()
+        assert record.trap.cause == CSR.CAUSE_STORE_ACCESS
+        assert record.trap.tval == address
+        assert record.mem_addr is None
+        assert executor.memory.load(address, 4) == 0
+
+
 class TestAmo:
     def test_amoadd(self):
         executor, _ = _exec_one(

@@ -1,9 +1,11 @@
 """Sparse memory: loads/stores, ranges, page crossing, snapshots."""
 
+import struct
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.ref.memory import MemoryAccessError, PAGE_SIZE, SparseMemory
+from repro.ref.memory import MemoryAccessError, PAGE_SHIFT, PAGE_SIZE, SparseMemory
 
 
 class TestBasicAccess:
@@ -119,3 +121,141 @@ class TestSnapshots:
         memory.store(0, 1, 1)
         memory.store(PAGE_SIZE * 10, 1, 1)
         assert memory.resident_bytes == 2 * PAGE_SIZE
+
+
+class _ByteWiseMemory:
+    """The access path :class:`SparseMemory` had before its window fast
+    paths, transcribed: a range check on every access (last window first),
+    4- and 8-byte loads inside a page unpacked, other loads and every store
+    through bytes."""
+
+    def __init__(self, ranges=None):
+        self._pages = {}
+        self._ranges = list(ranges) if ranges else None
+        self._last_range = (1, 0)
+
+    def in_range(self, address, size=1):
+        if self._ranges is None:
+            return True
+        end = address + size
+        base, limit = self._last_range
+        if base <= address and end <= limit:
+            return True
+        for base, window in self._ranges:
+            if base <= address and end <= base + window:
+                self._last_range = (base, base + window)
+                return True
+        return False
+
+    def _check(self, address, size, kind):
+        if not self.in_range(address, size):
+            raise MemoryAccessError(address, size, kind)
+
+    def _page(self, index):
+        page = self._pages.get(index)
+        if page is None:
+            page = bytearray(PAGE_SIZE)
+            self._pages[index] = page
+        return page
+
+    def load(self, address, size, kind="load"):
+        if not self.in_range(address, size):
+            raise MemoryAccessError(address, size, kind)
+        offset = address & (PAGE_SIZE - 1)
+        if offset + size <= PAGE_SIZE:
+            page = self._pages.get(address >> PAGE_SHIFT)
+            if page is None:
+                return 0
+            if size == 4:
+                return struct.unpack_from("<I", page, offset)[0]
+            if size == 8:
+                return struct.unpack_from("<Q", page, offset)[0]
+            return int.from_bytes(page[offset : offset + size], "little")
+        return int.from_bytes(self.load_bytes(address, size, check=False), "little")
+
+    def store(self, address, size, value, kind="store"):
+        self._check(address, size, kind)
+        data = (value & ((1 << (size * 8)) - 1)).to_bytes(size, "little")
+        self.store_bytes(address, data, check=False)
+
+    def load_bytes(self, address, size, check=True):
+        if check:
+            self._check(address, size, "load")
+        out = bytearray()
+        remaining = size
+        cursor = address
+        while remaining:
+            offset = cursor & (PAGE_SIZE - 1)
+            chunk = min(PAGE_SIZE - offset, remaining)
+            page = self._pages.get(cursor >> PAGE_SHIFT)
+            if page is None:
+                out.extend(b"\x00" * chunk)
+            else:
+                out.extend(page[offset : offset + chunk])
+            cursor += chunk
+            remaining -= chunk
+        return bytes(out)
+
+    def store_bytes(self, address, data, check=True):
+        if check:
+            self._check(address, len(data), "store")
+        cursor = address
+        view = memoryview(data)
+        while view:
+            offset = cursor & (PAGE_SIZE - 1)
+            chunk = min(PAGE_SIZE - offset, len(view))
+            page = self._page(cursor >> PAGE_SHIFT)
+            page[offset : offset + chunk] = view[:chunk]
+            cursor += chunk
+            view = view[chunk:]
+
+    def load_word(self, address):
+        return self.load(address, 4, kind="fetch")
+
+    def snapshot_pages(self):
+        return {index: bytes(page) for index, page in self._pages.items()}
+
+
+# Legal windows whose edges sit on and off page edges.
+_WINDOWS = [(0x0FF8, 0x1010), (0x5000, 0x0FFC), (0x7000, 0x1000)]
+_EDGES = sorted({edge for base, size in _WINDOWS for edge in (base, base + size)}
+                | {PAGE_SIZE * page for page in range(1, 9)})
+
+
+@st.composite
+def _accesses(draw):
+    """Accesses of 1, 2, 4 and 8 bytes (and a 3-byte one) near page and
+    window edges."""
+    operations = []
+    for _ in range(draw(st.integers(min_value=1, max_value=40))):
+        address = draw(st.sampled_from(_EDGES)) + draw(st.integers(-9, 9))
+        size = draw(st.sampled_from((1, 2, 4, 8, 3)))
+        operation = draw(st.sampled_from(("load", "store", "load_word")))
+        operations.append((operation, address, size,
+                           draw(st.integers(min_value=0, max_value=(1 << 64) - 1))))
+    return operations
+
+
+class TestWindowFastPath:
+    @given(operations=_accesses(), restricted=st.booleans())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_byte_wise_path(self, operations, restricted):
+        """Values, page contents and every fault's address, size and kind
+        agree with the byte-wise path, with ranges set and without."""
+        ranges = _WINDOWS if restricted else None
+        memory = SparseMemory(ranges=ranges)
+        reference = _ByteWiseMemory(ranges=ranges)
+        for operation, address, size, value in operations:
+            outcomes = []
+            for target in (memory, reference):
+                try:
+                    if operation == "load":
+                        outcomes.append(target.load(address, size))
+                    elif operation == "store":
+                        outcomes.append(target.store(address, size, value))
+                    else:
+                        outcomes.append(target.load_word(address))
+                except MemoryAccessError as error:
+                    outcomes.append((error.address, error.size, error.kind))
+            assert outcomes[0] == outcomes[1], (operation, hex(address), size)
+        assert memory.snapshot_pages() == reference.snapshot_pages()

@@ -18,6 +18,7 @@ from repro.coverage import (
 from repro.coverage.layout import _rotl
 from repro.rtl import Module, estimate_area
 from repro.rtl.netlist import control_registers
+from tests.helpers import reference_index
 
 
 def _toy_module(domains=(None, None, None), widths=(3, 2, 4)):
@@ -291,12 +292,13 @@ class TestInstrumentDesign:
                                    max_state_size=10)
         assert len(design.modules) == 1
 
-    def test_observe_state_memoizes(self):
+    def test_reference_observation_is_new_once(self):
         top, sub, registers = _toy_module()
         design = instrument_design(top, max_state_size=10)
         module_cov = design.modules[0]
-        assert module_cov.observe_state_reference((1, 1, 1)) is True
-        assert module_cov.observe_state_reference((1, 1, 1)) is False
+        index = reference_index(module_cov.layout, (1, 1, 1))
+        assert module_cov.map.observe(index) is True
+        assert module_cov.map.observe(index) is False
         assert module_cov.count == 1
 
     def test_partial_positions(self):
@@ -304,7 +306,8 @@ class TestInstrumentDesign:
         design = instrument_design(top, max_state_size=10)
         module_cov = design.modules[0]
         full = module_cov.layout.index((0, 3, 0))
-        module_cov.observe_state_reference((3,), positions=(1,))
+        module_cov.map.observe(
+            reference_index(module_cov.layout, (3,), positions=(1,)))
         assert full in module_cov.map
 
 
