@@ -119,8 +119,13 @@ class CampaignCheckpoint:
                    meta=dict(meta))
 
     def to_json(self):
-        """Compact JSON string (the worker-queue wire format)."""
-        return json.dumps(self.to_dict(), sort_keys=True)
+        """Compact JSON string (the worker-queue wire format).
+
+        Every state is a tree of plain values, which cannot contain
+        itself, so the encoder skips its circular-reference bookkeeping;
+        the text is the same."""
+        return json.dumps(self.to_dict(), sort_keys=True,
+                          check_circular=False)
 
     @classmethod
     def from_json(cls, text):

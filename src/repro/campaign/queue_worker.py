@@ -24,6 +24,13 @@ the worker posts back only what the slice changed
   stages via :func:`~repro.campaign.resilience.apply_fault_directives`
   (chaos testing; see :class:`~repro.campaign.resilience.FaultInjector`).
 
+A forked worker inherits the whole heap of the process that started it
+(the orchestrator's sessions, the decode cache, whatever else that
+process holds).  It never uses that heap, so before it serves its first
+task it freezes it (:func:`gc.freeze`): the inherited objects move to
+the collector's permanent generation, the worker's collections walk
+only its own objects, and the inherited copy-on-write pages stay shared.
+
 Everything crossing the pipe is plain JSON-shaped data (checkpoints and
 deltas travel as compact JSON strings), so results cannot depend on
 pickled object graphs, and a re-dispatched full task re-runs
@@ -168,6 +175,8 @@ def worker_main(conn, heartbeat_interval_s):
     A task that raises is reported as an ``error`` message and the loop
     continues — a poison shard must not take the worker (or the grid)
     down with it; retry/quarantine policy lives with the supervisor."""
+    # Everything alive now was inherited; the worker's collections skip it.
+    gc.freeze()
     lock = threading.Lock()
 
     def post(message):

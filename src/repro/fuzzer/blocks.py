@@ -87,6 +87,12 @@ _ENTRY_FLAGS = [(not entry & _AFFILIATED, bool(entry & _PATCH),
                  PATCH_KINDS[entry >> _KIND_SHIFT])
                 for entry in range(len(PATCH_KINDS) << _KIND_SHIFT)]
 _ENTRY_MASK = (1 << _ENTRY_BITS) - 1
+# What InstructionBlock.from_state accepts: the field bits of each patch
+# kind, the control-flow kinds, the largest word.
+_KIND_CODES = {kind: index << _KIND_SHIFT
+               for index, kind in enumerate(PATCH_KINDS)}
+_CF_KINDS = frozenset(("", "branch", "jal", "jalr"))
+_WORD_MAX = (1 << 32) - 1
 
 
 def _entry_states(words, flags):
@@ -145,18 +151,53 @@ class InstructionBlock:
 
     @classmethod
     def from_state(cls, state):
-        target = state["target_block"]
-        entries = state["entries"]
-        return cls(
-            str(state["prime_name"]),
-            tuple([int(entry["word"]) for entry in entries]),
-            pack_flags([(bool(entry["is_prime"]),
-                         bool(entry["needs_target_patch"]),
-                         str(entry["patch_kind"])) for entry in entries]),
-            str(state["cf_kind"]),
-            None if target is None else int(target),
-            bool(state["generated"]),
-        )
+        """Decode a :meth:`state_dict`, checking each field, in one pass
+        over the entries.  A malformed state raises ``ValueError`` or
+        ``TypeError`` (``KeyError`` for a missing key): the entries are a
+        non-empty list; a word is an ``int`` in ``[0, 2**32)``;
+        ``is_prime``, ``needs_target_patch`` and ``generated`` are bools;
+        the patch kind, prime name and control-flow kind are known; the
+        target block is ``None`` or a block index."""
+        prime_name, entries = state["prime_name"], state["entries"]
+        cf_kind, target = state["cf_kind"], state["target_block"]
+        generated = state["generated"]
+        if prime_name not in SPECS_BY_NAME:
+            raise ValueError(f"unknown prime instruction {prime_name!r}")
+        if cf_kind not in _CF_KINDS:
+            raise ValueError(f"unknown control-flow kind {cf_kind!r}")
+        if target is not None and (target.__class__ is not int or target < 0):
+            raise ValueError(f"target block {target!r} is not a block index")
+        if generated.__class__ is not bool:
+            raise TypeError(f"generated must be a bool, not {generated!r}")
+        if entries.__class__ is not list or not entries:
+            raise ValueError("a block's entries must be a non-empty list")
+        words = []
+        flags = 0
+        shift = 1
+        for entry in entries:
+            word = entry["word"]
+            if word.__class__ is not int or not 0 <= word <= _WORD_MAX:
+                raise ValueError(f"{word!r} is not an instruction word")
+            code = _KIND_CODES.get(entry["patch_kind"])
+            if code is None:
+                raise ValueError(
+                    f"unknown patch kind {entry['patch_kind']!r}")
+            is_prime = entry["is_prime"]
+            if is_prime is False:
+                code |= _AFFILIATED
+            elif is_prime is not True:
+                raise TypeError(f"is_prime must be a bool, not {is_prime!r}")
+            needs_patch = entry["needs_target_patch"]
+            if needs_patch is True:
+                code |= _PATCH
+                flags |= _NEEDS_PATCH
+            elif needs_patch is not False:
+                raise TypeError("needs_target_patch must be a bool, not "
+                                f"{needs_patch!r}")
+            words.append(word)
+            flags |= code << shift
+            shift += _ENTRY_BITS
+        return cls(prime_name, tuple(words), flags, cf_kind, target, generated)
 
 
 @dataclass

@@ -17,6 +17,17 @@ import itertools
 _seed_ids = itertools.count()
 
 
+def _check_schedule(increment, uses):
+    """Reject a seed's scheduling metadata as a state carries it unless
+    the coverage increment is a number and the use count an int (neither
+    a bool)."""
+    if increment.__class__ not in (int, float):
+        raise TypeError(
+            f"coverage_increment must be a number, not {increment!r}")
+    if uses.__class__ is not int:
+        raise TypeError(f"uses must be an int, not {uses!r}")
+
+
 class Seed:
     """One corpus entry: instruction blocks + scheduling metadata."""
 
@@ -62,15 +73,25 @@ class Seed:
 
     @classmethod
     def from_state(cls, state):
+        """Decode a :meth:`state_dict`, checking each field: a malformed
+        state raises ``ValueError`` or ``TypeError`` (``KeyError`` for a
+        missing key).  The coverage increment is a number, the birth
+        iteration and use count are ints (never bools), the origin is a
+        string, and every block decodes
+        (:meth:`~repro.fuzzer.blocks.InstructionBlock.from_state`)."""
         from repro.fuzzer.blocks import InstructionBlock
 
+        increment, born = state["coverage_increment"], state["born_iteration"]
+        uses, origin = state["uses"], state["origin"]
+        _check_schedule(increment, uses)
+        if born.__class__ is not int:
+            raise TypeError(f"born_iteration must be an int, not {born!r}")
+        if origin.__class__ is not str:
+            raise TypeError(f"origin must be a string, not {origin!r}")
         seed = cls(
             [InstructionBlock.from_state(block) for block in state["blocks"]],
-            coverage_increment=state["coverage_increment"],
-            born_iteration=int(state["born_iteration"]),
-            origin=str(state["origin"]),
-        )
-        seed.uses = int(state["uses"])
+            coverage_increment=increment, born_iteration=born, origin=origin)
+        seed.uses = uses
         return seed
 
 
@@ -187,9 +208,10 @@ class Corpus:
             if not (type(position) is int and 0 <= position < len(self.seeds)):
                 raise IndexError(f"kept seed position {position!r} is not "
                                  f"in a corpus of {len(self.seeds)}")
+            _check_schedule(increment, uses)
             seed = self.seeds[position]
             seeds.append(seed)
-            kept.append((seed, increment, int(uses)))
+            kept.append((seed, increment, uses))
         capacity, policy = int(state["capacity"]), str(state["policy"])
         priority_prob = tuple(state["priority_prob"])
         evictions, rejected = int(state["evictions"]), int(state["rejected"])

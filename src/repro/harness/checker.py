@@ -56,17 +56,34 @@ class DifferentialChecker:
         self.mismatches = []
 
     def check(self, dut_record, ref_record):
-        """Compare one instruction; returns a Mismatch or None."""
-        index = self.instructions_checked
+        """Compare one instruction; returns a Mismatch or None.
+
+        The fields are compared in place (the traps by cause), so an
+        agreeing instruction builds nothing; only a disagreement builds
+        both records' :meth:`key_fields` to name its first differing
+        field."""
         self.instructions_checked += 1
-        dut_fields = dut_record.key_fields()
-        ref_fields = ref_record.key_fields()
-        if dut_fields == ref_fields:
+        dut_trap, ref_trap = dut_record.trap, ref_record.trap
+        if (dut_record.pc == ref_record.pc
+                and dut_record.next_pc == ref_record.next_pc
+                and dut_record.rd == ref_record.rd
+                and dut_record.rd_value == ref_record.rd_value
+                and dut_record.frd == ref_record.frd
+                and dut_record.frd_value == ref_record.frd_value
+                and dut_record.mem_addr == ref_record.mem_addr
+                and dut_record.mem_value == ref_record.mem_value
+                and dut_record.csr_addr == ref_record.csr_addr
+                and dut_record.csr_value == ref_record.csr_value
+                and dut_record.fflags_set == ref_record.fflags_set
+                and (dut_trap is ref_trap
+                     or (dut_trap is not None and ref_trap is not None
+                         and dut_trap.cause == ref_trap.cause))):
             return None
-        for name, dut_value, ref_value in zip(_FIELD_NAMES, dut_fields, ref_fields):
+        for name, dut_value, ref_value in zip(
+                _FIELD_NAMES, dut_record.key_fields(), ref_record.key_fields()):
             if dut_value != ref_value:
                 mismatch = Mismatch(
-                    instruction_index=index,
+                    instruction_index=self.instructions_checked - 1,
                     pc=dut_record.pc,
                     word=dut_record.word,
                     field=name,
@@ -75,7 +92,7 @@ class DifferentialChecker:
                 )
                 self.mismatches.append(mismatch)
                 return mismatch
-        return None  # pragma: no cover - fields differ iff tuples differ
+        return None  # pragma: no cover - fields differ iff a compare failed
 
     @property
     def clean(self):

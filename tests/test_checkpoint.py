@@ -206,6 +206,12 @@ DELTA_IDS = ("turbofuzz-rocket", "turbofuzz-boom", "cascade-rocket",
              "turbofuzz-cva6-bugs")
 
 
+def first_kept(delta):
+    """The first ``[position, coverage_increment, uses]`` kept seed."""
+    return next(entry for entry in delta["fuzzer"]["corpus"]["seeds"]
+                if isinstance(entry, list))
+
+
 class TestSliceDeltas:
     """``state_dict(mark)`` / ``load_state()``: what a shard resident on a
     worker ships per slice instead of its whole checkpoint."""
@@ -279,6 +285,10 @@ class TestSliceDeltas:
         corruptions = {
             "kept seed outside the corpus": lambda d: (
                 d["fuzzer"]["corpus"]["seeds"].append([999, 1, 0])),
+            "kept seed increment as word": lambda d: (
+                first_kept(d).__setitem__(1, "lots")),
+            "kept seed uses as float": lambda d: (
+                first_kept(d).__setitem__(2, 1.0)),
             "unknown module": lambda d: d["coverage"]["modules"].update(x=[1]),
             "missing verbatim key": lambda d: d.pop("clock"),
             "verbatim key of the wrong type": lambda d: d.update(core=[]),
@@ -294,6 +304,31 @@ class TestSliceDeltas:
                 follower.load_state(bad)
             assert follower.state_dict() == before, name
         follower.load_state(delta)  # the intact delta still applies
+
+
+WIRE_CASES = [(core, fuzzer) for core in ("rocket", "boom", "cva6")
+              for fuzzer in ("turbofuzz", "difuzzrtl", "cascade")]
+
+
+class TestWireEncoding:
+    @pytest.mark.parametrize("core, fuzzer", WIRE_CASES,
+                             ids=[f"{fuzzer}-{core}"
+                                  for core, fuzzer in WIRE_CASES])
+    def test_to_json_is_the_sorted_json_of_to_dict(self, core, fuzzer):
+        """``to_json`` skips the encoder's circular-reference checks; the
+        text of a full checkpoint and of a slice delta stays what the
+        checking encoder writes."""
+        spec = (CampaignSpec().with_fuzzer(fuzzer, **SMALL).with_core(core)
+                .with_seed(4))
+        session = build_session(spec)
+        session.run_iterations(2)
+        full = CampaignCheckpoint.capture(session)
+        mark = session.delta_mark()
+        session.run_iterations(2)
+        delta = CampaignCheckpoint(spec=spec, state=session.state_dict(mark))
+        for checkpoint in (full, delta):
+            assert checkpoint.to_json() == json.dumps(checkpoint.to_dict(),
+                                                      sort_keys=True)
 
 
 class TestBackends:

@@ -20,6 +20,7 @@ from repro.fuzzer import (
 from repro.fuzzer.blocks import (
     EMITTERS,
     MAX_EMIT_DRAWS,
+    PATCH_KINDS,
     InstructionBlock,
     pack_flags,
 )
@@ -248,6 +249,24 @@ def block_state(prime_name, entry_states, cf_kind="", target_block=None,
     return {"prime_name": prime_name, "entries": list(entry_states),
             "cf_kind": cf_kind, "target_block": target_block,
             "generated": generated}
+
+
+def two_pass_from_state(state):
+    """``InstructionBlock.from_state`` before its one-pass decoder,
+    transcribed: the words in one pass, then the coerced entry triples
+    through ``pack_flags``."""
+    target = state["target_block"]
+    entries = state["entries"]
+    return InstructionBlock(
+        str(state["prime_name"]),
+        tuple([int(entry["word"]) for entry in entries]),
+        pack_flags([(bool(entry["is_prime"]),
+                     bool(entry["needs_target_patch"]),
+                     str(entry["patch_kind"])) for entry in entries]),
+        str(state["cf_kind"]),
+        None if target is None else int(target),
+        bool(state["generated"]),
+    )
 
 
 def reference_block(lfsr, config, spec, index, total, window):
@@ -519,6 +538,53 @@ class TestPackedBlocks:
         state = block_state("beq", [entry_state(0x63, True, True, "far")])
         with pytest.raises(ValueError):
             InstructionBlock.from_state(state)
+
+    @pytest.mark.parametrize("field, value", (
+        ("word", True), ("word", 19.0), ("word", 1 << 32),
+        ("is_prime", 1), ("needs_target_patch", 0), ("patch_kind", None),
+    ))
+    def test_entry_field_of_the_wrong_type_is_rejected(self, field, value):
+        state = block_state("addi", [entry_state(0x13)])
+        state["entries"][0][field] = value
+        with pytest.raises((TypeError, ValueError)):
+            InstructionBlock.from_state(state)
+
+    @pytest.mark.parametrize("field, value", (
+        ("generated", 1), ("target_block", True), ("target_block", 2.0),
+        ("entries", (entry_state(0x13),)), ("prime_name", None),
+    ))
+    def test_block_field_of_the_wrong_type_is_rejected(self, field, value):
+        state = block_state("addi", [entry_state(0x13)])
+        state[field] = value
+        with pytest.raises((TypeError, ValueError)):
+            InstructionBlock.from_state(state)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_pass_decoder_matches_the_two_pass_one(self, data):
+        """On valid blocks (one entry or several, every patch kind, jalr's
+        patched lui/addi pair before its prime) the one-pass decoder
+        builds the block the two-pass decoder it replaced built, and the
+        block encodes back to its state."""
+        entry = st.builds(entry_state, st.integers(0, (1 << 32) - 1),
+                          st.booleans(), st.booleans(),
+                          st.sampled_from(PATCH_KINDS))
+        words = st.integers(0, (1 << 32) - 1)
+        jalr = st.builds(lambda lui, addi, prime: [
+            entry_state(lui, False, True, "lui"),
+            entry_state(addi, False, True, "addi"),
+            entry_state(prime)], words, words, words)
+        entries = data.draw(st.one_of(st.lists(entry, min_size=1, max_size=1),
+                                      st.lists(entry, min_size=2, max_size=9),
+                                      jalr))
+        state = block_state(
+            data.draw(st.sampled_from(sorted(SPECS_BY_NAME))), entries,
+            data.draw(st.sampled_from(("", "branch", "jal", "jalr"))),
+            data.draw(st.none() | st.integers(0, 4000)),
+            data.draw(st.booleans()))
+        block = InstructionBlock.from_state(state)
+        assert block == two_pass_from_state(state)
+        assert block.state_dict() == state
 
     def test_decoded_seed_adds_one_tracked_object_per_block(self):
         """A decoded seed is the seed, its block list and one object per

@@ -1,5 +1,7 @@
 """Harness: templates, images, runner, checker, snapshot, clock, session."""
 
+import itertools
+
 import pytest
 
 from repro.campaign import CampaignSpec, build_session
@@ -25,7 +27,8 @@ from repro.harness.timing import (
     DIFUZZRTL_FPGA_TIMING,
     TURBOFUZZ_TIMING,
 )
-from repro.ref.executor import CommitRecord
+from repro.harness.checker import Mismatch
+from repro.ref.executor import CommitRecord, Trap
 
 
 class TestVirtualClock:
@@ -177,6 +180,63 @@ class TestChecker:
         for _ in range(5):
             checker.check(self._record(), self._record())
         assert checker.instructions_checked == 5
+
+    # Every key field set, so each can differ from a value, not from None.
+    FULL = dict(pc=0x1000, word=0x13, name="addi", next_pc=0x1004,
+                trap=None, rd=1, rd_value=5, frd=2, frd_value=7,
+                mem_addr=0x2000, mem_size=8, mem_value=9, csr_addr=0x300,
+                csr_value=11, fflags_set=1)
+    # One planted difference per key field (the trap by its cause), a trap
+    # against none either way, and fields the checker does not compare.
+    PLANTS = {
+        **{name: {name: 0x5A5A} for name in (
+            "pc", "next_pc", "rd", "rd_value", "frd", "frd_value",
+            "mem_addr", "mem_value", "csr_addr", "csr_value", "fflags_set")},
+        "trap-5": {"trap": Trap(5)},
+        "trap-2": {"trap": Trap(2)},
+        "no-plant": {},
+        "word": {"word": 0x33},
+        "mem_size": {"mem_size": 4},
+        "trap-2-tval": {"trap": Trap(2, tval=99)},
+    }
+
+    @staticmethod
+    def tuple_check(index, dut_record, ref_record):
+        """The checker before it compared fields in place, transcribed:
+        both records' key-field tuples, then the first that differs."""
+        names = ("pc", "next_pc", "trap_cause", "rd", "rd_value", "frd",
+                 "frd_value", "mem_addr", "mem_value", "csr_addr",
+                 "csr_value", "fflags_set")
+        dut_fields = dut_record.key_fields()
+        ref_fields = ref_record.key_fields()
+        if dut_fields == ref_fields:
+            return None
+        for name, dut_value, ref_value in zip(names, dut_fields, ref_fields):
+            if dut_value != ref_value:
+                return Mismatch(index, dut_record.pc, dut_record.word, name,
+                                dut_value, ref_value)
+
+    @pytest.mark.parametrize("ref_trap", (None, Trap(2)),
+                             ids=("ref-no-trap", "ref-trap"))
+    def test_planted_differences_match_the_tuple_checker(self, ref_trap):
+        """Each planted difference, alone and in pairs, on either side:
+        the same mismatch (first differing field, values, instruction
+        index) as the tuple checker, or none where it finds none."""
+        checker = DifferentialChecker()
+        checker.check(self._record(), self._record())  # index 0 agrees
+        ref = CommitRecord(**dict(self.FULL, trap=ref_trap))
+        expected_count = 0
+        for pair in itertools.combinations_with_replacement(self.PLANTS, 2):
+            plants = {}
+            for name in pair:
+                plants.update(self.PLANTS[name])
+            planted = CommitRecord(**dict(self.FULL, **plants))
+            for dut, other in ((planted, ref), (ref, planted)):
+                index = checker.instructions_checked
+                expected = self.tuple_check(index, dut, other)
+                assert checker.check(dut, other) == expected, pair
+                expected_count += expected is not None
+        assert len(checker.mismatches) == expected_count > 0
 
 
 class TestSnapshot:

@@ -8,6 +8,7 @@ run — recovery may cost wall-clock, never results.
 """
 
 import contextlib
+import gc
 import json
 import multiprocessing
 import os
@@ -102,6 +103,18 @@ class WedgeFault:
         deadline = time.monotonic() + 60.0
         while time.monotonic() < deadline:
             pass
+
+
+@register_fault("needs-frozen-heap", replace=True)
+class NeedsFrozenHeapFault:
+    """Test-only fault: raise in the worker unless the heap it inherited
+    sits in the collector's permanent generation (``gc.freeze()``)."""
+
+    stage = "pre"
+
+    def apply(self, context):
+        if gc.get_freeze_count() == 0:
+            raise RuntimeError("the worker collects the heap it inherited")
 
 
 #: A result message larger than this is cut off half-way by
@@ -282,6 +295,18 @@ def busiest_map(state):
     return max(maps, key=lambda cmap: len(cmap["seen"]))
 
 
+def first_seed(state):
+    return state["fuzzer"]["corpus"]["seeds"][0]
+
+
+def first_block(state):
+    return first_seed(state)["blocks"][0]
+
+
+def first_entry(state):
+    return first_block(state)["entries"][0]
+
+
 #: Single-field corruptions of a full checkpoint state.  Each must raise
 #: CheckpointError: never resume into a different campaign, never fill a
 #: missing key with a default, never fail half-way with a bare error.
@@ -323,6 +348,28 @@ MALFORMED_STATES = {
         state["fuzzer"]["lfsr"].update(state="zz")),
     "fuzzer-stats-without-iterations": lambda state: (
         state["fuzzer"]["stats"].pop("iterations")),
+    # One block of a corpus seed, and the seed's own fields.
+    "block-without-entries": lambda state: first_block(state).update(
+        entries=[]),
+    "block-unknown-prime": lambda state: first_block(state).update(
+        prime_name="vfmacc.vv"),
+    "block-unknown-cf-kind": lambda state: first_block(state).update(
+        cf_kind="teleport"),
+    "block-negative-target": lambda state: first_block(state).update(
+        target_block=-5),
+    "word-of-40-bits": lambda state: first_entry(state).update(
+        word=1 << 40),
+    "negative-word": lambda state: first_entry(state).update(word=-1),
+    "word-as-string": lambda state: first_entry(state).update(word="19"),
+    "is-prime-as-word": lambda state: first_entry(state).update(
+        is_prime="no"),
+    "seed-increment-as-bool": lambda state: first_seed(state).update(
+        coverage_increment=True),
+    "seed-born-iteration-as-float": lambda state: first_seed(state).update(
+        born_iteration=2.0),
+    "seed-uses-as-string": lambda state: first_seed(state).update(uses="1"),
+    "seed-origin-as-number": lambda state: first_seed(state).update(
+        origin=3),
 }
 BOOM_ONLY = ("no-branch-predictor", "branch-predictor-key-not-int")
 # Corruptions of one baseline fuzzer's state -> that fuzzer.
@@ -470,6 +517,27 @@ class TestSupervisedQueueBackend:
         # every later slice ships only a delta.
         assert counters["full_tasks"] == 2
         assert counters["delta_tasks"] == 2 * (SLICES - 1)
+
+    def test_workers_freeze_the_heap_they_inherit(self):
+        """Every task of the grid checks, in its worker, that the worker
+        froze what it inherited; none fails, and the grid ends as the
+        serial one does."""
+        # A worker forked from a frozen heap would inherit the freeze.
+        assert gc.get_freeze_count() == 0
+        specs = two_shard_specs()
+        serial = serial_reference(specs)
+        injector = FaultInjector(schedule=[
+            ("needs-frozen-heap", shard, step)
+            for shard in range(len(specs)) for step in range(SLICES)])
+        supervised = CampaignOrchestrator(
+            specs, backend=SupervisedQueueBackend(
+                workers=2, policy=FaultPolicy(slice_timeout_s=60.0),
+                injector=injector))
+        run_grid(supervised)
+        assert_bit_identical(serial, supervised)
+        counters = supervised.report()["resilience"]["counters"]
+        assert counters["faults_injected"] == len(specs) * SLICES
+        assert counters["worker_errors"] == 0
 
     def test_worker_kills_recover_bit_identically(self):
         specs = two_shard_specs()
