@@ -22,8 +22,7 @@ generation loop does.
 from dataclasses import dataclass, field
 
 from repro.fuzzer.blocks import MAX_EMIT_DRAWS, Iteration
-from repro.fuzzer.config import TurboFuzzConfig
-from repro.fuzzer.context import FuzzContext, MemoryLayout
+from repro.fuzzer.context import MemoryLayout, draw_odds
 from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
 from repro.fuzzer.lfsr import AHEAD, Lfsr, lookahead
@@ -61,15 +60,6 @@ class CascadeFuzzer:
         self.config = config or CascadeConfig()
         self.layout = layout or MemoryLayout()
         self.lfsr = Lfsr(self.config.seed)
-        # Cascade's generation is valid-by-construction: it never emits
-        # invalid rounding modes and constrains all memory traffic, which
-        # the TurboFuzz context and emitters already provide.
-        inner = TurboFuzzConfig(
-            jump_window_blocks=self.config.jump_window_blocks,
-            invalid_rm_prob=(0, 2),
-            seed=self.config.seed,
-        )
-        self.context = FuzzContext(inner, self.layout)
         self.library = InstructionLibrary(self.config.extensions)
         self.direct = DirectGenerator(self.library, {
             Category.BRANCH: self.config.control_flow_weight,
@@ -93,13 +83,16 @@ class CascadeFuzzer:
             )
         return words
 
-    def generate_iteration(self, instruction_budget=None):
+    def generate_iteration(self):
         """One independent valid-by-construction program."""
-        budget = instruction_budget or self.config.instructions_per_iteration
+        budget = self.config.instructions_per_iteration
         window = self.config.jump_window_blocks
         emitters = self.direct.emitters()
         spec_count = len(emitters)
-        odds = self.context.odds()
+        # Cascade's generation is valid-by-construction: it never emits
+        # invalid rounding modes, and its loads take TurboFuzz's default
+        # 3/4 data-segment odds.
+        odds = draw_odds((0, 2), (3, 4))
         lfsr = self.lfsr
         blocks = []
         total = 0

@@ -180,7 +180,7 @@ class DifuzzRtlFuzzer:
                 words[0] ^ (1 << (7 + lfsr.below(25))),) + words[1:])
         return blocks
 
-    def generate_iteration(self, instruction_budget=None):
+    def generate_iteration(self):
         """Next iteration: mutate a stored seed or generate fresh."""
         if self.corpus and self.lfsr.chance(self.config.mutation_prob):
             blocks = self._mutate_blocks(self.lfsr.choice(self.corpus))

@@ -23,8 +23,8 @@ This package turns the monolithic session factory into a layered API:
 * :class:`FaultPolicy` / :class:`FaultInjector` / :class:`ShardRecovery`
   — failure-handling policy, deterministic chaos injection, and the
   shared recovery path (:mod:`repro.campaign.resilience`),
-* :class:`CampaignOrchestrator` — N specs as shards: batched round-robin
-  on a shared virtual-time axis, per-shard deterministic seeding, a shared
+* :class:`CampaignOrchestrator` — N specs as shards: slices on a shared
+  virtual-time axis, per-shard deterministic seeding, a shared
   :class:`InstrumentationCache`, checkpoint/resume, aggregate reporting
   (:mod:`repro.campaign.orchestrator`),
 * :mod:`repro.campaign.report` — JSON export of figure data.

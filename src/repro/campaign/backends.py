@@ -1,12 +1,15 @@
-"""Pluggable execution backends: how an orchestrator advances its shards.
+"""Pluggable execution backends: how one slice of a grid runs.
 
-PR 1's orchestrator advanced every shard inline, single-threaded.  The
-scheduling *policy* (batched round-robin on a shared virtual-time axis)
-is unchanged, but the *mechanism* is now a backend behind the
-:data:`BACKENDS` registry:
+The orchestrator owns the schedule.  It cuts a run into slices and hands
+each slice to its backend as a ``{label: stop}`` map of plain data: a
+shard's stop is ``{"until": virtual seconds, "max_iterations": an
+absolute iteration count or None}``, and the shard runs until its clock
+reaches ``until`` or its history reaches ``max_iterations``, whichever
+comes first (``until`` is ``inf`` when only the count bounds a slice).
+How a slice runs is the backend's, behind the :data:`BACKENDS` registry:
 
-* :class:`SerialBackend` — the extracted in-process loops, behaviour
-  identical to PR 1 bit for bit;
+* :class:`SerialBackend` — the shards' sessions, in-process, one after
+  another;
 * :class:`SupervisedQueueBackend` — the parallel backend: long-running
   worker processes, each with one duplex pipe of its own and at most one
   task at a time, that keep their shards resident between slices.  After
@@ -65,69 +68,19 @@ def resolve_backend(backend):
 
 
 class ExecutionBackend:
-    """How shards advance.  Backends receive the orchestrator and drive its
-    sessions; they must preserve the invariant that each shard's results
-    are identical to running that session alone for the same budget."""
+    """How the shards of a slice advance.
+
+    :meth:`start` begins one orchestrator call's run over its shards and
+    returns the run: ``run.execute_slice(slice_index, stops)`` advances
+    each shard of ``stops`` to its stop, and ``run.close()``, which the
+    orchestrator calls however the run ends, releases what the run holds.
+    A backend must preserve the invariant that each shard's results are
+    identical to running that session alone to the same stops."""
 
     name = "base"
 
-    def run_for_virtual_time(self, orchestrator, budget_seconds,
-                             max_iterations=None, slices=8):
+    def start(self, orchestrator):
         raise NotImplementedError
-
-    def run_iterations(self, orchestrator, count, batch=16):
-        raise NotImplementedError
-
-
-def _slice_frontiers(budget_seconds, slices):
-    """The shared virtual-time frontiers; the last one is exactly the
-    budget (no floating-point shortfall on the final slice)."""
-    slices = max(1, int(slices))
-    return [
-        budget_seconds if step == slices else budget_seconds * step / slices
-        for step in range(1, slices + 1)
-    ]
-
-
-def _shard_health(orchestrator):
-    """The orchestrator's shard-health mapping (tolerates bare test
-    doubles that predate it)."""
-    return getattr(orchestrator, "shard_health", None)
-
-
-def _eligible(orchestrator, frontier, max_iterations):
-    """(label, shard_index, session) triples that still need this slice."""
-    health = _shard_health(orchestrator) or {}
-    rows = []
-    for shard_index, (label, session) in enumerate(orchestrator.sessions.items()):
-        if health.get(label) == "quarantined":
-            continue
-        if frontier is not None and session.clock.seconds >= frontier:
-            continue  # already past: the worker would no-op
-        if (max_iterations is not None
-                and session.iterations >= max_iterations):
-            continue
-        rows.append((label, shard_index, session))
-    return rows
-
-
-def _make_task(label, shard_index, command, *, frontier=None,
-               max_iterations=None, count=None, relay=()):
-    """One shard-slice unit of work, as plain JSON-shaped data, without
-    the shard's state (see :func:`_full_task`)."""
-    task = {
-        "label": label,
-        "shard_index": shard_index,
-        "command": command,
-    }
-    if relay:
-        task["relay"] = list(relay)
-    if command == "run_for_virtual_time":
-        task["frontier"] = frontier
-        task["max_iterations"] = max_iterations
-    else:
-        task["count"] = count
-    return task
 
 
 def _full_task(template, session):
@@ -137,36 +90,29 @@ def _full_task(template, session):
     return task
 
 
+class _SerialRun:
+    """A serial run: a slice's shards advance in-process, in label order."""
+
+    def __init__(self, sessions):
+        self.sessions = sessions
+
+    def execute_slice(self, slice_index, stops):
+        for label, stop in stops.items():
+            self.sessions[label].run_for_virtual_time(
+                stop["until"], max_iterations=stop["max_iterations"])
+
+    def close(self):
+        """A serial run holds nothing."""
+
+
 @register_backend("serial")
 class SerialBackend(ExecutionBackend):
-    """In-process batched round-robin (PR 1's inline loops, extracted)."""
+    """In-process execution, one shard after another."""
 
     name = "serial"
 
-    def run_for_virtual_time(self, orchestrator, budget_seconds,
-                             max_iterations=None, slices=8):
-        frontiers = _slice_frontiers(budget_seconds, slices)
-        for step, frontier in enumerate(frontiers, start=1):
-            for label, session in orchestrator.sessions.items():
-                session.run_for_virtual_time(frontier,
-                                             max_iterations=max_iterations)
-            orchestrator.bus.milestone(
-                "time_slice", orchestrator=orchestrator, frontier=frontier,
-                step=step, slices=len(frontiers))
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
-
-    def run_iterations(self, orchestrator, count, batch=16):
-        remaining = {label: count for label in orchestrator.sessions}
-        while any(remaining.values()):
-            for label, session in orchestrator.sessions.items():
-                for _ in range(min(batch, remaining[label])):
-                    session.run_iteration()
-                    remaining[label] -= 1
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
+    def start(self, orchestrator):
+        return _SerialRun(orchestrator.sessions)
 
 
 def _preferred_context():
@@ -182,7 +128,8 @@ def _preferred_context():
 # Supervised work-queue backend
 # ---------------------------------------------------------------------------
 class _Supervisor:
-    """One backend run's worker fleet, pipes, and supervision loop.
+    """One orchestrator call's worker fleet, pipes, and supervision loop:
+    the run :meth:`SupervisedQueueBackend.start` returns.
 
     **Affinity.**  Every worker has one duplex pipe of its own and holds
     at most one task.  Shard *i* goes to the worker in slot *i* mod *W*,
@@ -191,7 +138,7 @@ class _Supervisor:
     first task is *full*: it carries the checkpoint captured from the
     orchestrator's session.  While the shard stays resident on its
     worker at the session's iteration count, later tasks are *delta*
-    tasks that name only the base iteration count and the slice.  Every
+    tasks that name only the base iteration count and the stop.  Every
     result is a slice delta, which the orchestrator's session applies on
     arrival (``load_state`` checks its base and validates all of it
     first).  So that session is exact at every slice frontier, and it is
@@ -227,7 +174,11 @@ class _Supervisor:
         self.policy = backend.policy
         self.injector = backend.injector
         self.recovery = ShardRecovery(self.policy, bus=orchestrator.bus,
-                                      health=_shard_health(orchestrator))
+                                      health=orchestrator.shard_health)
+        self.shard_index = {label: index for index, label
+                            in enumerate(orchestrator.sessions)}
+        self.relay = [event for event in backend.RELAY_EVENTS
+                      if orchestrator.bus.has_subscribers(event)]
         self.inline = False
         self._slots = []       # slot -> worker_id (None while vacant)
         self._workers = {}     # worker_id -> Process
@@ -357,13 +308,20 @@ class _Supervisor:
         delayed[label] = (self._now() + backoff, template, attempt)
 
     # -- supervision loop -------------------------------------------------------
-    def execute_slice(self, slice_index, templates):
-        """Run one slice frontier's tasks to completion (or quarantine);
-        each result is applied to its orchestrator session on arrival."""
+    def execute_slice(self, slice_index, stops):
+        """Run one slice's tasks, a shard and its stop each, to completion
+        (or quarantine); each result is applied to its orchestrator
+        session on arrival."""
         pending = {}  # worker_id -> {template, sent_at}: its one task
-        # label -> (not_before, task template, attempt)
-        delayed = {label: (0.0, template, 0)
-                   for label, template in templates.items()}
+        delayed = {}  # label -> (not_before, task template, attempt)
+        for label, stop in stops.items():
+            # A task without the shard's state (see _full_task), as plain
+            # JSON-shaped data.
+            template = {"label": label, "shard_index": self.shard_index[label],
+                        "stop": stop}
+            if self.relay:
+                template["relay"] = self.relay
+            delayed[label] = (0.0, template, 0)
         while pending or delayed:
             self._ensure_workers()
             if self.inline:
@@ -514,7 +472,7 @@ class _Supervisor:
                                   "timeout")
 
     # -- teardown ---------------------------------------------------------------
-    def shutdown(self):
+    def close(self):
         for conn in self._conns.values():
             with contextlib.suppress(OSError):
                 conn.send(None)
@@ -545,8 +503,8 @@ class SupervisedQueueBackend(ExecutionBackend):
     by construction), poison shards are quarantined instead of aborting
     the grid, and session events are relayed back so grid-wide
     subscribers observe remote iterations.  Of :data:`RELAY_EVENTS`,
-    only topics with subscribers on the orchestrator's bus at dispatch
-    time are shipped."""
+    only topics with subscribers on the orchestrator's bus when a run
+    starts are shipped."""
 
     name = "supervised-queue"
 
@@ -568,51 +526,7 @@ class SupervisedQueueBackend(ExecutionBackend):
             stats["faults"] = self.injector.stats()
         return stats
 
-    def _relay_wanted(self, orchestrator):
-        return tuple(event for event in self.RELAY_EVENTS
-                     if orchestrator.bus.has_subscribers(event))
-
-    def run_for_virtual_time(self, orchestrator, budget_seconds,
-                             max_iterations=None, slices=8):
-        frontiers = _slice_frontiers(budget_seconds, slices)
+    def start(self, orchestrator):
         supervisor = _Supervisor(self, orchestrator)
         self._recovery = supervisor.recovery
-        relay = self._relay_wanted(orchestrator)
-        try:
-            for step, frontier in enumerate(frontiers, start=1):
-                templates = {
-                    label: _make_task(label, shard_index,
-                                      "run_for_virtual_time",
-                                      frontier=frontier,
-                                      max_iterations=max_iterations,
-                                      relay=relay)
-                    for label, shard_index, _ in _eligible(
-                        orchestrator, frontier, max_iterations)
-                }
-                supervisor.execute_slice(step - 1, templates)
-                orchestrator.bus.milestone(
-                    "time_slice", orchestrator=orchestrator,
-                    frontier=frontier, step=step, slices=len(frontiers))
-        finally:
-            supervisor.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
-
-    def run_iterations(self, orchestrator, count, batch=16):
-        supervisor = _Supervisor(self, orchestrator)
-        self._recovery = supervisor.recovery
-        relay = self._relay_wanted(orchestrator)
-        try:
-            templates = {
-                label: _make_task(label, shard_index, "run_iterations",
-                                  count=count, relay=relay)
-                for label, shard_index, _ in _eligible(
-                    orchestrator, None, None)
-            }
-            supervisor.execute_slice(0, templates)
-        finally:
-            supervisor.shutdown()
-        for label, session in orchestrator.sessions.items():
-            orchestrator.bus.milestone("shard_done", orchestrator=orchestrator,
-                                       shard=label, session=session)
+        return supervisor

@@ -4,13 +4,14 @@ The paper's headline results all come from *grids* of campaigns
 ({fuzzer × core × instrumentation × timing}); the orchestrator runs such a
 grid as shards with:
 
-* **batched round-robin scheduling on a shared virtual-time axis** — the
-  budget is cut into slices and every shard is advanced to each slice
-  frontier in turn, so long-running shards cannot starve short ones and
-  progress events interleave on a common clock;
-* **pluggable execution backends** — the scheduling policy above is
-  mechanism-independent: :class:`~repro.campaign.backends.SerialBackend`
-  advances shards in-process (the default), while
+* **slices on a shared virtual-time axis** — the budget is cut into
+  slices and every shard is advanced to each slice frontier in turn, so
+  long-running shards cannot starve short ones and progress events
+  interleave on a common clock;
+* **pluggable execution backends** — the orchestrator owns the slice
+  loop and hands each slice to its backend as a ``{label: stop}`` map:
+  :class:`~repro.campaign.backends.SerialBackend` advances shards
+  in-process (the default), while
   :class:`~repro.campaign.backends.SupervisedQueueBackend` keeps each
   shard resident on a worker process and applies what each slice changed
   at every slice frontier — bit-identical per-shard results either way,
@@ -30,6 +31,8 @@ Every shard publishes on one shared :class:`EventBus`, so a single
 subscriber observes the whole grid.
 """
 
+import contextlib
+import math
 from bisect import bisect_right
 from heapq import merge as heap_merge
 
@@ -92,29 +95,59 @@ class CampaignOrchestrator:
         return list(self.sessions)
 
     # -- scheduling -------------------------------------------------------------
-    def _backend(self, backend):
-        return self.backend if backend is None else resolve_backend(backend)
-
     def run_for_virtual_time(self, budget_seconds, max_iterations=None,
-                             slices=8, backend=None):
+                             slices=8):
         """Advance every shard to the shared budget, slice by slice.
 
         ``max_iterations`` caps each shard individually (the scaled-down
         experiment budgets); per-shard results are identical to running
         each session alone for the same budget, because shards share no
         mutable state — only the layout cache, which is read-only after
-        construction.  ``backend`` overrides the orchestrator's backend
-        for this call (name, class, or instance).
+        construction.
         """
-        self._backend(backend).run_for_virtual_time(
-            self, budget_seconds, max_iterations=max_iterations,
-            slices=slices)
+        slices = max(1, int(slices))
+        caps = dict.fromkeys(self.sessions, max_iterations)
+        with contextlib.closing(self.backend.start(self)) as run:
+            for step in range(1, slices + 1):
+                # The last frontier is exactly the budget (no
+                # floating-point shortfall on the final slice).
+                frontier = (budget_seconds if step == slices
+                            else budget_seconds * step / slices)
+                run.execute_slice(step - 1, self._stops(frontier, caps))
+                self.bus.milestone("time_slice", orchestrator=self,
+                                   frontier=frontier, step=step,
+                                   slices=slices)
+        self._shards_done()
         return self
 
-    def run_iterations(self, count, batch=16, backend=None):
-        """Run ``count`` iterations per shard in round-robin batches."""
-        self._backend(backend).run_iterations(self, count, batch=batch)
+    def run_iterations(self, count):
+        """Run ``count`` more iterations per shard, as one slice."""
+        caps = {label: session.iterations + count
+                for label, session in self.sessions.items()}
+        with contextlib.closing(self.backend.start(self)) as run:
+            run.execute_slice(0, self._stops(math.inf, caps))
+        self._shards_done()
         return self
+
+    def _stops(self, until, caps):
+        """One slice as the backend takes it, ``{label: stop}``: every
+        shard that is not quarantined and that has work left before
+        ``until`` (virtual seconds) and ``caps[label]`` (its absolute
+        iteration cap, None for none)."""
+        stops = {}
+        for label, session in self.sessions.items():
+            cap = caps[label]
+            if (self.shard_health[label] == "quarantined"
+                    or session.clock.seconds >= until
+                    or (cap is not None and session.iterations >= cap)):
+                continue
+            stops[label] = {"until": until, "max_iterations": cap}
+        return stops
+
+    def _shards_done(self):
+        for label, session in self.sessions.items():
+            self.bus.milestone("shard_done", orchestrator=self, shard=label,
+                               session=session)
 
     # -- checkpoint / resume ----------------------------------------------------
     def checkpoint(self):

@@ -7,7 +7,7 @@ most one task at a time and keeps the sessions of the shards routed to
 it **resident** between slices.  A shard's first task (and any task
 after a failure) is *full*: it carries the shard's checkpoint, which
 replaces the resident session.  Every later task is a *delta* task that
-only names the base iteration count and the slice to run.  Either way
+only names the base iteration count and the slice's stop.  Either way
 the worker posts back only what the slice changed
 (:func:`advance_resident`).  Alongside the task loop:
 
@@ -112,22 +112,12 @@ def _task_bus(task, post):
     return bus
 
 
-def _run_slice(session, task):
-    command = task["command"]
-    if command == "run_for_virtual_time":
-        session.run_for_virtual_time(task["frontier"],
-                                     max_iterations=task.get("max_iterations"))
-    elif command == "run_iterations":
-        session.run_iterations(task["count"])
-    else:
-        raise ValueError(f"unknown task command {command!r}")
-
-
 def advance_resident(task, resident, cache=None, post=None, bus=None):
-    """Run one slice on a shard this worker keeps resident; return what
-    the slice changed, as a checkpoint-envelope JSON whose state is the
-    session's :meth:`~repro.campaign.session.CampaignSession.state_dict`
-    since a mark taken at the slice start.
+    """Run one slice on a shard this worker keeps resident, to the task's
+    ``stop`` (see :mod:`repro.campaign.backends`); return what the slice
+    changed, as a checkpoint-envelope JSON whose state is the session's
+    :meth:`~repro.campaign.session.CampaignSession.state_dict` since a
+    mark taken at the slice start.
 
     ``resident`` maps shard label to session.  A *full* task (one that
     carries ``checkpoint_json``) replaces the shard's session; a *delta*
@@ -153,7 +143,9 @@ def advance_resident(task, resident, cache=None, post=None, bus=None):
     else:
         session.bus = bus
     mark = session.delta_mark()
-    _run_slice(session, task)
+    stop = task["stop"]
+    session.run_for_virtual_time(stop["until"],
+                                 max_iterations=stop["max_iterations"])
     resident[label] = session
     with paused_gc():
         return CampaignCheckpoint(spec=session.spec,

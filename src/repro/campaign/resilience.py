@@ -32,7 +32,7 @@ cannot change results — only wall-clock.
 import os
 import time  # analyze: ignore[DET001] supervision sleep/jitter only; never feeds campaign state
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from repro.fuzzer.lfsr import Lfsr
 from repro.registry import Registry
@@ -268,28 +268,15 @@ class FaultInjector:
 # ---------------------------------------------------------------------------
 # Recovery accounting
 # ---------------------------------------------------------------------------
-@dataclass
-class _RecoveryCounters:
-    """Plain counter block so the report section has a stable shape."""
-
-    failures: int = 0
-    redispatches: int = 0
-    quarantines: int = 0
-    worker_losses: int = 0
-    timeouts: int = 0
-    corrupt_checkpoints: int = 0
-    worker_errors: int = 0
-    heartbeat_losses: int = 0
-    faults_injected: int = 0
-    spawns: int = 0
-    respawns: int = 0
-    respawn_failures: int = 0
-    degraded: int = 0
-    inline_tasks: int = 0
-    full_tasks: int = 0    # tasks carrying a shard's whole checkpoint
-    delta_tasks: int = 0   # tasks for a shard resident on its worker
-    relay_events: int = 0
-    extra: dict = field(default_factory=dict)
+#: Every recovery counter, so the report section has a stable shape:
+#: ``full_tasks`` counts tasks carrying a shard's whole checkpoint,
+#: ``delta_tasks`` tasks for a shard resident on its worker.
+COUNTERS = (
+    "failures", "redispatches", "quarantines", "worker_losses", "timeouts",
+    "corrupt_checkpoints", "worker_errors", "heartbeat_losses",
+    "faults_injected", "spawns", "respawns", "respawn_failures", "degraded",
+    "inline_tasks", "full_tasks", "delta_tasks", "relay_events",
+)
 
 
 class ShardRecovery:
@@ -313,16 +300,13 @@ class ShardRecovery:
         self.attempts = {}        # (label, slice_index) -> failed attempts
         self.total_failures = {}  # label -> failures across all slices
         self.last_error = {}      # label -> most recent failure reason
-        self.counters = _RecoveryCounters()
+        self.counters = dict.fromkeys(COUNTERS, 0)
 
     # -- counters ---------------------------------------------------------------
     def note(self, counter, amount=1):
-        if hasattr(self.counters, counter):
-            setattr(self.counters, counter,
-                    getattr(self.counters, counter) + amount)
-        else:
-            extra = self.counters.extra
-            extra[counter] = extra.get(counter, 0) + amount
+        """Add ``amount`` to one of :data:`COUNTERS` (another name raises
+        ``KeyError``)."""
+        self.counters[counter] += amount
 
     def attempts_for(self, label, slice_index):
         return self.attempts.get((label, slice_index), 0)
@@ -373,11 +357,8 @@ class ShardRecovery:
 
     # -- reporting --------------------------------------------------------------
     def stats(self):
-        counters = asdict(self.counters)
-        extra = counters.pop("extra")
-        counters.update(extra)
         return {
-            "counters": dict(sorted(counters.items())),
+            "counters": dict(sorted(self.counters.items())),
             "policy": self.policy.to_dict(),
             "quarantined": sorted(label for label, health in self.health.items()
                                   if health == "quarantined"),

@@ -70,12 +70,6 @@ class DesignCoverage:
     def total_instrumented(self):
         return sum(cov.layout.instrumented_points for cov in self.modules)
 
-    def weighted_feedback(self):
-        """The shifted N_cov total the fuzzer consumes as feedback."""
-        return self.weights.weighted_total(
-            {cov.name: cov.count for cov in self.modules}
-        )
-
     def counts_by_module(self):
         return {cov.name: cov.count for cov in self.modules}
 

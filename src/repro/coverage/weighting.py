@@ -15,10 +15,6 @@ class FeedbackWeights:
     def __init__(self, shifts=None):
         self._shifts = dict(shifts or {})
 
-    def set_shift(self, module_name, shift):
-        """Configure a module's feedback shift (FIRRTL-stage directive)."""
-        self._shifts[module_name] = int(shift)
-
     def shift_for(self, module_name):
         return self._shifts.get(module_name, 0)
 

@@ -819,14 +819,13 @@ class DutCore:
                      for sample in _busy_samples(total))
 
     # -- program control ----------------------------------------------------------------
-    def reset(self, keep_memory=False):
+    def reset(self):
         """Reset architectural and micro-architectural state.
 
         The conditional modules the last instruction activated stay
         recorded: the next instruction observes their return to idle.
         """
-        if not keep_memory:
-            self.memory = SparseMemory()
+        self.memory = SparseMemory()
         self.state = ArchState(pc=self.reset_pc)
         self.executor = Executor(
             self.state, self.memory, config=self.executor.config, hooks=self.hooks

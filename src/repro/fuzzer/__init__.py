@@ -20,7 +20,7 @@ from repro.fuzzer.config import TurboFuzzConfig
 from repro.fuzzer.lfsr import Lfsr
 from repro.fuzzer.instrlib import InstructionLibrary
 from repro.fuzzer.blocks import InstructionBlock, Iteration
-from repro.fuzzer.context import FuzzContext, MemoryLayout
+from repro.fuzzer.context import MemoryLayout, draw_odds
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.mutation import MutationEngine
@@ -33,8 +33,8 @@ __all__ = [
     "InstructionLibrary",
     "InstructionBlock",
     "Iteration",
-    "FuzzContext",
     "MemoryLayout",
+    "draw_odds",
     "Corpus",
     "Seed",
     "DirectGenerator",

@@ -338,7 +338,7 @@ def _set_j_imm(word, imm):
 # -> (pos, block): ``ahead[pos]`` is the current LFSR state of a lookahead
 # (repro.fuzzer.lfsr.lookahead), the caller leaves at least
 # MAX_EMIT_DRAWS states after it, and each draw reads the next state (one
-# Lfsr.next() step).  ``odds`` is FuzzContext.odds(), and the block
+# Lfsr.next() step).  ``odds`` is context.draw_odds(), and the block
 # position, the iteration's block bound and the jump window place a
 # control-flow target.  A register, CSR, rounding mode or shift amount is
 # ``pool[state % len(pool)]`` from a pool of its field bits (Lfsr.choice

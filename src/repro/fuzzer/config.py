@@ -31,7 +31,6 @@ class TurboFuzzConfig:
     # Section IV-C: iteration sizing and jump-range limitation.
     instructions_per_iteration: int = 4000
     jump_window_blocks: int = 2  # generated control flow targets within this
-    retain_unrestricted_jumps: bool = True  # preserved blocks keep old targets
 
     # Operand mutation probability for retained blocks (bit-flip /
     # operand-substitution pass of the mutation engine).

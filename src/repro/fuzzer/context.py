@@ -73,7 +73,7 @@ GENERATABLE_CSRS = (
 WRITABLE_CSRS = (FFLAGS, FRM, FCSR, MSCRATCH)
 
 # Rounding modes: usually valid, occasionally invalid (exercises the
-# illegal-instruction path and bug B2; see FuzzContext.odds).
+# illegal-instruction path and bug B2; see draw_odds).
 VALID_RMS = (0, 1, 2, 3, 4, 7)
 INVALID_RMS = (5, 6)
 
@@ -87,20 +87,12 @@ def _odds(probability):
     return numerator, denominator - 1
 
 
-class FuzzContext:
-    """The configuration and memory layout one generator draws with (it
-    draws from its own LFSR's lookahead)."""
-
-    def __init__(self, config, layout=None):
-        self.config = config
-        self.layout = layout or MemoryLayout()
-
-    def odds(self):
-        """The configuration's two operand Bernoulli draws, as
-        ``(invalid-rm numerator, mask, data-segment numerator, mask)``:
-        an FP rounding mode from :data:`INVALID_RMS`, and a load based on
-        the data segment rather than the instruction segment (3/4 by
-        default, user-configurable, paper Section IV-C).  Generators read
-        it once per iteration."""
-        return (_odds(self.config.invalid_rm_prob)
-                + _odds(self.config.data_segment_prob))
+def draw_odds(invalid_rm_prob, data_segment_prob):
+    """The two operand Bernoulli draws of a generator, as
+    ``(invalid-rm numerator, mask, data-segment numerator, mask)``: an FP
+    rounding mode from :data:`INVALID_RMS`, and a load based on the data
+    segment rather than the instruction segment (3/4 by default,
+    user-configurable, paper Section IV-C).  Each probability is a
+    ``(numerator, power-of-two denominator)`` pair; generators draw the
+    odds once per iteration."""
+    return _odds(invalid_rm_prob) + _odds(data_segment_prob)

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 from repro.fuzzer.blocks import MAX_EMIT_DRAWS, Iteration
 from repro.fuzzer.config import TurboFuzzConfig
-from repro.fuzzer.context import FuzzContext, MemoryLayout
+from repro.fuzzer.context import MemoryLayout, draw_odds
 from repro.fuzzer.corpus import Corpus, Seed
 from repro.fuzzer.direct import DirectGenerator
 from repro.fuzzer.instrlib import InstructionLibrary
@@ -78,7 +78,6 @@ class TurboFuzzer:
         self.config = config or TurboFuzzConfig()
         self.layout = layout or MemoryLayout()
         self.lfsr = Lfsr(self.config.seed)
-        self.context = FuzzContext(self.config, self.layout)
         self.library = InstructionLibrary(self.config.extensions)
         self.direct = DirectGenerator(self.library)
         self.mutation = MutationEngine(self.config)
@@ -94,7 +93,7 @@ class TurboFuzzer:
         self.persistent_data_patches = []
 
     # -- generation ------------------------------------------------------------------
-    def generate_iteration(self, instruction_budget=None):
+    def generate_iteration(self):
         """Produce the next assembled iteration.
 
         A corpus seed is selected once per iteration; then, per block
@@ -111,7 +110,7 @@ class TurboFuzzer:
         decision, so the stream is a pure function of the seed.
         """
         config = self.config
-        budget = instruction_budget or config.instructions_per_iteration
+        budget = config.instructions_per_iteration
         window = config.jump_window_blocks
         lfsr = self.lfsr
         parent = self.corpus.select(lfsr)
@@ -129,7 +128,7 @@ class TurboFuzzer:
         retain = self.mutation.retain_block
         emitters = self.direct.emitters()
         spec_count = len(emitters)
-        odds = self.context.odds()
+        odds = draw_odds(config.invalid_rm_prob, config.data_segment_prob)
         blocks = []
         append = blocks.append
         total = 0

@@ -26,7 +26,7 @@ class InstructionLibrary:
     # process-local cache key that must not travel (a restored process's
     # samplers must re-expand their caches regardless).
     _checkpoint_transient = frozenset({
-        "_active", "_by_category", "_weighted_cache", "version",
+        "_active", "_by_category", "version",
     })
 
     def __init__(self, extensions=None, exclude=()):
@@ -49,7 +49,6 @@ class InstructionLibrary:
         self._by_category = {}
         for spec in self._active:
             self._by_category.setdefault(spec.category, []).append(spec)
-        self._weighted_cache = {}
         # Bumped on every active-set change; samplers that cache expanded
         # weighted lists (DirectGenerator) key their cache on this.
         self.version = getattr(self, "version", 0) + 1
@@ -89,20 +88,15 @@ class InstructionLibrary:
         ``weights`` maps :class:`Category` to a non-negative integer; this
         is how the DifuzzRTL-style baseline biases toward control flow and
         how TurboFuzz keeps the paper's roughly 1:5 control-flow ratio.
-        The list is invariant per (active set, weights), so it is cached;
-        the cache is dropped whenever the active set changes
-        (:meth:`_rebuild`) and keyed on the effective per-category weights
-        so callers can mutate their weight dicts freely.
+        The list is invariant per (active set, weights), and its caller,
+        :meth:`~repro.fuzzer.direct.DirectGenerator.specs`, keeps it until
+        :attr:`version` or the weights change.
         """
-        key = tuple(weights.get(category, 1) for category in self._by_category)
-        expanded = self._weighted_cache.get(key)
-        if expanded is None:
-            expanded = []
-            for category, specs in self._by_category.items():
-                weight = weights.get(category, 1)
-                if weight > 0:
-                    expanded.extend(specs * weight)
-            self._weighted_cache[key] = expanded
+        expanded = []
+        for category, specs in self._by_category.items():
+            weight = weights.get(category, 1)
+            if weight > 0:
+                expanded.extend(specs * weight)
         if not expanded:
             raise ValueError("no instructions active after weighting")
         return expanded

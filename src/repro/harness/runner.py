@@ -10,6 +10,10 @@ from repro.ref.memory import SparseMemory
 from repro.ref.state import ArchState
 from repro.dut.bugs import CorrectHooks
 
+#: An iteration's instruction cap: this many times its generated
+#: instructions, plus 8 per template instruction.
+MAX_INSTRUCTION_FACTOR = 4
+
 
 @dataclass(slots=True)
 class RunResult:
@@ -52,11 +56,10 @@ class IterationRunner:
     """Runs assembled iterations on a DUT core (optionally vs a REF)."""
 
     def __init__(self, core, with_ref=False, capture_snapshots=False,
-                 max_instruction_factor=4, stop_on_trap=False):
+                 stop_on_trap=False):
         self.core = core
         self.with_ref = with_ref
         self.capture_snapshots = capture_snapshots
-        self.max_instruction_factor = max_instruction_factor
         # DifuzzRTL-style harnesses abort the iteration at the first trap
         # instead of repairing and resuming (no execution-guarantee
         # templates); TurboFuzz keeps this False.
@@ -81,7 +84,7 @@ class IterationRunner:
         checker = DifferentialChecker() if self.with_ref else None
 
         cap = instruction_cap or (
-            self.max_instruction_factor * max(1, iteration.total_instructions)
+            MAX_INSTRUCTION_FACTOR * max(1, iteration.total_instructions)
             + image.total_template_instructions * 8
         )
         result = RunResult()

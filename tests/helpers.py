@@ -11,7 +11,7 @@ from repro.dut.core import _ACTIVE
 from repro.harness import HardwareSnapshot, IterationRunner
 from repro.harness.checker import DifferentialChecker
 from repro.harness.image import build_image
-from repro.harness.runner import RunResult
+from repro.harness.runner import MAX_INSTRUCTION_FACTOR, RunResult
 from repro.isa.instructions import Category
 from repro.ref import ArchState, Executor, SparseMemory
 
@@ -145,7 +145,7 @@ class _ReferenceObserver:
         ref = runner._make_ref(image) if runner.with_ref else None
         checker = DifferentialChecker() if runner.with_ref else None
         cap = instruction_cap or (
-            runner.max_instruction_factor * max(1, iteration.total_instructions)
+            MAX_INSTRUCTION_FACTOR * max(1, iteration.total_instructions)
             + image.total_template_instructions * 8)
         result = RunResult()
         start_points = core.coverage.total_points

@@ -357,14 +357,15 @@ class TestBackends:
         class ProbeBackend(SerialBackend):
             name = "probe"
 
-            def run_iterations(self, orchestrator, count, batch=16):
-                calls.append(count)
-                super().run_iterations(orchestrator, count, batch=batch)
+            def start(self, orchestrator):
+                calls.append(orchestrator)
+                return super().start(orchestrator)
 
         try:
             grid = self.grid(backend="probe")
             grid.run_iterations(1)
-            assert calls == [1]
+            assert calls == [grid]
+            assert grid.report()["total_iterations"] == 2
             assert grid.report()["backend"] == "probe"
         finally:
             BACKENDS.unregister("probe")
@@ -393,13 +394,6 @@ class TestBackends:
         grid.run_for_virtual_time(0.005, max_iterations=4, slices=2)
         assert kinds.count("time_slice") == 2
         assert kinds.count("shard_done") == 2
-
-    def test_per_call_backend_override(self):
-        serial = self.grid()
-        serial.run_iterations(2)
-        grid = self.grid()  # default serial...
-        grid.run_iterations(2, backend="supervised-queue")  # ...parallel per call
-        assert grid.coverage_series() == serial.coverage_series()
 
 
 class TestOrchestratorResume:

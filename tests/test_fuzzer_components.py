@@ -35,8 +35,8 @@ from repro.fuzzer.context import (
     RS_POOL,
     VALID_RMS,
     WRITABLE_CSRS,
-    FuzzContext,
     MemoryLayout,
+    draw_odds,
 )
 from repro.fuzzer.lfsr import AHEAD, lookahead
 from repro.fuzzer.mutation import MutationEngine
@@ -146,11 +146,12 @@ class TestInstructionLibrary:
 
 
 class Generator:
-    """An LFSR and the context a generator draws with."""
+    """An LFSR and the odds a generator draws with."""
 
     def __init__(self, seed, config=None):
+        config = config or TurboFuzzConfig()
         self.lfsr = Lfsr(seed)
-        self.context = FuzzContext(config or TurboFuzzConfig(), MemoryLayout())
+        self.odds = draw_odds(config.invalid_rm_prob, config.data_segment_prob)
 
 
 @pytest.fixture
@@ -161,10 +162,10 @@ def generator():
 def build(generator, spec, index, total, window):
     """One block from ``spec``'s emitter, drawing from a lookahead of the
     generator's LFSR, which then goes on after the block's draws."""
-    lfsr, context = generator.lfsr, generator.context
+    lfsr = generator.lfsr
     ahead = lookahead(lfsr.state)
     pos, block = EMITTERS[spec.name](ahead, 0, index, total, window,
-                                     context.odds())
+                                     generator.odds)
     assert pos <= MAX_EMIT_DRAWS, spec.name
     lfsr.state = ahead[pos]
     return block
@@ -511,8 +512,9 @@ class TestPackedBlocks:
             iteration = fuzzer.generate_iteration()
             for index, block in enumerate(iteration.blocks):
                 expected = reference_block(
-                    reference, fuzzer.context.config, reference.choice(specs),
-                    index, 300, fuzzer.config.jump_window_blocks)
+                    reference, TurboFuzzConfig(invalid_rm_prob=(0, 2)),
+                    reference.choice(specs), index, 300,
+                    fuzzer.config.jump_window_blocks)
                 assert block.state_dict() == expected
                 assert InstructionBlock.from_state(expected) == block
             assert iteration.data_seed == reference.next()

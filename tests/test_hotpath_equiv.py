@@ -300,14 +300,14 @@ class TestBlockCompile:
         with reference_observation(first_leg):
             first_leg.run_iterations(4)
         # Warm before capture.
-        assert first_leg.fuzzer.library._weighted_cache
+        assert first_leg.fuzzer.direct._specs
         checkpoint = CampaignCheckpoint.capture(first_leg)
         resumed = CampaignCheckpoint.from_json(checkpoint.to_json()).restore()
-        assert not resumed.fuzzer.library._weighted_cache
+        assert resumed.fuzzer.direct._specs is None
         with reference_observation(resumed):
             resumed.run_iterations(4)
         # Rewarmed on its own.
-        assert resumed.fuzzer.library._weighted_cache
+        assert resumed.fuzzer.direct._specs
         assert _fingerprint(resumed) == _fingerprint(straight)
 
 

@@ -10,6 +10,7 @@ run — recovery may cost wall-clock, never results.
 import contextlib
 import gc
 import json
+import math
 import multiprocessing
 import os
 import signal
@@ -35,7 +36,7 @@ from repro.campaign import (
     campaign_report,
     register_fault,
 )
-from repro.campaign.backends import _make_task, _Supervisor
+from repro.campaign.backends import _Supervisor
 from repro.campaign.queue_worker import advance_resident
 from repro.campaign.resilience import KILL_WORKER_EXIT_CODE
 
@@ -717,11 +718,13 @@ class TestSupervisedQueueBackend:
         spec = small_spec(seed=3).named("a")
         orchestrator_copy = build_session(spec)
         template = {"label": "a", "shard_index": 0,
-                    "command": "run_iterations", "count": 2}
+                    "stop": {"until": math.inf, "max_iterations": 2}}
         resident = {}
         full = dict(template, checkpoint_json=CampaignCheckpoint.capture(
             orchestrator_copy).to_json())
-        for task in (full, dict(template, base_iterations=2)):
+        second = dict(template, base_iterations=2,
+                      stop={"until": math.inf, "max_iterations": 4})
+        for task in (full, second):
             delta = CampaignCheckpoint.from_json(
                 advance_resident(task, resident))
             orchestrator_copy.load_state(delta.state)
@@ -806,10 +809,10 @@ class TestSupervisedQueueBackend:
             assert supervisor._slots == [2]
             assert not supervisor.inline
             supervisor.execute_slice(0, {
-                label: _make_task(label, index, "run_iterations", count=2)
-                for index, label in enumerate(grid.labels)})
+                label: {"until": math.inf, "max_iterations": 2}
+                for label in grid.labels})
         finally:
-            supervisor.shutdown()
+            supervisor.close()
         assert shard_states(grid) == shard_states(serial)
         counters = supervisor.recovery.stats()["counters"]
         assert counters["full_tasks"] == len(specs)
@@ -926,6 +929,43 @@ class TestSupervisedQueueBackend:
         assert_bit_identical(serial, supervised)
         counters = supervised.report()["resilience"]["counters"]
         assert (counters["full_tasks"], counters["delta_tasks"]) == (2, 0)
+
+    def test_run_iterations_on_an_uneven_grid_matches_serial(self):
+        """Shards resumed at 0, 1 and 2 iterations: each runs two more,
+        its stop capped at its own count plus two."""
+        specs = [small_spec(seed=seed).named(label)
+                 for label, seed in (("a", 11), ("b", 22), ("c", 33))]
+        uneven = CampaignOrchestrator(specs)
+        for count, session in enumerate(uneven.sessions.values()):
+            session.run_iterations(count)
+        serial = CampaignOrchestrator.from_checkpoints(uneven.checkpoint())
+        serial.run_iterations(2)
+        supervised = CampaignOrchestrator.from_checkpoints(
+            uneven.checkpoint(), backend=SupervisedQueueBackend(workers=2))
+        supervised.run_iterations(2)
+        assert [session.iterations for session
+                in supervised.sessions.values()] == [2, 3, 4]
+        assert shard_states(supervised) == shard_states(serial)
+
+    def test_raising_subscriber_still_stops_every_worker(self):
+        """A ``time_slice`` subscriber that raises ends the run, and the
+        fleet with it: no worker outlives the call."""
+
+        class Interrupted(Exception):
+            pass
+
+        supervised = CampaignOrchestrator(
+            two_shard_specs(), backend=SupervisedQueueBackend(workers=2))
+
+        def interrupt(kind, remote=False, **payload):
+            if kind == "time_slice" and not remote and payload["step"] == 2:
+                assert len(multiprocessing.active_children()) == 2
+                raise Interrupted
+
+        supervised.bus.on_milestone(interrupt)
+        with pytest.raises(Interrupted):
+            run_grid(supervised)
+        assert multiprocessing.active_children() == []
 
 
 class TestChaosDeterminism:
