@@ -11,6 +11,8 @@ Both campaigns are declared as :class:`~repro.campaign.CampaignSpec`
 variants of one base spec and share an instrumentation cache.
 """
 
+import math
+
 from repro.campaign import CampaignSpec, InstrumentationCache, build_session
 from repro.dut import BUGS_BY_ID
 
@@ -33,19 +35,20 @@ def main():
         .with_fuzzer("turbofuzz", instructions_per_iteration=1000),
         cache=cache,
     )
-    seconds, mismatch = session.run_until_mismatch(max_iterations=300)
+    seconds = session.run_for_virtual_time(
+        math.inf, max_iterations=300, until_detection=True)
+    last = session.history[-1]
     print(f"TurboFuzz: divergence after {session.iterations} iterations, "
           f"{seconds:.3f} virtual s")
-    print(f"  {mismatch.describe()}")
-    last = session.history[-1]
+    print(f"  {last.mismatch.describe()}")
     print(f"  coverage at detection: {last.coverage_total}")
 
-    # --- DifuzzRTL baseline ----------------------------------------------
+    # --- DifuzzRTL baseline (coarse end-of-program comparison) ---------
     sw_session = build_session(
         BASE.named("difuzzrtl").with_fuzzer("difuzzrtl"), cache=cache
     )
-    sw_seconds = sw_session.run_until_bug_triggered(
-        BUG_ID, max_iterations=3000, coarse_detection=(1, 2))
+    sw_seconds = sw_session.run_for_virtual_time(
+        math.inf, max_iterations=3000, until_detection=True)
     if sw_seconds is None:
         print("DifuzzRTL: bug not detected within the iteration budget")
     else:

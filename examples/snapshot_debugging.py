@@ -8,6 +8,8 @@ replay the run deterministically — the StateMover-style offline analysis
 loop TurboFuzz automates.
 """
 
+import math
+
 from repro.campaign import CampaignSpec, build_session
 from repro.dut import make_core
 from repro.harness import HardwareSnapshot
@@ -26,7 +28,9 @@ def main():
         print(f"  [bus] divergence at iteration {outcome.index}: "
               f"{mismatch.describe()}")
 
-    seconds, mismatch = session.run_until_mismatch(max_iterations=200)
+    seconds = session.run_for_virtual_time(
+        math.inf, max_iterations=200, until_detection=True)
+    mismatch = session.history[-1].mismatch
     print(f"mismatch after {seconds:.3f} virtual s:")
     print(f"  {mismatch.describe()}")
 

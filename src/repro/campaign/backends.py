@@ -175,6 +175,12 @@ class _Supervisor:
         self.injector = backend.injector
         self.recovery = ShardRecovery(self.policy, bus=orchestrator.bus,
                                       health=orchestrator.shard_health)
+        if backend._recovery is not None:
+            # Counters and last errors run over every call the backend
+            # has started; attempt counts stay per call, whose slice
+            # indices restart at 0.
+            self.recovery.counters.update(backend._recovery.counters)
+            self.recovery.last_error.update(backend._recovery.last_error)
         self.shard_index = {label: index for index, label
                             in enumerate(orchestrator.sessions)}
         self.relay = [event for event in backend.RELAY_EVENTS
@@ -517,7 +523,8 @@ class SupervisedQueueBackend(ExecutionBackend):
         self._recovery = None
 
     def resilience_stats(self):
-        """Retry/redispatch/quarantine counters of the most recent run
+        """Retry/redispatch/quarantine counters over every run this
+        backend has started, with each shard's latest failure reason
         (None before any run); surfaced by ``orchestrator.report()``."""
         if self._recovery is None:
             return None

@@ -11,8 +11,8 @@ at the session's internals after the fact.  Events:
 * ``new_coverage`` — only when the iteration found new coverage points.
 * ``mismatch`` — a DUT/REF divergence was flagged by the checker.
 * ``milestone`` — coarse campaign landmarks (``campaign_start``,
-  ``coverage_target``, ``bug_triggered``, ``shard_done``, ...); payload
-  always carries ``kind``.
+  ``mismatch_confirmed``, ``bug_triggered``, ``shard_done``, ...);
+  payload always carries ``kind``.
 
 Robustness events, published by the supervised queue backend
 (:mod:`repro.campaign.resilience`):

@@ -10,19 +10,21 @@ triage subscribe instead of special-casing the driver loop.
 
 from dataclasses import dataclass
 
+from repro.campaign.cache import InstrumentationCache
 from repro.campaign.checkpoint import CheckpointError
 from repro.campaign.events import EventBus
 from repro.campaign.registry import CORES, FUZZERS, TIMINGS
 from repro.campaign.spec import CampaignSpec
-from repro.coverage import FeedbackWeights, instrument_design
+from repro.coverage import FeedbackWeights
 from repro.fuzzer.lfsr import Lfsr
 from repro.harness.clock import VirtualClock
 from repro.harness.runner import IterationRunner
 
-# The probabilistic end-of-program detection model (coarse_detection) draws
-# from its own LFSR so detection luck is decoupled from generation; the
-# seed is a campaign-level constant.  Checkpoints still carry it, so a
-# campaign saved with another seed resumes on its own stream.
+# The probabilistic end-of-program detection model (a fuzzer plugin's
+# coarse_detection) draws from its own LFSR so detection luck is decoupled
+# from generation; the seed is a campaign-level constant.  Checkpoints
+# still carry it, so a campaign saved with another seed resumes on its own
+# stream.
 DEFAULT_DETECTION_SEED = 0xC0FFEE
 
 #: The ``base`` of a state taken without a mark: the empty campaign.
@@ -106,33 +108,20 @@ class RestoredMismatch:
 class CampaignSession:
     """A fuzzing campaign bound to one DUT and one fuzzer.
 
-    Normally constructed from a spec (``CampaignSession(spec)`` or
-    :func:`build_session`); the keyword overrides inject prebuilt
-    components:
-
-    * ``fuzzer`` — a prebuilt fuzzer instance (skips registry lookup),
-    * ``timing`` — an :class:`~repro.harness.timing.IterationTiming`
-      instance overriding the spec/plugin timing preset,
-    * ``cache`` — a shared
-      :class:`~repro.campaign.cache.InstrumentationCache`,
-    * ``bus`` — a shared :class:`~repro.campaign.events.EventBus`
-      (the orchestrator passes one bus to all shards).
+    Built from a spec (``CampaignSession(spec)`` or :func:`build_session`):
+    the core, the fuzzer, its timing model and its checking come from the
+    registries.  ``cache`` is a shared
+    :class:`~repro.campaign.cache.InstrumentationCache` (a private one
+    serves a session built without it), and ``bus`` a shared
+    :class:`~repro.campaign.events.EventBus` (the orchestrator passes one
+    bus to all shards).
     """
 
-    def __init__(self, spec=None, *, fuzzer=None, timing=None, cache=None,
-                 bus=None):
+    def __init__(self, spec=None, *, cache=None, bus=None):
         self.spec = spec or CampaignSpec()
         spec = self.spec
         self.bus = bus or EventBus()
-        plugin = FUZZERS.get(spec.fuzzer) if spec.fuzzer in FUZZERS else None
-        if plugin is None and (fuzzer is None or timing is None):
-            FUZZERS.get(spec.fuzzer)  # raises with the known-names message
-        if plugin is None and spec.tweaks:
-            raise ValueError(
-                f"spec declares tweaks {spec.tweaks!r} but fuzzer "
-                f"{spec.fuzzer!r} is not registered; register the fuzzer "
-                "or apply the tweaks to the prebuilt instance"
-            )
+        plugin = FUZZERS.get(spec.fuzzer)
 
         # Exact registry match first; fall back to the lowercase form the
         # core factory has always accepted ("Rocket" == "rocket").
@@ -142,29 +131,24 @@ class CampaignSession:
         self.core = core_class(bugs=tuple(spec.bugs),
                                rv32a_only=spec.rv32a_only)
         self.weights = FeedbackWeights(dict(spec.weight_shifts))
-        if cache is not None:
-            self.coverage = cache.instrument(
-                self.core, style=spec.instrument_style,
-                max_state_size=spec.max_state_size,
-                seed=spec.instrument_seed, weights=self.weights,
-            )
-        else:
-            self.coverage = instrument_design(
-                self.core.top, style=spec.instrument_style,
-                max_state_size=spec.max_state_size,
-                seed=spec.instrument_seed, weights=self.weights,
-            )
+        if cache is None:
+            cache = InstrumentationCache()
+        self.coverage = cache.instrument(
+            self.core, style=spec.instrument_style,
+            max_state_size=spec.max_state_size,
+            seed=spec.instrument_seed, weights=self.weights,
+        )
         self.core.attach_coverage(self.coverage)
 
-        self.fuzzer = fuzzer or plugin.build(spec.fuzzer_options)
-        if plugin is not None:
-            for tweak in spec.tweaks:
-                plugin.apply_tweak(self.fuzzer, tweak)
+        self.fuzzer = plugin.build(spec.fuzzer_options)
+        for tweak in spec.tweaks:
+            plugin.apply_tweak(self.fuzzer, tweak)
+        self.coarse_detection = plugin.coarse_detection
 
         if spec.stop_on_trap is not None:
             stop_on_trap = bool(spec.stop_on_trap)
         else:
-            stop_on_trap = plugin.stop_on_trap if plugin else False
+            stop_on_trap = plugin.stop_on_trap
         self.runner = IterationRunner(
             self.core,
             with_ref=spec.with_ref,
@@ -172,9 +156,7 @@ class CampaignSession:
             stop_on_trap=stop_on_trap,
         )
 
-        if timing is not None:
-            self.timing = timing
-        elif spec.timing is not None:
+        if spec.timing is not None:
             self.timing = TIMINGS.get(spec.timing)
         else:
             self.timing = TIMINGS.get(plugin.timing)
@@ -236,13 +218,34 @@ class CampaignSession:
         return outcome
 
     # -- campaign drivers ------------------------------------------------------
-    def run_for_virtual_time(self, virtual_seconds, max_iterations=None):
-        """Iterate until the virtual clock passes the budget."""
+    def run_for_virtual_time(self, virtual_seconds, max_iterations=None,
+                             until_detection=False):
+        """Iterate until the virtual clock passes the budget or the history
+        holds ``max_iterations`` outcomes.
+
+        With ``until_detection`` the campaign also ends at its first
+        detection (:meth:`_detector`): the clock then advances by the
+        timing model's detection latency (snapshot capture and readback
+        for TurboFuzz, trace dump for the software fuzzers), a
+        ``mismatch_confirmed`` (``outcome``, ``seconds``) or
+        ``bug_triggered`` (``bug_id``, ``seconds``) milestone is emitted,
+        and the detection's virtual time is returned.  Returns None when
+        the budget runs out first.
+        """
+        detect = self._detector() if until_detection else None
         while self.clock.seconds < virtual_seconds:
             if max_iterations is not None and len(self.history) >= max_iterations:
                 break
-            self.run_iteration()
-        return self.history
+            outcome = self.run_iteration()
+            if detect is not None:
+                detection = detect(outcome)
+                if detection is not None:
+                    kind, payload = detection
+                    self.clock.advance_seconds(self.timing.detection_s)
+                    self.bus.milestone(kind, session=self, **payload,
+                                       seconds=self.clock.seconds)
+                    return self.clock.seconds
+        return None
 
     def run_iterations(self, count):
         """Run a fixed number of iterations."""
@@ -250,85 +253,38 @@ class CampaignSession:
             self.run_iteration()
         return self.history
 
-    def run_until_coverage(self, target_points, max_iterations=100_000):
-        """Iterate until total coverage reaches the target; returns the
-        virtual time at which it was reached (None if never)."""
-        for _ in range(max_iterations):
-            outcome = self.run_iteration()
-            if outcome.coverage_total >= target_points:
-                self.bus.milestone("coverage_target", session=self,
-                                   target=target_points, outcome=outcome)
-                return outcome.virtual_seconds
-        return None
-
-    def run_until_mismatch(self, max_iterations=100_000):
-        """Iterate (with REF checking on) until a mismatch; returns
-        ``(virtual_seconds, mismatch)`` or ``(None, None)``.
-
-        The reported time includes the timing model's detection latency
-        (snapshot capture and readback for TurboFuzz, trace dump for the
-        software fuzzers).
-        """
-        for _ in range(max_iterations):
-            outcome = self.run_iteration()
-            if outcome.mismatch is not None:
-                self.clock.advance_seconds(self.timing.detection_s)
-                self.bus.milestone("mismatch_confirmed", session=self,
-                                   outcome=outcome,
-                                   seconds=self.clock.seconds)
-                return self.clock.seconds, outcome.mismatch
-        return None, None
-
-    def bug_trigger_set(self):
-        """The DUT hooks' fired-bug set; raises if the core carries no
-        injected bugs (the hooks then have no trigger set and a trigger
-        wait would be a guaranteed-timeout no-op)."""
+    def _detector(self):
+        """The campaign's detection rule: a function of an iteration's
+        outcome that returns the milestone it confirms, ``(kind,
+        payload)``, or None.  With a REF, a detection is a lockstep
+        mismatch.  Without one, it is an injected bug firing (the first in
+        sorted order) that the fuzzer's checking sees: the plugin's
+        ``coarse_detection`` odds, drawn from :attr:`detection_lfsr`."""
+        if self.runner.with_ref:
+            def mismatch(outcome):
+                if outcome.mismatch is None:
+                    return None
+                return "mismatch_confirmed", {"outcome": outcome}
+            return mismatch
         triggered = getattr(self.core.hooks, "triggered", None)
         if triggered is None:
             raise ValueError(
-                f"core {self.spec.core!r} has no injected bugs: build the "
-                "campaign with CampaignSpec(bugs=(bug_id, ...)) so the DUT "
-                "hooks expose a bug-trigger set"
+                f"core {self.spec.core!r} has no injected bugs and no REF: "
+                "build the campaign with CampaignSpec(bugs=(bug_id, ...)) "
+                "or with_checking(with_ref=True) so it can detect one"
             )
-        return triggered
+        odds = self.coarse_detection
+        chance = self.detection_lfsr.chance
 
-    def run_until_bug_triggered(self, bug_id, max_iterations=100_000,
-                                coarse_detection=None):
-        """Iterate until an injected bug's condition fires on the DUT.
-
-        This is the REF-free fast path for Table II: with TurboFuzz's
-        instruction-level lockstep checking, the moment the bug's
-        architecturally-visible condition fires it is flagged; running the
-        REF only doubles the cost.
-
-        ``coarse_detection`` models DifuzzRTL-style checking ("coarse-
-        grained comparisons between the DUT and REF after thousands of
-        instructions", paper Section I): a ``(num, den)`` probability that
-        an end-of-iteration comparison still sees the divergence (register
-        overwrites mask transient differences).  ``None`` = fine-grained.
-        """
-        triggered = self.bug_trigger_set()
-        injected = getattr(self.core.hooks, "bug_ids", frozenset())
-        if bug_id not in injected:
-            raise ValueError(
-                f"bug {bug_id!r} is not injected in this campaign "
-                f"(injected: {sorted(injected) or '<none>'})"
-            )
-        detection_lfsr = self.detection_lfsr
-        for _ in range(max_iterations):
-            self.run_iteration()
-            if bug_id in triggered:
-                if (coarse_detection is not None
-                        and not detection_lfsr.chance(coarse_detection)):
-                    # The end-of-program comparison missed it; keep going.
-                    triggered.discard(bug_id)
-                    continue
-                self.clock.advance_seconds(self.timing.detection_s)
-                self.bus.milestone("bug_triggered", session=self,
-                                   bug_id=bug_id,
-                                   seconds=self.clock.seconds)
-                return self.clock.seconds
-        return None
+        def bug(outcome):
+            if not triggered:
+                return None
+            if odds is not None and not chance(odds):
+                # The end-of-program comparison missed it; keep going.
+                triggered.clear()
+                return None
+            return "bug_triggered", {"bug_id": min(triggered)}
+        return bug
 
     # -- reporting -------------------------------------------------------------
     @property

@@ -181,7 +181,7 @@ class DeepExplore:
     # -- stage 2 -----------------------------------------------------------------------
     def run_stage2(self, virtual_seconds, max_iterations=None):
         """High-throughput fuzzing over the enriched corpus."""
-        return self.session.run_for_virtual_time(
+        self.session.run_for_virtual_time(
             virtual_seconds, max_iterations=max_iterations
         )
 
@@ -190,4 +190,4 @@ class DeepExplore:
         """Stage 1 + refinement + stage 2 up to the total time budget."""
         self.run_stage1(programs)
         self.refine_marked_seeds()
-        return self.run_stage2(total_virtual_seconds, max_iterations)
+        self.run_stage2(total_virtual_seconds, max_iterations)

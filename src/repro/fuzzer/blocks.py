@@ -231,10 +231,6 @@ class Iteration:
         """First address of actual fuzzing instructions."""
         return self.layout.blocks + 4 * len(self.setup_words)
 
-    @property
-    def control_flow_blocks(self):
-        return sum(1 for block in self.blocks if block.is_control_flow)
-
     def assemble(self):
         """Two-pass assembly into ``words`` with control flow patched.
 

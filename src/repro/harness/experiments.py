@@ -29,6 +29,7 @@ from repro.campaign import (
     FUZZERS,
     InstrumentationCache,
     build_session,
+    coverage_at_time,
 )
 from repro.coverage import design_reachability, instrument_design
 from repro.deepexplore import DeepExplore, DeepExploreConfig
@@ -120,20 +121,22 @@ def fig4_executable_proportion(iterations=20):
     core.reset_pc = image.layout.reset
     core.reset()
     image.install(core.memory)
+    fuzz_base = iteration.fuzz_base
+    done = iteration.layout.done
+
+    def stop_on(record):
+        return ((record.trap is not None and record.pc >= fuzz_base)
+                or record.next_pc == done)
+
     executed_cf = 0
-    for _ in range(4 * iteration.total_instructions):
-        record = core.step()
-        if record.pc >= iteration.fuzz_base and record.word:
+    for record in core.run(4 * iteration.total_instructions, stop_on=stop_on):
+        if record.pc >= fuzz_base and record.word:
             decoded = try_decode(record.word)
             if decoded is not None:
                 key = decoded.spec.category.value
                 executed[key] = executed.get(key, 0) + 1
                 if decoded.spec.is_control_flow:
                     executed_cf += 1
-        if record.trap is not None and record.pc >= iteration.fuzz_base:
-            break
-        if record.next_pc == iteration.layout.done:
-            break
     cf_generated = sum(
         count for key, count in generated.items()
         if key in (Category.BRANCH.value, Category.JUMP.value)
@@ -349,21 +352,12 @@ def _crossover(fuzz_series, de_series):
     """Virtual time where deepExplore's coverage overtakes pure fuzzing."""
     if not fuzz_series or not de_series:
         return None
-
-    def coverage_at(series, seconds):
-        best = 0
-        for time_point, points in series:
-            if time_point <= seconds:
-                best = points
-            else:
-                break
-        return best
-
     horizon = min(fuzz_series[-1][0], de_series[-1][0])
     steps = 200
     for step in range(1, steps + 1):
         seconds = horizon * step / steps
-        if coverage_at(de_series, seconds) > coverage_at(fuzz_series, seconds):
+        if (coverage_at_time(de_series, seconds)
+                > coverage_at_time(fuzz_series, seconds)):
             return seconds
     return None
 
@@ -461,19 +455,16 @@ def table2_bug_detection(bug_ids=None, hw_max_iterations=400,
             rv32a_only=rv32a_only, seed=seed, allow_ebreak=allow_ebreak,
             instructions_per_iteration=1000,
         ), cache=cache)
-        hw_time = hw_session.run_until_bug_triggered(
-            bug_id, max_iterations=hw_max_iterations
-        )
+        hw_time = hw_session.run_for_virtual_time(
+            math.inf, max_iterations=hw_max_iterations, until_detection=True)
         sw_session = build_session(campaign_spec(
             "difuzzrtl", core=bug.core, bugs=(bug_id,),
             rv32a_only=rv32a_only, seed=seed, allow_ebreak=allow_ebreak,
         ), cache=cache)
-        # DifuzzRTL's end-of-program comparison masks transient
-        # divergences; half the triggering iterations surface the bug.
-        sw_time = sw_session.run_until_bug_triggered(
-            bug_id, max_iterations=sw_max_iterations,
-            coarse_detection=(1, 2),
-        )
+        # DifuzzRTL's registered coarse_detection: its end-of-program
+        # comparison surfaces half the triggering iterations.
+        sw_time = sw_session.run_for_virtual_time(
+            math.inf, max_iterations=sw_max_iterations, until_detection=True)
         ratio = (sw_time / hw_time) if hw_time and sw_time else None
         rows[bug_id] = {
             "description": bug.description,

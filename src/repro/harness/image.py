@@ -85,9 +85,6 @@ class ProgramImage:
         memory.write_program(layout.blocks, self.block_words)
         memory.store_bytes(layout.data, self.data_bytes, check=False)
 
-    def is_done_pc(self, pc):
-        return pc == self.layout.done
-
 
 def build_data_segment(layout, data_seed, patches=()):
     """LFSR-randomized data segment with the interesting-values table at

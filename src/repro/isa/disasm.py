@@ -63,12 +63,3 @@ def disassemble(word):
     if fmt == "LR":
         return f"{name} {x(d.rd)}, ({x(d.rs1)})"
     return name
-
-
-def disassemble_block(words, base_address=0):
-    """Disassemble a sequence of words into ``addr: text`` lines."""
-    lines = []
-    for offset, word in enumerate(words):
-        address = base_address + offset * 4
-        lines.append(f"{address:#010x}: {disassemble(word)}")
-    return lines

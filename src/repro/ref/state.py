@@ -63,9 +63,6 @@ class ArchState:
             self.xregs[index] = value & MASK64
 
     # --- FP registers --------------------------------------------------------
-    def read_f(self, index):
-        return self.fregs[index]
-
     def write_f(self, index, value):
         self.fregs[index] = value & MASK64
         self.set_fs_dirty()

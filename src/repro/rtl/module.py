@@ -63,9 +63,6 @@ class Module:
     def muxes(self, recursive=False):
         return self._nodes_of_kind("mux", recursive)
 
-    def logics(self, recursive=False):
-        return self._nodes_of_kind("logic", recursive)
-
     def memories(self, recursive=False):
         return self._nodes_of_kind("memory", recursive)
 

@@ -30,11 +30,6 @@ class Node:
             return self.name
         return f"{self.module.path}.{self.name}"
 
-    def connect(self, *nodes):
-        """Append fan-in sources."""
-        self.sources.extend(nodes)
-        return self
-
     def __repr__(self):
         return f"{type(self).__name__}({self.path}, w={self.width})"
 

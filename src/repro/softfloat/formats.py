@@ -42,11 +42,6 @@ class FloatFormat:
         return 1 << (self.man_bits - 1)
 
     @property
-    def max_finite(self):
-        """Bit pattern of the largest finite positive value."""
-        return ((self.exp_mask - 1) << self.man_bits) | self.man_mask
-
-    @property
     def inf_bits(self):
         return self.exp_mask << self.man_bits
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines import CascadeFuzzer, DifuzzRtlFuzzer
-from repro.campaign import CampaignSession, CampaignSpec, build_session
+from repro.campaign import CampaignSpec, build_session
 from repro.deepexplore import (
     BasicBlockVectorCollector,
     DeepExplore,
@@ -24,7 +24,6 @@ from repro.fpga import (
 from repro.fpga.ila import IlaConfig
 from repro.fuzzer import TurboFuzzConfig, TurboFuzzer
 from repro.harness import IterationRunner
-from repro.harness.timing import DIFUZZRTL_FPGA_TIMING
 from repro.isa.decoder import try_decode
 from repro.workloads import all_workloads, coremark_like, raw_iteration
 
@@ -49,10 +48,8 @@ class TestDifuzzRtl:
         assert len(fuzzer.corpus) == 0
 
     def test_low_prevalence_operating_point(self):
-        session = CampaignSession(
-            CampaignSpec(fuzzer="difuzzrtl", stop_on_trap=True),
-            fuzzer=DifuzzRtlFuzzer(), timing=DIFUZZRTL_FPGA_TIMING,
-        )
+        session = build_session(
+            CampaignSpec(fuzzer="difuzzrtl", stop_on_trap=True))
         session.run_iterations(10)
         mean_prevalence = sum(
             h.prevalence for h in session.history) / len(session.history)
@@ -70,12 +67,7 @@ class TestDifuzzRtl:
 
 class TestCascade:
     def test_high_prevalence_operating_point(self):
-        from repro.harness.timing import CASCADE_TIMING
-
-        session = CampaignSession(
-            CampaignSpec(fuzzer="cascade"),
-            fuzzer=CascadeFuzzer(), timing=CASCADE_TIMING,
-        )
+        session = build_session(CampaignSpec(fuzzer="cascade"))
         session.run_iterations(10)
         mean_prevalence = sum(
             h.prevalence for h in session.history) / len(session.history)

@@ -1,6 +1,7 @@
 """Harness: templates, images, runner, checker, snapshot, clock, session."""
 
 import itertools
+import math
 
 import pytest
 
@@ -317,12 +318,6 @@ class TestSession:
         session.run_for_virtual_time(0.02)
         assert session.clock.seconds >= 0.02
 
-    def test_run_until_coverage(self):
-        session = build_session(CampaignSpec(
-            fuzzer_options={"instructions_per_iteration": 200}))
-        when = session.run_until_coverage(100, max_iterations=20)
-        assert when is not None and session.coverage_total >= 100
-
     def test_coverage_series_is_monotonic(self):
         session = build_session(CampaignSpec(
             fuzzer_options={"instructions_per_iteration": 200}))
@@ -335,14 +330,17 @@ class TestSession:
         session = build_session(CampaignSpec(
             core="cva6", bugs=("C1",), with_ref=True,
             fuzzer_options={"instructions_per_iteration": 500}))
-        seconds, mismatch = session.run_until_mismatch(max_iterations=50)
-        assert seconds is not None and mismatch is not None
+        seconds = session.run_for_virtual_time(
+            math.inf, max_iterations=50, until_detection=True)
+        assert seconds is not None
+        assert session.history[-1].mismatch is not None
 
     def test_run_until_bug_triggered(self):
         session = build_session(CampaignSpec(
             core="cva6", bugs=("C1",),
             fuzzer_options={"instructions_per_iteration": 500}))
-        seconds = session.run_until_bug_triggered("C1", max_iterations=50)
+        seconds = session.run_for_virtual_time(
+            math.inf, max_iterations=50, until_detection=True)
         assert seconds is not None
 
 

@@ -1,5 +1,7 @@
 """End-to-end integration: full campaigns with detection equivalence."""
 
+import math
+
 import pytest
 
 from repro.campaign import CampaignSpec, build_session
@@ -21,8 +23,10 @@ class TestTriggerImpliesMismatch:
             fuzzer_options={"instructions_per_iteration": 800, "seed": 7},
         )
         session = build_session(spec)
-        seconds, mismatch = session.run_until_mismatch(max_iterations=80)
-        assert mismatch is not None, f"{bug_id} never detected"
+        seconds = session.run_for_virtual_time(
+            math.inf, max_iterations=80, until_detection=True)
+        assert seconds is not None, f"{bug_id} never detected"
+        assert session.history[-1].mismatch is not None
         assert bug_id in session.core.hooks.triggered
 
 

@@ -930,6 +930,18 @@ class TestSupervisedQueueBackend:
         counters = supervised.report()["resilience"]["counters"]
         assert (counters["full_tasks"], counters["delta_tasks"]) == (2, 0)
 
+    def test_counters_count_every_call(self):
+        """Every call spawns its own fleet and ships each shard whole;
+        the report counts the tasks and spawns of all of them."""
+        supervised = CampaignOrchestrator(
+            two_shard_specs(), backend=SupervisedQueueBackend(workers=2))
+        seen = []
+        for _ in range(2):
+            supervised.run_iterations(2)
+            counters = supervised.report()["resilience"]["counters"]
+            seen.append((counters["full_tasks"], counters["spawns"]))
+        assert seen == [(2, 2), (4, 4)]
+
     def test_run_iterations_on_an_uneven_grid_matches_serial(self):
         """Shards resumed at 0, 1 and 2 iterations: each runs two more,
         its stop capped at its own count plus two."""
